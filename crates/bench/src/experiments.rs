@@ -776,9 +776,7 @@ pub fn e12_shards() -> Table {
          shrink near-linearly in the shard count while every run merges to the \
          same bank state. The batched row dials E14's batch=16/depth=8 knobs into \
          every shard: sharding and batching compose — same final state, and \
-         fewer, larger 2a waves trim the wire-byte total further. Wall-clock scaling is gated separately: `cargo run \
-         --release -p mcpaxos-bench --bin bench_shards -- --check` demands ≥3× \
-         throughput at 4 shards / 1% cross-shard and writes `BENCH_shards.json`.",
+         fewer, larger 2a waves trim the wire-byte total further.",
         E12_COMMANDS,
         E12_TRANSFERS * 100.0
     ))
@@ -902,9 +900,7 @@ pub fn e14_throughput() -> Table {
         "{} kv-put commands, open-loop at {} cmds/tick (1 tick = 1 ms), \
          closed-loop window {}. Percentiles are nearest-rank over per-command \
          delivery latencies. Batch=16/depth=8 vs the in-scheduler lockstep \
-         baseline (batch=1/depth=1) is {:.1}x here (CI floor: ≥5x, \
-         `bench_throughput --check`, which also writes the full sweep to \
-         BENCH_throughput.json).",
+         baseline (batch=1/depth=1) is {:.1}x here.",
         E14_COMMANDS, THROUGHPUT_RATE, E14_WINDOW, speedup
     ))
 }

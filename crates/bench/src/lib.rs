@@ -5,9 +5,9 @@
 //! quantitative claims made in §2 and §4 (latency in communication steps,
 //! quorum sizes, availability under coordinator crashes, load balance,
 //! collision costs, disk writes, scenario crossovers). Each claim is
-//! reproduced here as a deterministic simulation experiment; the
-//! `benches/` targets print one table per experiment and
-//! `cargo run --bin gen_experiments` regenerates `EXPERIMENTS.md`.
+//! reproduced here as a deterministic simulation experiment;
+//! `cargo run --bin gen_experiments` prints one table per experiment and
+//! regenerates `EXPERIMENTS.md`.
 
 pub mod churn_bench;
 pub mod experiments;

@@ -1,20 +1,19 @@
 //! Sharded cluster harness: N Multicoordinated Paxos instances in one
 //! simulator, with routing, cross-shard sequencing and merge verification.
 //!
-//! This is the deployment the `bench_shards` scaling gate and the E12
-//! experiment drive: each shard is a full 1-proposer/1-coordinator/
-//! 3-acceptor/1-learner instance (its agents wrapped in
-//! [`Sharded`]) over a disjoint process-id range, all sharing one
-//! [`Sim`] so cross-shard traffic and per-shard byte accounting stay in a
-//! single deterministic event loop. Commands route by conflict-key hash
-//! ([`ShardRouter`]); multi-key commands pass through a
-//! [`CrossShardSequencer`] and are proposed to every involved shard;
+//! This is the deployment the E12 experiment drives: each shard is a
+//! full 1-proposer/1-coordinator/3-acceptor/1-learner instance (its
+//! agents wrapped in [`Sharded`]) over a disjoint process-id range, all
+//! sharing one [`Sim`] so cross-shard traffic and per-shard byte
+//! accounting stay in a single deterministic event loop. Commands route
+//! by conflict-key hash ([`ShardRouter`]); multi-key commands pass through
+//! a [`CrossShardSequencer`] and are proposed to every involved shard;
 //! the per-shard learned histories merge through [`ShardedReplica`].
 
-use mcpaxos_actor::{ProcessId, SimDuration, SimTime};
+use mcpaxos_actor::{ProcessId, SimTime};
 use mcpaxos_core::{
-    shard_configs, shard_tag, Acceptor, BatchConfig, Coordinator, DeployConfig, Learner, Msg,
-    Overflow, Policy, Proposer, ShardMsg, Sharded,
+    shard_configs, shard_tag, Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer,
+    ShardMsg, Sharded,
 };
 use mcpaxos_cstruct::{CStruct, CommandHistory};
 use mcpaxos_simnet::{NetConfig, Sim, WireTotal};
@@ -303,96 +302,12 @@ impl ShardedHarness {
     }
 }
 
-/// One `bench_shards` measurement: a fixed command count pushed through
-/// `shards` instances at a given transfer (cross-shard) fraction.
-#[derive(Clone, Debug)]
-pub struct ShardRunStats {
-    /// Number of shards deployed.
-    pub shards: u16,
-    /// Transfer fraction requested, in percent.
-    pub transfer_pct: f64,
-    /// Commands submitted.
-    pub commands: usize,
-    /// Commands the router classified as cross-shard.
-    pub cross_shard: usize,
-    /// Commands applied by the merged replica (must equal `commands`).
-    pub applied: u64,
-    /// Wall-clock milliseconds for submit + drive.
-    pub elapsed_ms: f64,
-    /// Commands per wall-clock second.
-    pub cps: f64,
-    /// Final merged bank balance total (determinism anchor).
-    pub bank_total: u64,
-}
-
-/// Command count the `bench_shards` scaling runs push through each
-/// configuration. Large enough that per-message full-payload work — the
-/// O(history) cost sharding divides — dominates fixed overheads.
-pub const SHARD_BENCH_COMMANDS: usize = 1_000;
-
 /// Accounts the sharded workload spreads over.
 pub const SHARD_BENCH_ACCOUNTS: u16 = 4_096;
 
-/// Runs the sharded workload and measures wall-clock throughput.
-///
-/// Uses the default wire mode (full payloads, compaction off) so the
-/// per-message cost every consensus instance pays is proportional to its
-/// own history length: the work sharding divides. The same harness drives
-/// the 1-shard baseline, so routing/sequencer overhead is paid equally.
-///
-/// # Panics
-///
-/// Panics if the run stalls before every command is learned, or if the
-/// merged replica does not apply exactly `commands` commands.
-pub fn shard_run(shards: u16, transfer_fraction: f64, commands: usize, seed: u64) -> ShardRunStats {
-    let start = std::time::Instant::now();
-    let mut h = ShardedHarness::new(
-        shards,
-        Policy::MultiCoordinated,
-        seed,
-        NetConfig::lockstep(),
-    );
-    let mut w = Workload::new(seed, 0, 0.0)
-        .with_cold_keys(SHARD_BENCH_ACCOUNTS)
-        .with_transfer_fraction(transfer_fraction);
-    let mut t = 100;
-    for _ in 0..commands {
-        h.submit_at(t, w.next_sharded_bank());
-        t += 2;
-    }
-    let max_t = t + 1_000_000;
-    let end = h.drive_until_done(max_t);
-    assert!(
-        h.done(),
-        "{shards}-shard run stalled at t={end}: learned {} of expected {:?}",
-        h.learned_total(),
-        h.expected,
-    );
-    let rep = h.merged();
-    assert_eq!(
-        rep.applied_count(),
-        commands as u64,
-        "merged replica must apply every command exactly once"
-    );
-    assert_eq!(rep.pending(), 0);
-    let elapsed = start.elapsed();
-    let elapsed_ms = elapsed.as_secs_f64() * 1e3;
-    ShardRunStats {
-        shards,
-        transfer_pct: transfer_fraction * 100.0,
-        commands,
-        cross_shard: h.cross_submitted(),
-        applied: rep.applied_count(),
-        elapsed_ms,
-        cps: commands as f64 / elapsed.as_secs_f64(),
-        bank_total: rep.machine().total(),
-    }
-}
-
 /// One E12 measurement: deterministic (tick- and byte-level) statistics
 /// for a sharded run, independent of host speed — the numbers the
-/// `EXPERIMENTS.md` table reports, complementing the wall-clock
-/// `BENCH_shards.json` artifact.
+/// `EXPERIMENTS.md` table reports.
 #[derive(Clone, Debug)]
 pub struct ShardWireStats {
     /// Number of shards deployed.
@@ -412,9 +327,10 @@ pub struct ShardWireStats {
 }
 
 /// Runs the sharded workload with the per-shard byte meter on and returns
-/// deterministic completion/wire statistics (same protocol as
-/// [`shard_run`], but measuring simulator ticks and bytes, not
-/// wall-clock).
+/// deterministic completion/wire statistics (simulator ticks and bytes,
+/// not wall-clock). Uses the default wire mode (full payloads, compaction
+/// off), so the per-message cost every consensus instance pays is
+/// proportional to its own history length: the work sharding divides.
 ///
 /// # Panics
 ///
@@ -478,102 +394,17 @@ pub fn shard_wire_run_tuned(
     }
 }
 
-/// One batched-vs-unbatched sharded measurement: the same workload with
-/// the batching knobs wired through [`ShardedHarness::with_config`].
-#[derive(Clone, Debug)]
-pub struct ShardBatchedStats {
-    /// Number of shards deployed.
-    pub shards: u16,
-    /// Batch size (0 = batching off).
-    pub batch: usize,
-    /// Pipeline depth.
-    pub depth: usize,
-    /// Commands submitted.
-    pub commands: usize,
-    /// Commands the merged replica applied.
-    pub learned: usize,
-    /// Simulator tick at which every shard had learned everything.
-    pub end_ticks: u64,
-    /// Final merged bank balance total (determinism anchor).
-    pub bank_total: u64,
-}
-
-/// Runs the sharded workload with every shard's coordinator/proposer
-/// batching dialed to `batch`/`depth` (`batch = 0` leaves the knobs off)
-/// and returns deterministic completion statistics — the batched row of
-/// the `bench_shards`/`bench_throughput` reports.
-///
-/// # Panics
-///
-/// Panics if the run stalls or the merged replica misses commands.
-pub fn shard_batched_run(
-    shards: u16,
-    batch: usize,
-    depth: usize,
-    commands: usize,
-    seed: u64,
-) -> ShardBatchedStats {
-    let tune = move |c: DeployConfig| {
-        if batch == 0 {
-            c
-        } else {
-            c.with_batching(BatchConfig {
-                batch_size: batch,
-                batch_ticks: SimDuration(2),
-                pipeline_depth: depth,
-                queue_cap: 0,
-                overflow: Overflow::Shed,
-            })
-        }
-    };
-    let mut h = ShardedHarness::with_config(
-        shards,
-        Policy::MultiCoordinated,
-        seed,
-        NetConfig::lockstep(),
-        tune,
-        None::<fn(ProcessId) -> Box<dyn mcpaxos_actor::StableStore>>,
-    );
-    let mut w = Workload::new(seed, 0, 0.0)
-        .with_cold_keys(SHARD_BENCH_ACCOUNTS)
-        .with_transfer_fraction(0.01);
-    // Open-loop at 4 commands/tick (vs the paced 1-per-2-ticks of the
-    // scaling runs): enough offered load that a lockstep pipeline
-    // backlogs and batching has something to amortize.
-    let mut t = 100;
-    for i in 0..commands {
-        t = 100 + (i as u64) / 4;
-        h.submit_at(t, w.next_sharded_bank());
-    }
-    let end_ticks = h.drive_until_done(t + 1_000_000);
-    assert!(
-        h.done(),
-        "{shards}-shard batched (b={batch}/d={depth}) run stalled at t={end_ticks}"
-    );
-    let rep = h.merged();
-    assert_eq!(rep.applied_count(), commands as u64);
-    assert_eq!(rep.pending(), 0);
-    ShardBatchedStats {
-        shards,
-        batch,
-        depth,
-        commands,
-        learned: rep.applied_count() as usize,
-        end_ticks,
-        bank_total: rep.machine().total(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcpaxos_core::BatchConfig;
 
     #[test]
     fn batched_shards_learn_the_same_state() {
-        let plain = shard_batched_run(2, 0, 0, 60, 7);
-        let batched = shard_batched_run(2, 8, 4, 60, 7);
-        assert_eq!(plain.learned, 60);
-        assert_eq!(batched.learned, 60);
+        let plain = shard_wire_run(2, 0.01, 60, 7);
+        let batched = shard_wire_run_tuned(2, 0.01, 60, 7, |c| {
+            c.with_batching(BatchConfig::pipelined(8, 4))
+        });
         assert_eq!(plain.bank_total, batched.bank_total);
     }
 

@@ -13,12 +13,13 @@
 //!   `Phase1b`, the baseline the E7 experiment compares against.
 
 use crate::agents::{metrics, TOK_A_RESEND, TOK_FLUSH};
-use crate::compact::{Compactor, Resolved};
+use crate::compact::Compactor;
 use crate::config::{CollisionPolicy, DeployConfig, Durability};
-use crate::msg::{value_digest, Msg, Payload};
+use crate::msg::Msg;
 use crate::provedsafe::{pick, proved_safe, OneB};
 use crate::round::Round;
 use crate::schedule::RoundKind;
+use crate::ship::{announce_restart, prune_rounds, Receiver, Shipper};
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, TimerToken};
 use mcpaxos_cstruct::{glb_all_ref, CStruct};
@@ -31,9 +32,6 @@ const KEY_VOTE: &str = "vote";
 const KEY_MAJOR: &str = "major";
 /// Storage key for the full round under naive durability.
 const KEY_RND: &str = "rnd";
-
-/// Rounds of "2a"/"2b" bookkeeping kept before pruning.
-const ROUND_WINDOW: usize = 8;
 
 /// The acceptor role.
 pub struct Acceptor<C: CStruct> {
@@ -57,9 +55,8 @@ pub struct Acceptor<C: CStruct> {
     fast_buf: Vec<C::Cmd>,
     /// Stable-prefix compaction state (watermark, pending/recent segments).
     comp: Compactor<C>,
-    /// Per peer: the round and logical value length of the last "2b" we
-    /// shipped it — the base the next delta extends.
-    sent_2b: BTreeMap<ProcessId, (Round, u64)>,
+    /// Ships `vval` as "2b"s (and "1b" reports), full or delta per peer.
+    out: Shipper<C>,
     /// Group commit: whether a `TOK_FLUSH` tick is armed.
     flush_armed: bool,
     /// Group commit: a "2b" broadcast is waiting for the next flush (a 2b
@@ -71,6 +68,7 @@ impl<C: CStruct> Acceptor<C> {
     /// Creates an acceptor for the given deployment.
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
         let comp = Compactor::new(cfg.wire.stable_keep);
+        let out = Shipper::new(&cfg.wire, |round, val| Msg::P2b { round, val });
         Acceptor {
             cfg,
             rnd: Round::ZERO,
@@ -82,7 +80,7 @@ impl<C: CStruct> Acceptor<C> {
             recovery_1b: BTreeMap::new(),
             fast_buf: Vec::new(),
             comp,
-            sent_2b: BTreeMap::new(),
+            out,
             flush_armed: false,
             pending_2b: false,
         }
@@ -131,23 +129,18 @@ impl<C: CStruct> Acceptor<C> {
 
     // ----- protocol helpers ------------------------------------------------
 
-    /// Emits the `bytes_sent` metric for `n` sends of `payload`, when byte
-    /// accounting is on.
-    fn account(&self, payload: &Payload<C>, n: usize, ctx: &mut dyn Context<Msg<C>>) {
-        if self.cfg.wire.account_bytes {
-            ctx.metric(Metric::add(
-                metrics::BYTES_SENT,
-                (payload.encoded_len() * n as u64) as i64,
-            ));
-        }
-    }
-
     /// Whether vote persistence is group-committed (deferred flushes).
     fn group_commit_on(&self) -> bool {
         self.cfg.group_commit.ticks() > 0
     }
 
     fn send_1b(&mut self, round: Round, ctx: &mut dyn Context<Msg<C>>) {
+        let coords = self.cfg.schedule.coordinators_of(round);
+        self.report_1b(&coords, round, ctx);
+    }
+
+    /// Reports `(vrnd, vval)` to `to` as a "1b" for `round`.
+    fn report_1b(&mut self, to: &[ProcessId], round: Round, ctx: &mut dyn Context<Msg<C>>) {
         // Group commit: a "1b" is *evidence* — ProvedSafe folds the
         // reported `(vrnd, vval)` into its safety argument, so the report
         // must never run ahead of the durable state (a phantom vote that a
@@ -156,20 +149,16 @@ impl<C: CStruct> Acceptor<C> {
         if self.group_commit_on() {
             ctx.storage().flush();
         }
-        let coords = self.cfg.schedule.coordinators_of(round);
-        // The fan-out shares the accepted value's Arc — no clone. 1b
-        // values are always shipped full: the receiving coordinator
-        // generally holds no base from us for this round.
-        let payload = Payload::Full(self.vval.clone());
-        self.account(&payload, coords.len(), ctx);
-        ctx.multicast(
-            &coords,
-            Msg::P1b {
-                round,
-                vrnd: self.vrnd,
-                vval: payload,
-            },
-        );
+        let (vrnd, vval) = (self.vrnd, self.vval.clone());
+        // The fan-out shares the accepted value's Arc — no clone.
+        let wrap = |vval| Msg::P1b { round, vrnd, vval };
+        self.out.multicast_full(to, vval, wrap, ctx);
+    }
+
+    /// The acceptors other than `me`.
+    fn fellows(&self, me: ProcessId) -> impl Iterator<Item = ProcessId> + '_ {
+        let all = self.cfg.roles.acceptors().iter().copied();
+        all.filter(move |&a| a != me)
     }
 
     fn join(&mut self, round: Round, ctx: &mut dyn Context<Msg<C>>) {
@@ -217,94 +206,42 @@ impl<C: CStruct> Acceptor<C> {
     }
 
     fn broadcast_2b_now(&mut self, ctx: &mut dyn Context<Msg<C>>) {
-        let learners = self.cfg.roles.learners().to_vec();
+        let roles = &self.cfg.roles;
         // Coordinators monitor 2b traffic for progress tracking, fast
         // collision detection and coordinated recovery (§4.2–4.3).
-        let coords = self.cfg.roles.coordinators().to_vec();
+        let mut targets: Vec<ProcessId> = roles
+            .learners()
+            .iter()
+            .chain(roles.coordinators())
+            .copied()
+            .collect();
         // Fast rounds under acceptor-driven recovery (§4.2): gossip "2b"
         // to fellow acceptors so collisions are detected at the acceptors,
         // which then issue *binding* "1b" promises for the successor
         // round. (Converting 2b snapshots into 1b evidence at a
         // coordinator is unsound for generalized rounds, which accept
         // incrementally — a snapshot is not the sender's final word.)
-        let me = ctx.me();
-        let peers: Vec<ProcessId> = if self.gossip_2b() {
-            self.cfg
-                .roles
-                .acceptors()
-                .iter()
-                .copied()
-                .filter(|&a| a != me)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if !self.cfg.wire.delta_ship {
-            let payload = Payload::Full(self.vval.clone());
-            self.account(&payload, learners.len() + coords.len() + peers.len(), ctx);
-            let msg = Msg::P2b {
-                round: self.vrnd,
-                val: payload,
-            };
-            ctx.multicast(&learners, msg.clone());
-            ctx.multicast(&coords, msg.clone());
-            if !peers.is_empty() {
-                ctx.multicast(&peers, msg);
-            }
-            return;
+        if self.gossip_2b() {
+            targets.extend(self.fellows(ctx.me()));
         }
-        // Delta shipping: per peer, extend the base we last shipped it in
-        // this round; fall back to the full value on a new round or an
-        // unproducible suffix. Lost messages surface as `NeedFull` nacks,
-        // which reset the peer's base.
-        let round = self.vrnd;
-        let total = self.vval.total_len();
-        // One digest of the current value for every delta this round: the
-        // receiver recomputes it over its reconstruction and rejects
-        // silently divergent equal-length bases (answers `NeedFull`).
-        let digest = value_digest(self.vval.as_ref());
-        for &t in learners.iter().chain(&coords).chain(&peers) {
-            let base = match self.sent_2b.get(&t) {
-                Some(&(r, len)) if r == round && len <= total => Some(len),
-                _ => None,
-            };
-            let payload = match base.and_then(|len| Some((len, self.vval.suffix_from(len)?))) {
-                Some((base_len, suffix)) => {
-                    ctx.metric(Metric::incr(metrics::DELTA_SENDS));
-                    Payload::Delta {
-                        base_len,
-                        digest,
-                        suffix,
-                    }
-                }
-                None => Payload::Full(self.vval.clone()),
-            };
-            self.account(&payload, 1, ctx);
-            self.sent_2b.insert(t, (round, total));
-            ctx.send(
-                t,
-                Msg::P2b {
-                    round,
-                    val: payload,
-                },
-            );
-        }
+        self.out.ship(&targets, self.vrnd, &self.vval, ctx);
     }
 
     /// Applies every pending stable segment `vval` covers, truncating the
     /// live window and bringing all per-round bookkeeping to the new
     /// watermark (entries that cannot follow are dropped — they will be
-    /// re-established by their senders' next messages).
-    fn apply_compaction(&mut self, ctx: &mut dyn Context<Msg<C>>) {
+    /// re-established by their senders' next messages). Returns whether
+    /// the watermark moved.
+    fn apply_compaction(&mut self, ctx: &mut dyn Context<Msg<C>>) -> bool {
         if self.cfg.wire.compact_every == 0 {
-            return;
+            return false;
         }
         let fast_buf = &mut self.fast_buf;
         let applied = self.comp.advance(Arc::make_mut(&mut self.vval), |seg| {
             fast_buf.retain(|c| !seg.contains(c));
         });
         if applied == 0 {
-            return;
+            return false;
         }
         ctx.metric(Metric::add(metrics::TRUNCATIONS, applied as i64));
         let comp = &self.comp;
@@ -320,64 +257,13 @@ impl<C: CStruct> Acceptor<C> {
         // Re-persist the compacted vote: recovery then resumes at the new
         // watermark instead of replaying the truncated prefix.
         self.persist_vote(ctx);
-    }
-
-    /// Resolves an ingested c-struct payload against `base`, retrying once
-    /// after advancing compaction when watermarks disagree. `None` means
-    /// the message must be dropped; `Some(Err(()))` (gap) means the sender
-    /// should be asked for a full value.
-    #[allow(clippy::type_complexity)]
-    fn ingest(
-        &mut self,
-        from: ProcessId,
-        payload: Payload<C>,
-        base: impl Fn(&Self) -> Option<Arc<C>>,
-        ctx: &mut dyn Context<Msg<C>>,
-    ) -> Option<Result<(Arc<C>, bool), ()>> {
-        let b = base(self);
-        match self.comp.resolve(payload, b.as_ref()) {
-            Resolved::Value(v, changed) => Some(Ok((v, changed))),
-            Resolved::Gap => Some(Err(())),
-            Resolved::Unaligned(payload) => {
-                // Maybe a pending segment unlocks the mismatch.
-                self.apply_compaction(ctx);
-                let b = base(self);
-                match self.comp.resolve(payload, b.as_ref()) {
-                    Resolved::Value(v, changed) => Some(Ok((v, changed))),
-                    Resolved::Gap => Some(Err(())),
-                    Resolved::Unaligned(p) => {
-                        // Still behind the sender: ask for the missing
-                        // stable segments.
-                        if p.as_full()
-                            .is_some_and(|v| v.watermark() > self.comp.watermark())
-                        {
-                            ctx.send(
-                                from,
-                                Msg::NeedStable {
-                                    from: self.comp.watermark(),
-                                },
-                            );
-                        }
-                        None
-                    }
-                }
-            }
-        }
+        true
     }
 
     fn prune(&mut self) {
-        while self.round_2a.len() > ROUND_WINDOW {
-            let lowest = *self.round_2a.keys().next().expect("non-empty");
-            self.round_2a.remove(&lowest);
-        }
-        while self.round_2b.len() > ROUND_WINDOW {
-            let lowest = *self.round_2b.keys().next().expect("non-empty");
-            self.round_2b.remove(&lowest);
-        }
-        while self.recovery_1b.len() > ROUND_WINDOW {
-            let lowest = *self.recovery_1b.keys().next().expect("non-empty");
-            self.recovery_1b.remove(&lowest);
-        }
+        prune_rounds(&mut self.round_2a);
+        prune_rounds(&mut self.round_2b);
+        prune_rounds(&mut self.recovery_1b);
     }
 
     /// Multicoordinated collision (§4.2): incompatible "2a" values from
@@ -557,37 +443,15 @@ impl<C: CStruct> Acceptor<C> {
     fn join_recovery(&mut self, next: Round, ctx: &mut dyn Context<Msg<C>>) {
         self.rnd = next;
         self.persist_round(ctx);
-        // Binding recovery reports are 1b evidence: sync any buffered
-        // vote/promise writes before they leave (see `send_1b`).
-        if self.group_commit_on() {
-            ctx.storage().flush();
-        }
         let me = ctx.me();
-        let shared = self.vval.clone();
         let report = OneB {
             from: me,
             vrnd: self.vrnd,
-            vval: shared.clone(),
+            vval: self.vval.clone(),
         };
         self.recovery_1b.entry(next).or_default().insert(me, report);
-        let peers: Vec<ProcessId> = self
-            .cfg
-            .roles
-            .acceptors()
-            .iter()
-            .copied()
-            .filter(|&a| a != me)
-            .collect();
-        let payload: Payload<C> = shared.into();
-        self.account(&payload, peers.len(), ctx);
-        ctx.multicast(
-            &peers,
-            Msg::P1b {
-                round: next,
-                vrnd: self.vrnd,
-                vval: payload,
-            },
-        );
+        let peers: Vec<ProcessId> = self.fellows(me).collect();
+        self.report_1b(&peers, next, ctx);
         self.try_complete_recovery(next, ctx);
     }
 
@@ -620,6 +484,16 @@ impl<C: CStruct> Acceptor<C> {
         self.persist_vote(ctx);
         self.persist_round(ctx);
         self.broadcast_2b(ctx);
+    }
+}
+
+impl<C: CStruct> Receiver<C> for Acceptor<C> {
+    fn compactor(&mut self) -> &mut Compactor<C> {
+        &mut self.comp
+    }
+
+    fn realign(&mut self, ctx: &mut dyn Context<Msg<C>>) -> bool {
+        self.apply_compaction(ctx)
     }
 }
 
@@ -726,21 +600,9 @@ impl<C: CStruct> Actor for Acceptor<C> {
         // Announce the restart: our pre-crash ingest caches are gone, so
         // senders holding a delta base for us (coordinators' "2a" bases,
         // fellow acceptors' gossip "2b" bases) must downgrade to Full.
-        // Pure optimization — a lost Hello just re-opens the NeedFull
-        // path — so only spend the wire bytes when delta shipping is on.
-        if self.cfg.wire.delta_ship {
-            let me = ctx.me();
-            let peers: Vec<ProcessId> = self
-                .cfg
-                .roles
-                .coordinators()
-                .iter()
-                .chain(self.cfg.roles.acceptors())
-                .copied()
-                .filter(|&p| p != me)
-                .collect();
-            ctx.multicast(&peers, Msg::Hello);
-        }
+        let coords = self.cfg.roles.coordinators().iter().copied();
+        let peers: Vec<ProcessId> = coords.chain(self.fellows(ctx.me())).collect();
+        announce_restart(&self.cfg.wire, &peers, ctx);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: Msg<C>, ctx: &mut dyn Context<Msg<C>>) {
@@ -757,18 +619,10 @@ impl<C: CStruct> Actor for Acceptor<C> {
                     self.nack(from, ctx);
                     return;
                 }
-                let val = match self.ingest(
-                    from,
-                    val,
-                    move |a| a.round_2a.get(&round).and_then(|m| m.get(&from)).cloned(),
-                    ctx,
-                ) {
-                    Some(Ok((v, _))) => v,
-                    Some(Err(())) => {
-                        ctx.send(from, Msg::NeedFull { round });
-                        return;
-                    }
-                    None => return,
+                let base =
+                    move |a: &Self| a.round_2a.get(&round).and_then(|m| m.get(&from)).cloned();
+                let Some((val, _)) = self.ingest(from, round, val, base, ctx) else {
+                    return;
                 };
                 let entry = self.round_2a.entry(round).or_default();
                 entry.insert(from, val.clone());
@@ -797,18 +651,10 @@ impl<C: CStruct> Actor for Acceptor<C> {
             // Gossip from fellow acceptors: collision detection for
             // acceptor-driven recovery.
             Msg::P2b { round, val } if self.cfg.collision != CollisionPolicy::NewRound => {
-                let val = match self.ingest(
-                    from,
-                    val,
-                    move |a| a.round_2b.get(&round).and_then(|m| m.get(&from)).cloned(),
-                    ctx,
-                ) {
-                    Some(Ok((v, _))) => v,
-                    Some(Err(())) => {
-                        ctx.send(from, Msg::NeedFull { round });
-                        return;
-                    }
-                    None => return,
+                let base =
+                    move |a: &Self| a.round_2b.get(&round).and_then(|m| m.get(&from)).cloned();
+                let Some((val, _)) = self.ingest(from, round, val, base, ctx) else {
+                    return;
                 };
                 self.round_2b.entry(round).or_default().insert(from, val);
                 // Include our own vote in the picture.
@@ -828,9 +674,8 @@ impl<C: CStruct> Actor for Acceptor<C> {
             {
                 // Recovery reports are always shipped full; anything
                 // unresolvable is dropped (the exchange retries).
-                let vval = match self.ingest(from, vval, |_| None, ctx) {
-                    Some(Ok((v, _))) => v,
-                    _ => return,
+                let Some((vval, _)) = self.ingest(from, round, vval, |_| None, ctx) else {
+                    return;
                 };
                 self.recovery_1b
                     .entry(round)
@@ -844,56 +689,17 @@ impl<C: CStruct> Actor for Acceptor<C> {
                 }
                 self.prune();
             }
+            // A receiver could not apply one of our deltas.
             Msg::NeedFull { round } => {
-                // A receiver could not apply one of our deltas: reset its
-                // base and re-ship the full current value.
-                if round == self.vrnd {
-                    ctx.metric(Metric::incr(metrics::FULL_RESYNCS));
-                    let payload = Payload::Full(self.vval.clone());
-                    self.account(&payload, 1, ctx);
-                    self.sent_2b
-                        .insert(from, (self.vrnd, self.vval.total_len()));
-                    ctx.send(
-                        from,
-                        Msg::P2b {
-                            round: self.vrnd,
-                            val: payload,
-                        },
-                    );
-                } else {
-                    self.sent_2b.remove(&from);
-                }
+                self.out
+                    .resync(from, round, self.vrnd, Some(&self.vval), ctx);
             }
             Msg::Stable {
                 from: seg_from,
                 cmds,
-            } if self.cfg.wire.compact_every > 0 => {
-                self.comp.offer(seg_from, cmds);
-                self.apply_compaction(ctx);
-                // Still short of the announced frontier after applying,
-                // with nothing buffered at our watermark: a segment
-                // between us and `seg_from` was missed — request the gap
-                // from the designated learner.
-                if seg_from > self.comp.watermark() && self.comp.gap_at_watermark() {
-                    ctx.send(
-                        from,
-                        Msg::NeedStable {
-                            from: self.comp.watermark(),
-                        },
-                    );
-                }
-            }
-            Msg::NeedStable { from: want } => {
-                for (f, seg) in self.comp.recent_from(want) {
-                    ctx.send(from, Msg::Stable { from: f, cmds: seg });
-                }
-            }
-            // A peer restarted and lost the base of our "2b" deltas:
-            // drop it so the next send ships Full, saving the
-            // `NeedFull` round-trip a stale delta would trigger.
-            Msg::Hello if self.sent_2b.remove(&from).is_some() => {
-                ctx.metric(Metric::incr(metrics::BASE_RESETS));
-            }
+            } if self.cfg.wire.compact_every > 0 => self.on_stable(from, seg_from, cmds, ctx),
+            Msg::NeedStable { from: want } => self.on_need_stable(from, want, ctx),
+            Msg::Hello => self.out.reset(from, ctx),
             _ => {}
         }
     }
@@ -918,12 +724,7 @@ impl<C: CStruct> Actor for Acceptor<C> {
     }
 
     fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
-        // A severed-then-healed link may have swallowed the "2b" whose
-        // value the peer's next delta would extend; downgrade to a Full
-        // payload rather than waiting for its `NeedFull`.
-        if self.sent_2b.remove(&peer).is_some() {
-            ctx.metric(Metric::incr(metrics::BASE_RESETS));
-        }
+        self.out.reset(peer, ctx);
     }
 }
 
@@ -931,53 +732,15 @@ impl<C: CStruct> Actor for Acceptor<C> {
 mod tests {
     use super::*;
     use crate::schedule::{Policy, RTYPE_MULTI, RTYPE_SINGLE};
-    use mcpaxos_actor::{MemStore, SimDuration, SimTime, StableStore};
+    use crate::testctx::{cfg, mk, TestCtx};
+    use mcpaxos_actor::StableStore;
     use mcpaxos_cstruct::CmdSet;
 
     type C = CmdSet<u32>;
-
-    struct Ctx {
-        me: ProcessId,
-        sent: Vec<(ProcessId, Msg<C>)>,
-        store: MemStore,
-    }
-
-    impl Context<Msg<C>> for Ctx {
-        fn me(&self) -> ProcessId {
-            self.me
-        }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn send(&mut self, to: ProcessId, msg: Msg<C>) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-        fn cancel_timer(&mut self, _t: TimerToken) {}
-        fn storage(&mut self) -> &mut dyn StableStore {
-            &mut self.store
-        }
-        fn metric(&mut self, _m: Metric) {}
-        fn random(&mut self) -> u64 {
-            0
-        }
-    }
+    type Ctx = TestCtx<Msg<C>>;
 
     fn ctx() -> Ctx {
-        Ctx {
-            me: ProcessId(4), // an acceptor in the 1/3/5/1 layout
-            sent: vec![],
-            store: MemStore::new(),
-        }
-    }
-
-    fn cfg() -> Arc<DeployConfig> {
-        // roles: p0 | c1 c2 c3 | a4..a8 | l9
-        Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated))
-    }
-
-    fn mk(v: &[u32]) -> C {
-        v.iter().copied().collect()
+        TestCtx::new(4) // an acceptor in the 1/3/5/1 layout
     }
 
     #[test]
@@ -1189,36 +952,9 @@ mod tests {
         // CommandHistory? CmdSet never collides — use SingleDecree.
         use mcpaxos_cstruct::SingleDecree;
         type S = SingleDecree<u32>;
-        struct Cx {
-            sent: Vec<(ProcessId, Msg<S>)>,
-            store: MemStore,
-        }
-        impl Context<Msg<S>> for Cx {
-            fn me(&self) -> ProcessId {
-                ProcessId(4)
-            }
-            fn now(&self) -> SimTime {
-                SimTime::ZERO
-            }
-            fn send(&mut self, to: ProcessId, msg: Msg<S>) {
-                self.sent.push((to, msg));
-            }
-            fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-            fn cancel_timer(&mut self, _t: TimerToken) {}
-            fn storage(&mut self) -> &mut dyn StableStore {
-                &mut self.store
-            }
-            fn metric(&mut self, _m: Metric) {}
-            fn random(&mut self) -> u64 {
-                0
-            }
-        }
         let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated));
         let mut a: Acceptor<S> = Acceptor::new(cfg.clone());
-        let mut c = Cx {
-            sent: vec![],
-            store: MemStore::new(),
-        };
+        let mut c: TestCtx<Msg<S>> = TestCtx::new(4);
         a.on_start(&mut c);
         let r = Round::new(0, 1, 0, RTYPE_MULTI);
         a.on_message(

@@ -15,12 +15,13 @@
 //! while keeping `Phase2Start` once-per-round.
 
 use crate::agents::{metrics, TOK_BATCH, TOK_TICK};
-use crate::compact::{Compactor, Resolved};
+use crate::compact::Compactor;
 use crate::config::{CollisionPolicy, DeployConfig};
-use crate::msg::{Msg, Payload};
+use crate::msg::Msg;
 use crate::provedsafe::{pick, proved_safe, OneB};
 use crate::round::Round;
 use crate::schedule::RoundKind;
+use crate::ship::{announce_restart, prune_rounds, Receiver, Shipper, ROUND_WINDOW};
 use mcpaxos_actor::wire::{from_bytes, to_bytes};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimTime, TimerToken};
 use mcpaxos_cstruct::{glb_all_ref, CStruct};
@@ -29,9 +30,6 @@ use std::sync::Arc;
 
 /// Storage key for the round floor (see module docs).
 const KEY_FLOOR: &str = "crnd";
-
-/// Rounds of bookkeeping kept before pruning.
-const ROUND_WINDOW: usize = 8;
 
 /// The coordinator role.
 pub struct Coordinator<C: CStruct> {
@@ -73,9 +71,8 @@ pub struct Coordinator<C: CStruct> {
     last_progress: SimTime,
     /// Stable-prefix compaction state.
     comp: Compactor<C>,
-    /// Per acceptor: the round and logical value length of the last "2a"
-    /// we shipped it — the base the next delta extends.
-    sent_2a: BTreeMap<ProcessId, (Round, u64)>,
+    /// Ships `cval` as "2a"s, full or delta per acceptor.
+    out: Shipper<C>,
     /// Batching mode: commands admitted to the current classic round but
     /// not yet shipped in a `2a` wave.
     batch_queue: Vec<C::Cmd>,
@@ -104,6 +101,7 @@ impl<C: CStruct> Coordinator<C> {
             .position(|&c| c == me)
             .expect("process is not a coordinator in this deployment") as u16;
         let comp = Compactor::new(cfg.wire.stable_keep);
+        let out = Shipper::new(&cfg.wire, |round, val| Msg::P2a { round, val });
         Coordinator {
             cfg,
             me,
@@ -124,7 +122,7 @@ impl<C: CStruct> Coordinator<C> {
             max_heard: Round::ZERO,
             last_progress: SimTime::ZERO,
             comp,
-            sent_2a: BTreeMap::new(),
+            out,
             batch_queue: Vec::new(),
             waves: VecDeque::new(),
             linger_armed: false,
@@ -196,8 +194,8 @@ impl<C: CStruct> Coordinator<C> {
             ctx.metric(Metric::incr(metrics::PHASE2A));
             ctx.metric(Metric::incr(metrics::BATCHES));
             ctx.metric(Metric::add(metrics::BATCHED_CMDS, take as i64));
-            let acceptors = self.cfg.roles.acceptors().to_vec();
-            self.send_2a(&acceptors, self.crnd, &val, ctx);
+            self.out
+                .ship(self.cfg.roles.acceptors(), self.crnd, &val, ctx);
             self.waves.push_back(target);
         }
         self.cval = Some(val);
@@ -368,77 +366,13 @@ impl<C: CStruct> Coordinator<C> {
         }
     }
 
-    /// Emits the `bytes_sent` metric for `n` sends of `payload`, when byte
-    /// accounting is on.
-    fn account(&self, payload: &Payload<C>, n: usize, ctx: &mut dyn Context<Msg<C>>) {
-        if self.cfg.wire.account_bytes {
-            ctx.metric(Metric::add(
-                metrics::BYTES_SENT,
-                (payload.encoded_len() * n as u64) as i64,
-            ));
-        }
-    }
-
-    /// Ships `val` as the round's "2a" to `targets`: full values by
-    /// default, per-peer suffix deltas against each peer's acked base
-    /// under `WireConfig::delta_ship` (gaps surface as `NeedFull`).
-    fn send_2a(
-        &mut self,
-        targets: &[ProcessId],
-        round: Round,
-        val: &Arc<C>,
-        ctx: &mut dyn Context<Msg<C>>,
-    ) {
-        let total = val.total_len();
-        if !self.cfg.wire.delta_ship {
-            let payload = Payload::Full(val.clone());
-            self.account(&payload, targets.len(), ctx);
-            ctx.multicast(
-                targets,
-                Msg::P2a {
-                    round,
-                    val: payload,
-                },
-            );
-            return;
-        }
-        // Digest of the shipped value: lets receivers reject deltas whose
-        // base silently diverged despite matching lengths.
-        let digest = crate::msg::value_digest(val.as_ref());
-        for &t in targets {
-            let base = match self.sent_2a.get(&t) {
-                Some(&(r, len)) if r == round && len <= total => Some(len),
-                _ => None,
-            };
-            let payload = match base.and_then(|len| Some((len, val.suffix_from(len)?))) {
-                Some((base_len, suffix)) => {
-                    ctx.metric(Metric::incr(metrics::DELTA_SENDS));
-                    Payload::Delta {
-                        base_len,
-                        digest,
-                        suffix,
-                    }
-                }
-                None => Payload::Full(val.clone()),
-            };
-            self.account(&payload, 1, ctx);
-            self.sent_2a.insert(t, (round, total));
-            ctx.send(
-                t,
-                Msg::P2a {
-                    round,
-                    val: payload,
-                },
-            );
-        }
-    }
-
     /// Applies pending stable segments: `cval` (when held) is truncated,
     /// stored 1b/2b bookkeeping follows the new watermark, and proposals
-    /// now below the watermark stop arming the stall detector.
-    fn apply_compaction(&mut self, ctx: &mut dyn Context<Msg<C>>) {
+    /// now below the watermark stop arming the stall detector. Returns
+    /// whether the watermark moved.
+    fn apply_compaction(&mut self, ctx: &mut dyn Context<Msg<C>>) -> bool {
         if self.cfg.wire.compact_every == 0 {
-            return;
+            return false;
         }
         let mut pruned: Vec<C::Cmd> = Vec::new();
         let applied = match self.cval.as_mut() {
@@ -448,7 +382,7 @@ impl<C: CStruct> Coordinator<C> {
             None => self.comp.advance_free(|seg| pruned.extend_from_slice(seg)),
         };
         if applied == 0 {
-            return;
+            return false;
         }
         ctx.metric(Metric::add(metrics::TRUNCATIONS, applied as i64));
         self.outstanding.retain(|c| !pruned.contains(c));
@@ -460,58 +394,12 @@ impl<C: CStruct> Coordinator<C> {
         for m in self.round_2b.values_mut() {
             m.retain(|_, v| comp.normalize_arc(v));
         }
-    }
-
-    /// Resolves an ingested c-struct payload against `base`, retrying once
-    /// after advancing compaction on watermark mismatch. `None` = drop,
-    /// `Some(Err(()))` = delta gap (ask the sender for a full value).
-    #[allow(clippy::type_complexity)]
-    fn ingest(
-        &mut self,
-        from: ProcessId,
-        payload: Payload<C>,
-        base: impl Fn(&Self) -> Option<Arc<C>>,
-        ctx: &mut dyn Context<Msg<C>>,
-    ) -> Option<Result<(Arc<C>, bool), ()>> {
-        let b = base(self);
-        match self.comp.resolve(payload, b.as_ref()) {
-            Resolved::Value(v, changed) => Some(Ok((v, changed))),
-            Resolved::Gap => Some(Err(())),
-            Resolved::Unaligned(payload) => {
-                self.apply_compaction(ctx);
-                let b = base(self);
-                match self.comp.resolve(payload, b.as_ref()) {
-                    Resolved::Value(v, changed) => Some(Ok((v, changed))),
-                    Resolved::Gap => Some(Err(())),
-                    Resolved::Unaligned(p) => {
-                        // Still behind the sender: ask for the missing
-                        // stable segments.
-                        if p.as_full()
-                            .is_some_and(|v| v.watermark() > self.comp.watermark())
-                        {
-                            ctx.send(
-                                from,
-                                Msg::NeedStable {
-                                    from: self.comp.watermark(),
-                                },
-                            );
-                        }
-                        None
-                    }
-                }
-            }
-        }
+        true
     }
 
     fn prune(&mut self) {
-        while self.round_1b.len() > ROUND_WINDOW {
-            let lowest = *self.round_1b.keys().next().expect("non-empty");
-            self.round_1b.remove(&lowest);
-        }
-        while self.round_2b.len() > ROUND_WINDOW {
-            let lowest = *self.round_2b.keys().next().expect("non-empty");
-            self.round_2b.remove(&lowest);
-        }
+        prune_rounds(&mut self.round_1b);
+        prune_rounds(&mut self.round_2b);
     }
 
     /// `Phase1a`: start round `r` by asking acceptors to join.
@@ -570,8 +458,7 @@ impl<C: CStruct> Coordinator<C> {
         self.note_heard(round);
         self.last_progress = ctx.now();
         ctx.metric(Metric::incr(metrics::PHASE2_STARTS));
-        let acceptors = self.cfg.roles.acceptors().to_vec();
-        self.send_2a(&acceptors, round, &val, ctx);
+        self.out.ship(self.cfg.roles.acceptors(), round, &val, ctx);
         if self.batching() {
             // The Phase2Start "2a" (carrying the re-seeded backlog and
             // outstanding commands) is itself the round's first wave; the
@@ -598,10 +485,8 @@ impl<C: CStruct> Coordinator<C> {
         };
         Arc::make_mut(&mut val).append(cmd);
         ctx.metric(Metric::incr(metrics::PHASE2A));
-        let targets = acc_quorum.unwrap_or_else(|| self.cfg.roles.acceptors().to_vec());
-        // Under delta shipping each peer receives just the new suffix; the
-        // full-value path shares the Arc with the fan-out — no clone.
-        self.send_2a(&targets, self.crnd, &val, ctx);
+        let targets = acc_quorum.as_deref().unwrap_or(self.cfg.roles.acceptors());
+        self.out.ship(targets, self.crnd, &val, ctx);
         self.cval = Some(val);
     }
 
@@ -791,6 +676,16 @@ impl<C: CStruct> Coordinator<C> {
     }
 }
 
+impl<C: CStruct> Receiver<C> for Coordinator<C> {
+    fn compactor(&mut self) -> &mut Compactor<C> {
+        &mut self.comp
+    }
+
+    fn realign(&mut self, ctx: &mut dyn Context<Msg<C>>) -> bool {
+        self.apply_compaction(ctx)
+    }
+}
+
 impl<C: CStruct> Actor for Coordinator<C> {
     type Msg = Msg<C>;
 
@@ -829,13 +724,8 @@ impl<C: CStruct> Actor for Coordinator<C> {
         // would keep proposing rounds below its own floor forever.
         self.max_heard = self.floor;
         // Announce the restart: acceptors holding a "2b" delta base for
-        // this process must downgrade to Full payloads. Pure optimization
-        // (a lost Hello just re-opens the NeedFull path), so it is only
-        // worth wire bytes when delta shipping is on.
-        if self.cfg.wire.delta_ship {
-            let acceptors = self.cfg.roles.acceptors().to_vec();
-            ctx.multicast(&acceptors, Msg::Hello);
-        }
+        // this process must downgrade to Full payloads.
+        announce_restart(&self.cfg.wire, self.cfg.roles.acceptors(), ctx);
         self.on_start(ctx);
     }
 
@@ -854,9 +744,8 @@ impl<C: CStruct> Actor for Coordinator<C> {
                 self.note_heard(round);
                 // 1b values are shipped full; normalize to our watermark
                 // (or drop until compaction catches up).
-                let vval = match self.ingest(from, vval, |_| None, ctx) {
-                    Some(Ok((v, _))) => v,
-                    _ => return,
+                let Some((vval, _)) = self.ingest(from, round, vval, |_| None, ctx) else {
+                    return;
                 };
                 // An unsolicited "1b" for a single-coordinated round we
                 // coordinate is collision-recovery evidence (§4.2): note
@@ -872,8 +761,7 @@ impl<C: CStruct> Actor for Coordinator<C> {
                         let acceptors = self.cfg.roles.acceptors().to_vec();
                         ctx.multicast(&acceptors, Msg::P1a { round });
                         while self.echoed_1a.len() > ROUND_WINDOW {
-                            let lowest = *self.echoed_1a.iter().next().expect("non-empty");
-                            self.echoed_1a.remove(&lowest);
+                            self.echoed_1a.pop_first();
                         }
                     }
                 }
@@ -886,67 +774,22 @@ impl<C: CStruct> Actor for Coordinator<C> {
             }
             Msg::P2b { round, val } => {
                 self.note_heard(round);
-                let val = match self.ingest(
-                    from,
-                    val,
-                    move |c| c.round_2b.get(&round).and_then(|m| m.get(&from)).cloned(),
-                    ctx,
-                ) {
-                    Some(Ok((v, _))) => v,
-                    Some(Err(())) => {
-                        ctx.send(from, Msg::NeedFull { round });
-                        return;
-                    }
-                    None => return,
-                };
-                self.observe_2b(from, round, val, ctx);
-            }
-            Msg::NeedFull { round } => {
-                // An acceptor lost the base of our deltas: re-ship the
-                // full current value.
-                if round == self.crnd {
-                    if let Some(val) = self.cval.take() {
-                        ctx.metric(Metric::incr(metrics::FULL_RESYNCS));
-                        let payload = Payload::Full(val.clone());
-                        self.account(&payload, 1, ctx);
-                        self.sent_2a.insert(from, (round, val.total_len()));
-                        ctx.send(
-                            from,
-                            Msg::P2a {
-                                round,
-                                val: payload,
-                            },
-                        );
-                        self.cval = Some(val);
-                    }
-                } else {
-                    self.sent_2a.remove(&from);
+                let base =
+                    move |c: &Self| c.round_2b.get(&round).and_then(|m| m.get(&from)).cloned();
+                if let Some((val, _)) = self.ingest(from, round, val, base, ctx) {
+                    self.observe_2b(from, round, val, ctx);
                 }
+            }
+            // An acceptor lost the base of our deltas.
+            Msg::NeedFull { round } => {
+                self.out
+                    .resync(from, round, self.crnd, self.cval.as_ref(), ctx);
             }
             Msg::Stable {
                 from: seg_from,
                 cmds,
-            } if self.cfg.wire.compact_every > 0 => {
-                self.comp.offer(seg_from, cmds);
-                self.apply_compaction(ctx);
-                // Still short of the announced frontier after applying,
-                // with nothing buffered at our watermark: a segment
-                // between us and `seg_from` was missed — request the gap
-                // from the designated learner.
-                if seg_from > self.comp.watermark() && self.comp.gap_at_watermark() {
-                    ctx.send(
-                        from,
-                        Msg::NeedStable {
-                            from: self.comp.watermark(),
-                        },
-                    );
-                }
-            }
-            Msg::NeedStable { from: want } => {
-                for (f, seg) in self.comp.recent_from(want) {
-                    ctx.send(from, Msg::Stable { from: f, cmds: seg });
-                }
-            }
+            } if self.cfg.wire.compact_every > 0 => self.on_stable(from, seg_from, cmds, ctx),
+            Msg::NeedStable { from: want } => self.on_need_stable(from, want, ctx),
             Msg::RoundTooLow { heard } => {
                 self.note_heard(heard);
                 if self.believes_leader(ctx.now()) && heard >= self.crnd {
@@ -958,13 +801,7 @@ impl<C: CStruct> Actor for Coordinator<C> {
                 self.fd_hear(from, ctx);
                 self.alive.insert(from, ctx.now());
             }
-            // A peer restarted: whatever delta base we had established
-            // with it is gone on its side. Dropping ours proactively
-            // means the next payload ships Full, saving the `NeedFull`
-            // round-trip a stale delta would trigger.
-            Msg::Hello if self.sent_2a.remove(&from).is_some() => {
-                ctx.metric(Metric::incr(metrics::BASE_RESETS));
-            }
+            Msg::Hello => self.out.reset(from, ctx),
             _ => {}
         }
     }
@@ -980,12 +817,7 @@ impl<C: CStruct> Actor for Coordinator<C> {
     }
 
     fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
-        // A severed-then-healed link may have swallowed the "2a" whose
-        // value the peer's next delta would extend; downgrade to a Full
-        // payload rather than waiting for its `NeedFull`.
-        if self.sent_2a.remove(&peer).is_some() {
-            ctx.metric(Metric::incr(metrics::BASE_RESETS));
-        }
+        self.out.reset(peer, ctx);
     }
 }
 
@@ -993,51 +825,17 @@ impl<C: CStruct> Actor for Coordinator<C> {
 mod tests {
     use super::*;
     use crate::schedule::{Policy, RTYPE_MULTI};
-    use mcpaxos_actor::{MemStore, SimDuration, StableStore};
+    use crate::testctx::{cfg, TestCtx};
+    use mcpaxos_actor::SimDuration;
     use mcpaxos_cstruct::CmdSet;
 
     type C = CmdSet<u32>;
-
-    struct Ctx {
-        me: ProcessId,
-        now: SimTime,
-        sent: Vec<(ProcessId, Msg<C>)>,
-        store: MemStore,
-    }
-
-    impl Context<Msg<C>> for Ctx {
-        fn me(&self) -> ProcessId {
-            self.me
-        }
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn send(&mut self, to: ProcessId, msg: Msg<C>) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-        fn cancel_timer(&mut self, _t: TimerToken) {}
-        fn storage(&mut self) -> &mut dyn StableStore {
-            &mut self.store
-        }
-        fn metric(&mut self, _m: Metric) {}
-        fn random(&mut self) -> u64 {
-            0
-        }
-    }
-
-    fn cfg() -> Arc<DeployConfig> {
-        // p0 | c1 c2 c3 | a4..a8 | l9
-        Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated))
-    }
+    type Ctx = TestCtx<Msg<C>>;
 
     fn ctx_for(me: u32) -> Ctx {
-        Ctx {
-            me: ProcessId(me),
-            now: SimTime(100),
-            sent: vec![],
-            store: MemStore::new(),
-        }
+        let mut cx = TestCtx::new(me);
+        cx.now = SimTime(100);
+        cx
     }
 
     fn onb_msg(round: Round) -> Msg<C> {
@@ -1481,32 +1279,6 @@ mod tests {
         // the base bookkeeping through the `base_resets` metric: exactly
         // one reset for the peer that said Hello, none for a repeat (the
         // Full-vs-delta wire effect is pinned in `tests/hello_resync.rs`).
-        struct MCtx {
-            inner: Ctx,
-            metrics: Vec<&'static str>,
-        }
-        impl Context<Msg<C>> for MCtx {
-            fn me(&self) -> ProcessId {
-                self.inner.me
-            }
-            fn now(&self) -> SimTime {
-                self.inner.now
-            }
-            fn send(&mut self, to: ProcessId, msg: Msg<C>) {
-                self.inner.sent.push((to, msg));
-            }
-            fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-            fn cancel_timer(&mut self, _t: TimerToken) {}
-            fn storage(&mut self) -> &mut dyn StableStore {
-                &mut self.inner.store
-            }
-            fn metric(&mut self, m: Metric) {
-                self.metrics.push(m.name);
-            }
-            fn random(&mut self) -> u64 {
-                0
-            }
-        }
         let cfg = Arc::new(
             DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated).with_wire(
                 crate::config::WireConfig {
@@ -1516,22 +1288,14 @@ mod tests {
             ),
         );
         let mut c1: Coordinator<C> = Coordinator::new(cfg, ProcessId(1));
-        let mut cx = MCtx {
-            inner: ctx_for(1),
-            metrics: vec![],
-        };
+        let mut cx = ctx_for(1);
         c1.on_start(&mut cx);
         let r = Round::new(0, 1, 0, RTYPE_MULTI);
         for a in 4..=6 {
             c1.on_message(ProcessId(a), onb_msg(r), &mut cx);
         }
         // Phase2Start shipped a 2a to every acceptor: bases established.
-        let resets = |cx: &MCtx| {
-            cx.metrics
-                .iter()
-                .filter(|&&n| n == metrics::BASE_RESETS)
-                .count()
-        };
+        let resets = |cx: &Ctx| cx.metric_count(metrics::BASE_RESETS);
         assert_eq!(resets(&cx), 0);
         c1.on_message(ProcessId(4), Msg::Hello, &mut cx);
         assert_eq!(resets(&cx), 1, "a4's base dropped proactively");

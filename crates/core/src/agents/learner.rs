@@ -20,18 +20,17 @@
 //! each other.
 
 use crate::agents::{metrics, TOK_STABLE_GOSSIP};
-use crate::compact::{Compactor, Resolved};
+use crate::compact::Compactor;
 use crate::config::DeployConfig;
 use crate::msg::Msg;
 use crate::quorum::{combination_count, for_each_combination};
 use crate::round::Round;
+use crate::ship::{announce_restart, prune_rounds, Receiver};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimTime, TimerToken};
 use mcpaxos_cstruct::{glb_all_ref, CStruct};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
-/// Rounds kept live for quorum completion; older rounds are pruned.
-const ROUND_WINDOW: usize = 8;
 /// Above this many quorum subsets, fall back to one conservative glb.
 const MAX_QUORUM_ENUM: u64 = 5_000;
 
@@ -195,13 +194,6 @@ impl<C: CStruct> Learner<C> {
         }
     }
 
-    fn prune(&mut self) {
-        while self.rounds.len() > ROUND_WINDOW {
-            let lowest = *self.rounds.keys().next().expect("non-empty");
-            self.rounds.remove(&lowest);
-        }
-    }
-
     // ----- stable-watermark gossip (compaction) ---------------------------
 
     /// Applies pending stable segments to `learned` and brings the
@@ -265,16 +257,36 @@ impl<C: CStruct> Learner<C> {
         if self.prop_acks.len() >= self.cfg.learner_quorum() {
             self.finalize_stable(ctx);
         } else {
-            let peers: Vec<ProcessId> = self
-                .cfg
-                .roles
-                .learners()
-                .iter()
-                .copied()
-                .filter(|&l| l != me)
-                .collect();
-            ctx.multicast(&peers, Msg::StableProposal { from: w, cmds: seg });
+            self.send_proposal(w, seg, ctx);
         }
+    }
+
+    /// Multicasts `msg` to every one of `to` but this learner.
+    fn multicast_others<'a>(
+        to: impl Iterator<Item = &'a ProcessId>,
+        msg: Msg<C>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) {
+        let me = ctx.me();
+        let to: Vec<ProcessId> = to.copied().filter(|&p| p != me).collect();
+        ctx.multicast(&to, msg);
+    }
+
+    /// Proposes the stable segment `cmds` at `from` to the other learners.
+    fn send_proposal(&self, from: u64, cmds: Vec<C::Cmd>, ctx: &mut dyn Context<Msg<C>>) {
+        let learners = self.cfg.roles.learners().iter();
+        Self::multicast_others(learners, Msg::StableProposal { from, cmds }, ctx);
+    }
+
+    /// Announces the quorum-learned segment `cmds` at `from` to every agent.
+    fn send_stable(&self, from: u64, cmds: Vec<C::Cmd>, ctx: &mut dyn Context<Msg<C>>) {
+        let roles = &self.cfg.roles;
+        let everyone = roles
+            .acceptors()
+            .iter()
+            .chain(roles.coordinators())
+            .chain(roles.learners());
+        Self::multicast_others(everyone, Msg::Stable { from, cmds }, ctx);
     }
 
     /// A learner quorum has learned the proposed segment: broadcast the
@@ -285,24 +297,7 @@ impl<C: CStruct> Learner<C> {
             None => return,
         };
         self.prop_acks.clear();
-        let me = ctx.me();
-        let targets: Vec<ProcessId> = self
-            .cfg
-            .roles
-            .acceptors()
-            .iter()
-            .chain(self.cfg.roles.coordinators())
-            .chain(self.cfg.roles.learners())
-            .copied()
-            .filter(|&p| p != me)
-            .collect();
-        ctx.multicast(
-            &targets,
-            Msg::Stable {
-                from: w,
-                cmds: seg.clone(),
-            },
-        );
+        self.send_stable(w, seg.clone(), ctx);
         self.sent_segs.push_back((w, seg.clone()));
         while self.sent_segs.len() > self.cfg.wire.stable_keep {
             self.sent_segs.pop_front();
@@ -315,46 +310,15 @@ impl<C: CStruct> Learner<C> {
     /// one lost `Stable` or `StableProposal` must not strand an agent
     /// behind the watermark (fair-lossy links).
     fn regossip_stable(&mut self, ctx: &mut dyn Context<Msg<C>>) {
-        let me = ctx.me();
-        let targets: Vec<ProcessId> = self
-            .cfg
-            .roles
-            .acceptors()
-            .iter()
-            .chain(self.cfg.roles.coordinators())
-            .chain(self.cfg.roles.learners())
-            .copied()
-            .filter(|&p| p != me)
-            .collect();
         // Only the newest segment rides the timer: an agent further
         // behind discovers it through the ahead-watermark traffic and
         // requests the gap explicitly (`NeedStable`), so steady-state
         // control traffic stays O(segment) per tick, not O(window).
         if let Some((w, seg)) = self.sent_segs.back() {
-            ctx.multicast(
-                &targets,
-                Msg::Stable {
-                    from: *w,
-                    cmds: seg.clone(),
-                },
-            );
+            self.send_stable(*w, seg.clone(), ctx);
         }
         if let Some((w, seg)) = &self.my_prop {
-            let learners: Vec<ProcessId> = self
-                .cfg
-                .roles
-                .learners()
-                .iter()
-                .copied()
-                .filter(|&l| l != me)
-                .collect();
-            ctx.multicast(
-                &learners,
-                Msg::StableProposal {
-                    from: *w,
-                    cmds: seg.clone(),
-                },
-            );
+            self.send_proposal(*w, seg.clone(), ctx);
         }
     }
 
@@ -389,6 +353,19 @@ impl<C: CStruct> Learner<C> {
     }
 }
 
+impl<C: CStruct> Receiver<C> for Learner<C> {
+    fn compactor(&mut self) -> &mut Compactor<C> {
+        &mut self.comp
+    }
+
+    /// Nothing to do: `compact_tick` runs at the start of every upcall and
+    /// nothing can become applicable before the next one — which is also
+    /// what lets the host drain a segment before it is truncated.
+    fn realign(&mut self, _ctx: &mut dyn Context<Msg<C>>) -> bool {
+        false
+    }
+}
+
 impl<C: CStruct> Actor for Learner<C> {
     type Msg = Msg<C>;
 
@@ -400,10 +377,7 @@ impl<C: CStruct> Actor for Learner<C> {
         // Acceptors hold "2b" delta bases for this learner; the restart
         // invalidated them on our side. Announce it so they downgrade to
         // Full payloads instead of waiting for our `NeedFull`.
-        if self.cfg.wire.delta_ship {
-            let acceptors = self.cfg.roles.acceptors().to_vec();
-            ctx.multicast(&acceptors, Msg::Hello);
-        }
+        announce_restart(&self.cfg.wire, self.cfg.roles.acceptors(), ctx);
         self.on_start(ctx);
     }
 
@@ -411,40 +385,20 @@ impl<C: CStruct> Actor for Learner<C> {
         self.compact_tick(ctx);
         match msg {
             Msg::P2b { round, val } => {
-                let base = self
-                    .rounds
-                    .get(&round)
-                    .and_then(|st| st.reports.get(&from))
-                    .cloned();
                 // Resolve full or delta payloads against the acceptor's
                 // last report; the `changed` flag subsumes the old
                 // duplicate-delivery fast path (an identical re-delivery
                 // cannot move any glb, so the subset sweep is skipped).
-                let (val, changed) = match self.comp.resolve(val, base.as_ref()) {
-                    Resolved::Value(v, c) => (v, c),
-                    Resolved::Gap => {
-                        ctx.send(from, Msg::NeedFull { round });
-                        return;
-                    }
-                    Resolved::Unaligned(p) => {
-                        // Behind the sender's watermark: request the
-                        // missing stable segments.
-                        if p.as_full()
-                            .is_some_and(|v| v.watermark() > self.comp.watermark())
-                        {
-                            ctx.send(
-                                from,
-                                Msg::NeedStable {
-                                    from: self.comp.watermark(),
-                                },
-                            );
-                        }
-                        return;
-                    }
+                let base = move |l: &Self| {
+                    let st = l.rounds.get(&round)?;
+                    st.reports.get(&from).cloned()
+                };
+                let Some((val, changed)) = self.ingest(from, round, val, base, ctx) else {
+                    return;
                 };
                 let st = self.rounds.entry(round).or_default();
                 st.reports.insert(from, val);
-                self.prune();
+                prune_rounds(&mut self.rounds);
                 if changed {
                     self.try_learn(round, from, ctx);
                 }
@@ -479,24 +433,9 @@ impl<C: CStruct> Actor for Learner<C> {
                 }
                 // Applied at the next upcall's compact_tick, after the
                 // host had a chance to drain the live window.
-                self.comp.offer(s, cmds);
-                // A segment ahead of our watermark with nothing buffered
-                // at the watermark means we missed one: ask the
-                // designated learner for the gap.
-                if s > self.comp.watermark() && self.comp.gap_at_watermark() {
-                    ctx.send(
-                        from,
-                        Msg::NeedStable {
-                            from: self.comp.watermark(),
-                        },
-                    );
-                }
+                self.on_stable(from, s, cmds, ctx);
             }
-            Msg::NeedStable { from: want } => {
-                for (f, seg) in self.comp.recent_from(want) {
-                    ctx.send(from, Msg::Stable { from: f, cmds: seg });
-                }
-            }
+            Msg::NeedStable { from: want } => self.on_need_stable(from, want, ctx),
             _ => {}
         }
     }
@@ -514,38 +453,14 @@ impl<C: CStruct> Actor for Learner<C> {
 mod tests {
     use super::*;
     use crate::schedule::{Policy, RTYPE_MULTI};
-    use mcpaxos_actor::{MemStore, SimDuration, StableStore};
+    use crate::testctx::{mk, TestCtx};
     use mcpaxos_cstruct::{CmdSet, SingleDecree};
 
-    struct Ctx {
-        sent: Vec<(ProcessId, Msg<CmdSet<u32>>)>,
-        store: MemStore,
-        now: SimTime,
-    }
-
-    impl Context<Msg<CmdSet<u32>>> for Ctx {
-        fn me(&self) -> ProcessId {
-            ProcessId(42)
-        }
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn send(&mut self, to: ProcessId, msg: Msg<CmdSet<u32>>) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _after: SimDuration, _token: TimerToken) {}
-        fn cancel_timer(&mut self, _token: TimerToken) {}
-        fn storage(&mut self) -> &mut dyn StableStore {
-            &mut self.store
-        }
-        fn metric(&mut self, _m: Metric) {}
-        fn random(&mut self) -> u64 {
-            0
-        }
-    }
-
-    fn mk(v: &[u32]) -> CmdSet<u32> {
-        v.iter().copied().collect()
+    /// A learner-side context at time `now`.
+    fn ctx_at<M>(now: u64) -> TestCtx<M> {
+        let mut c = TestCtx::new(42);
+        c.now = SimTime(now);
+        c
     }
 
     #[test]
@@ -553,11 +468,7 @@ mod tests {
         // 3 acceptors (ids 4,5,6 in disjoint layout 1/3/3/1), majority 2.
         let cfg = Arc::new(DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated));
         let mut l: Learner<CmdSet<u32>> = Learner::new(cfg);
-        let mut c = Ctx {
-            sent: vec![],
-            store: MemStore::new(),
-            now: SimTime(5),
-        };
+        let mut c = ctx_at(5);
         let r = Round::new(0, 1, 0, RTYPE_MULTI);
         let acc = |i: u32| ProcessId(3 + i);
         l.on_message(
@@ -597,11 +508,7 @@ mod tests {
     fn notifies_proposers_once_per_command() {
         let cfg = Arc::new(DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated));
         let mut l: Learner<CmdSet<u32>> = Learner::new(cfg);
-        let mut c = Ctx {
-            sent: vec![],
-            store: MemStore::new(),
-            now: SimTime(1),
-        };
+        let mut c = ctx_at(1);
         let r = Round::new(0, 1, 0, RTYPE_MULTI);
         let acc = |i: u32| ProcessId(3 + i);
         l.on_message(
@@ -651,30 +558,7 @@ mod tests {
         // must detect and loudly fail.
         let cfg = Arc::new(DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated));
         let mut l: Learner<SingleDecree<u32>> = Learner::new(cfg);
-        struct C2 {
-            store: MemStore,
-        }
-        impl Context<Msg<SingleDecree<u32>>> for C2 {
-            fn me(&self) -> ProcessId {
-                ProcessId(42)
-            }
-            fn now(&self) -> SimTime {
-                SimTime::ZERO
-            }
-            fn send(&mut self, _to: ProcessId, _m: Msg<SingleDecree<u32>>) {}
-            fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-            fn cancel_timer(&mut self, _t: TimerToken) {}
-            fn storage(&mut self) -> &mut dyn StableStore {
-                &mut self.store
-            }
-            fn metric(&mut self, _m: Metric) {}
-            fn random(&mut self) -> u64 {
-                0
-            }
-        }
-        let mut c = C2 {
-            store: MemStore::new(),
-        };
+        let mut c = ctx_at(0);
         let r1 = Round::new(0, 1, 0, RTYPE_MULTI);
         let r2 = Round::new(0, 2, 0, RTYPE_MULTI);
         let acc = |i: u32| ProcessId(3 + i);

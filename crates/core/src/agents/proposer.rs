@@ -85,79 +85,54 @@ impl<C: CStruct> Proposer<C> {
         (0..size.min(n)).map(|i| pool[(start + i) % n]).collect()
     }
 
-    fn forward(&self, cmd: &C::Cmd, ctx: &mut dyn Context<Msg<C>>) {
-        let coords = self.cfg.roles.coordinators().to_vec();
-        let accs = self.cfg.roles.acceptors().to_vec();
-        if self.cfg.load_balance {
-            // §4.1: pick one coordinator quorum and one acceptor quorum
-            // per command; the acceptor choice rides in the message so the
-            // whole coordinator quorum forwards to the same acceptors.
-            // In classic rounds proposals go only to the coordinators;
-            // under a fast policy they also go to the (fast-sized) chosen
-            // acceptor quorum.
-            let fresh = self.cfg.schedule.initial(0, 0);
-            let cq = self.cfg.schedule.coord_quorum(fresh);
-            let fast = self.cfg.schedule.kind(fresh) == crate::schedule::RoundKind::Fast;
-            let acc_size = if fast {
-                self.cfg.quorums.fast_size()
-            } else {
-                self.cfg.quorums.classic_size()
-            };
-            let coord_targets = self.pick_subset(&coords, cq.quorum_size(), ctx);
-            let acc_targets = self.pick_subset(&accs, acc_size, ctx);
-            let msg = Msg::Propose {
-                cmd: cmd.clone(),
-                acc_quorum: Some(acc_targets.clone()),
-            };
-            ctx.multicast(&coord_targets, msg.clone());
-            if fast {
-                ctx.multicast(&acc_targets, msg);
-            }
-        } else {
-            let msg = Msg::Propose {
-                cmd: cmd.clone(),
-                acc_quorum: None,
-            };
-            ctx.multicast(&coords, msg.clone());
-            ctx.multicast(&accs, msg);
+    /// Sends `wrap(acc_quorum)` to this proposal's targets: every
+    /// coordinator and every acceptor, or — under §4.1 load balancing — one
+    /// coordinator quorum and one acceptor quorum picked per call. The
+    /// acceptor choice rides in the message so the whole coordinator
+    /// quorum forwards to the same acceptors. In classic rounds proposals
+    /// go only to the coordinators; under a fast policy they also go to
+    /// the (fast-sized) chosen acceptor quorum.
+    fn send_proposal(
+        &self,
+        wrap: impl FnOnce(Option<Vec<ProcessId>>) -> Msg<C>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) {
+        let coords = self.cfg.roles.coordinators();
+        let accs = self.cfg.roles.acceptors();
+        if !self.cfg.load_balance {
+            let msg = wrap(None);
+            ctx.multicast(coords, msg.clone());
+            ctx.multicast(accs, msg);
+            return;
         }
+        let fresh = self.cfg.schedule.initial(0, 0);
+        let cq = self.cfg.schedule.coord_quorum(fresh);
+        let fast = self.cfg.schedule.kind(fresh) == crate::schedule::RoundKind::Fast;
+        let acc_size = if fast {
+            self.cfg.quorums.fast_size()
+        } else {
+            self.cfg.quorums.classic_size()
+        };
+        let coord_targets = self.pick_subset(coords, cq.quorum_size(), ctx);
+        let acc_targets = self.pick_subset(accs, acc_size, ctx);
+        let msg = wrap(Some(acc_targets.clone()));
+        ctx.multicast(&coord_targets, msg.clone());
+        if fast {
+            ctx.multicast(&acc_targets, msg);
+        }
+    }
+
+    fn forward(&self, cmd: &C::Cmd, ctx: &mut dyn Context<Msg<C>>) {
+        let cmd = cmd.clone();
+        self.send_proposal(|acc_quorum| Msg::Propose { cmd, acc_quorum }, ctx);
     }
 
     /// Ships one `ProposeBatch` to the same targets `forward` would use,
     /// amortizing the fan-out over the whole chunk (one quorum pick per
     /// batch under §4.1 load balancing).
     fn forward_batch(&self, cmds: Vec<C::Cmd>, ctx: &mut dyn Context<Msg<C>>) {
-        if cmds.is_empty() {
-            return;
-        }
-        let coords = self.cfg.roles.coordinators().to_vec();
-        let accs = self.cfg.roles.acceptors().to_vec();
-        if self.cfg.load_balance {
-            let fresh = self.cfg.schedule.initial(0, 0);
-            let cq = self.cfg.schedule.coord_quorum(fresh);
-            let fast = self.cfg.schedule.kind(fresh) == crate::schedule::RoundKind::Fast;
-            let acc_size = if fast {
-                self.cfg.quorums.fast_size()
-            } else {
-                self.cfg.quorums.classic_size()
-            };
-            let coord_targets = self.pick_subset(&coords, cq.quorum_size(), ctx);
-            let acc_targets = self.pick_subset(&accs, acc_size, ctx);
-            let msg = Msg::ProposeBatch {
-                cmds,
-                acc_quorum: Some(acc_targets.clone()),
-            };
-            ctx.multicast(&coord_targets, msg.clone());
-            if fast {
-                ctx.multicast(&acc_targets, msg);
-            }
-        } else {
-            let msg = Msg::ProposeBatch {
-                cmds,
-                acc_quorum: None,
-            };
-            ctx.multicast(&coords, msg.clone());
-            ctx.multicast(&accs, msg);
+        if !cmds.is_empty() {
+            self.send_proposal(|acc_quorum| Msg::ProposeBatch { cmds, acc_quorum }, ctx);
         }
     }
 
@@ -317,49 +292,15 @@ impl<C: CStruct> Actor for Proposer<C> {
 mod tests {
     use super::*;
     use crate::schedule::Policy;
-    use mcpaxos_actor::{MemStore, SimDuration, SimTime, StableStore};
+    use crate::testctx::TestCtx;
+    use mcpaxos_actor::SimDuration;
     use mcpaxos_cstruct::SingleDecree;
 
     type C = SingleDecree<u32>;
-
-    struct Ctx {
-        sent: Vec<(ProcessId, Msg<C>)>,
-        store: MemStore,
-        timers: Vec<TimerToken>,
-        rnd: u64,
-    }
-
-    impl Context<Msg<C>> for Ctx {
-        fn me(&self) -> ProcessId {
-            ProcessId(0)
-        }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn send(&mut self, to: ProcessId, msg: Msg<C>) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _after: SimDuration, token: TimerToken) {
-            self.timers.push(token);
-        }
-        fn cancel_timer(&mut self, _token: TimerToken) {}
-        fn storage(&mut self) -> &mut dyn StableStore {
-            &mut self.store
-        }
-        fn metric(&mut self, _m: Metric) {}
-        fn random(&mut self) -> u64 {
-            self.rnd = self.rnd.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            self.rnd
-        }
-    }
+    type Ctx = TestCtx<Msg<C>>;
 
     fn ctx() -> Ctx {
-        Ctx {
-            sent: vec![],
-            store: MemStore::new(),
-            timers: vec![],
-            rnd: 0,
-        }
+        TestCtx::new(0)
     }
 
     #[test]

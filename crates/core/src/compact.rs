@@ -20,7 +20,7 @@
 //!   catches up. A quorum of up-to-date processes keeps the deployment
 //!   live while a straggler catches up.
 
-use crate::msg::Payload;
+use crate::ship::{value_digest, Payload};
 use mcpaxos_cstruct::CStruct;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -87,14 +87,20 @@ impl<C: CStruct> Compactor<C> {
         let mut applied = 0;
         while let Some((from, cmds)) = self.pending.remove_entry(&self.watermark) {
             on_applied(&cmds);
-            self.watermark = from + cmds.len() as u64;
-            self.recent.push_back((from, cmds));
-            while self.recent.len() > self.keep {
-                self.recent.pop_front();
-            }
+            self.retire(from, cmds);
             applied += 1;
         }
         applied
+    }
+
+    /// Moves the watermark past the applied segment `cmds` at `from` and
+    /// retains it in the normalization window.
+    fn retire(&mut self, from: u64, cmds: Vec<C::Cmd>) {
+        self.watermark = from + cmds.len() as u64;
+        self.recent.push_back((from, cmds));
+        while self.recent.len() > self.keep {
+            self.recent.pop_front();
+        }
     }
 
     /// Buffers a stable segment starting at `from` (idempotent; segments
@@ -126,11 +132,7 @@ impl<C: CStruct> Compactor<C> {
                 .remove_entry(&self.watermark)
                 .expect("just probed");
             on_applied(&cmds);
-            self.watermark = from + cmds.len() as u64;
-            self.recent.push_back((from, cmds));
-            while self.recent.len() > self.keep {
-                self.recent.pop_front();
-            }
+            self.retire(from, cmds);
             applied += 1;
         }
         // Anything below the watermark can never apply again.
@@ -216,19 +218,12 @@ impl<C: CStruct> Compactor<C> {
     /// resolved value differs from `base`.
     pub fn resolve(&self, payload: Payload<C>, base: Option<&Arc<C>>) -> Resolved<C> {
         match payload {
-            Payload::Full(v) => {
-                let v = if v.watermark() == self.watermark {
-                    v
-                } else if v.watermark() < self.watermark {
-                    let mut owned = (*v).clone();
-                    if !self.normalize(&mut owned) {
-                        return Resolved::Unaligned(Payload::Full(v));
-                    }
-                    Arc::new(owned)
-                } else {
-                    // We are behind the sender.
-                    return Resolved::Unaligned(Payload::Full(v));
-                };
+            Payload::Full(full) => {
+                let mut v = full.clone();
+                if !self.normalize_arc(&mut v) {
+                    // We are behind the sender, or too far ahead of it.
+                    return Resolved::Unaligned(Payload::Full(full));
+                }
                 let changed = match base {
                     Some(b) => b.watermark() != v.watermark() || **b != *v,
                     None => true,
@@ -252,7 +247,7 @@ impl<C: CStruct> Compactor<C> {
                     // Pure keep-alive: the sender claims our base IS its
                     // value. A digest mismatch means the base diverged
                     // (e.g. rolled back by a crash) — resync.
-                    if crate::msg::value_digest(&**b) != digest {
+                    if value_digest(&**b) != digest {
                         return Resolved::Gap;
                     }
                     return Resolved::Value(b.clone(), false);
@@ -264,7 +259,7 @@ impl<C: CStruct> Compactor<C> {
                         // alone cannot authenticate the base: verify the
                         // reconstruction against the sender's digest and
                         // treat divergence exactly like a gap.
-                        if crate::msg::value_digest(&owned) != digest {
+                        if value_digest(&owned) != digest {
                             return Resolved::Gap;
                         }
                         Resolved::Value(Arc::new(owned), appended > 0)
@@ -296,34 +291,7 @@ impl<C: CStruct> Compactor<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcpaxos_actor::wire::{Wire, WireError};
-    use mcpaxos_cstruct::{CommandHistory, Conflict, ConflictKeys};
-
-    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-    struct K(u16, u16);
-    impl Conflict for K {
-        fn conflicts(&self, other: &Self) -> bool {
-            self.0 == other.0
-        }
-        fn conflict_keys(&self) -> ConflictKeys {
-            ConflictKeys::one(u64::from(self.0))
-        }
-    }
-    impl Wire for K {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-            self.1.encode(out);
-        }
-        fn decode(i: &mut &[u8]) -> Result<Self, WireError> {
-            Ok(K(u16::decode(i)?, u16::decode(i)?))
-        }
-    }
-
-    type H = CommandHistory<K>;
-
-    fn h(n: u16) -> H {
-        (0..n).map(|i| K(i % 4, i)).collect()
-    }
+    use crate::testctx::{h, H, K};
 
     #[test]
     fn advance_waits_for_primary_coverage() {
@@ -367,7 +335,7 @@ mod tests {
         match c.resolve(
             Payload::Delta {
                 base_len: 4,
-                digest: crate::msg::value_digest(&h(6)),
+                digest: value_digest(&h(6)),
                 suffix,
             },
             Some(&base),
@@ -383,7 +351,7 @@ mod tests {
             c.resolve(
                 Payload::Delta {
                     base_len: 9,
-                    digest: crate::msg::value_digest(&h(10)),
+                    digest: value_digest(&h(10)),
                     suffix: vec![K(0, 9)]
                 },
                 Some(&base)
@@ -395,7 +363,7 @@ mod tests {
             c.resolve(
                 Payload::Delta {
                     base_len: 0,
-                    digest: crate::msg::value_digest(&h(1)),
+                    digest: value_digest(&h(1)),
                     suffix: vec![K(0, 0)]
                 },
                 None
@@ -416,7 +384,7 @@ mod tests {
         let base = Arc::new(divergent);
         assert_eq!(base.total_len(), 4);
         let suffix: Vec<K> = (4..6).map(|i| K(i % 4, i)).collect();
-        let sender_digest = crate::msg::value_digest(&h(6));
+        let sender_digest = value_digest(&h(6));
         assert!(
             matches!(
                 c.resolve(
@@ -436,7 +404,7 @@ mod tests {
             c.resolve(
                 Payload::Delta {
                     base_len: 4,
-                    digest: crate::msg::value_digest(&h(4)),
+                    digest: value_digest(&h(4)),
                     suffix: vec![],
                 },
                 Some(&base)

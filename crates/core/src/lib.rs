@@ -51,15 +51,19 @@ mod quorum;
 mod round;
 mod schedule;
 mod shard;
+mod ship;
+#[cfg(test)]
+mod testctx;
 
 pub use agents::{Acceptor, Coordinator, Learner, Proposer};
 pub use compact::{Compactor, Resolved};
 pub use config::{
     BatchConfig, CollisionPolicy, DeployConfig, Durability, Overflow, Timing, WireConfig,
 };
-pub use msg::{value_digest, Msg, Payload};
+pub use msg::Msg;
 pub use provedsafe::{pick, proved_safe, proved_safe_exact, OneB};
 pub use quorum::{check_intersections, CoordQuorum, QuorumSpec, RoundInfo};
 pub use round::Round;
 pub use schedule::{Policy, RoundKind, Schedule, RTYPE_FAST, RTYPE_MULTI, RTYPE_SINGLE};
 pub use shard::{shard_configs, shard_tag, ShardMsg, Sharded, SHARD_ID_STRIDE};
+pub use ship::{value_digest, Payload};

@@ -5,167 +5,16 @@
 //! message *structure* is identical, only the payload type changes.
 
 use crate::round::Round;
+use crate::ship::Payload;
 use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::ProcessId;
 use mcpaxos_cstruct::CStruct;
-use std::sync::Arc;
-
-/// A c-struct carried by `1b`/`2a`/`2b` messages: either the whole value
-/// or a *delta* against a base the receiver is known (optimistically) to
-/// hold.
-///
-/// Senders that just shipped a value of `base_len` commands to a peer can
-/// follow up with `Delta { base_len, digest, suffix }` — the commands at
-/// logical positions `base_len..` — turning the O(n²) cumulative cost of
-/// re-serializing ever-growing histories into O(n). Receivers reconstruct
-/// against their stored copy of the sender's last value and answer
-/// [`Msg::NeedFull`] on a gap (lost base, truncated past the base), upon
-/// which the sender falls back to `Full`. `Full` payloads are `Arc`-shared
-/// exactly as before: fan-out clones a pointer, not the history.
-///
-/// `base_len` alone cannot authenticate the base: after a crash/recover a
-/// receiver can hold an equal-length-but-divergent value (e.g. a vote
-/// rolled back to an older history of the same length), and appending the
-/// suffix to it would silently corrupt the reconstruction. `digest` is
-/// [`value_digest`] of the *result* the sender intends; receivers verify
-/// it after applying the suffix and treat a mismatch exactly like a gap.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Payload<C: CStruct> {
-    /// The whole c-struct, shared across the fan-out.
-    Full(Arc<C>),
-    /// The commands at logical positions `base_len..` of the sender's
-    /// value; the receiver appends them to its copy of the sender's last
-    /// shipped value (`base_len` counts the truncated stable prefix too,
-    /// so lengths are comparable across compactions).
-    Delta {
-        /// Logical length of the base the suffix extends.
-        base_len: u64,
-        /// [`value_digest`] of the sender's full value (base + suffix):
-        /// what the receiver must reconstruct.
-        digest: u64,
-        /// The commands beyond the base, in the sender's order.
-        suffix: Vec<C::Cmd>,
-    },
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Content digest of a c-struct, for delta-base validation (FNV-1a over
-/// the watermark and the wire encoding of every live command, in
-/// representation order).
-///
-/// Two equal values always digest equally. The watermark is included so a
-/// receiver whose compaction frontier diverges from the sender's digests
-/// differently and conservatively resyncs. C-structs without a sequence
-/// representation ([`CStruct::suffix_from`] returns `None`) digest their
-/// logical length only — they never ship deltas, so the digest is never
-/// compared.
-pub fn value_digest<C: CStruct>(v: &C) -> u64 {
-    let wm = v.watermark();
-    let mut h = fnv1a(FNV_OFFSET, &wm.to_le_bytes());
-    match v.suffix_from(wm) {
-        Some(cmds) => {
-            let mut buf = Vec::new();
-            for c in &cmds {
-                buf.clear();
-                c.encode(&mut buf);
-                h = fnv1a(h, &buf);
-            }
-        }
-        None => h = fnv1a(h, &v.total_len().to_le_bytes()),
-    }
-    h
-}
-
-impl<C: CStruct> Payload<C> {
-    /// Wraps a full value.
-    pub fn full(v: C) -> Self {
-        Payload::Full(Arc::new(v))
-    }
-
-    /// Whether this is a delta payload.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, Payload::Delta { .. })
-    }
-
-    /// The shared full value, when this is a `Full` payload. Test and
-    /// harness convenience; agents resolve payloads against their bases.
-    pub fn as_full(&self) -> Option<&Arc<C>> {
-        match self {
-            Payload::Full(v) => Some(v),
-            Payload::Delta { .. } => None,
-        }
-    }
-
-    /// Serialized size in bytes, as the wire accounting sees it.
-    pub fn encoded_len(&self) -> u64 {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len() as u64
-    }
-}
-
-/// `C` and `Arc<C>` convert into full payloads, so call sites (and tests)
-/// can keep writing `val: value.into()`.
-impl<C: CStruct> From<C> for Payload<C> {
-    fn from(v: C) -> Self {
-        Payload::full(v)
-    }
-}
-
-impl<C: CStruct> From<Arc<C>> for Payload<C> {
-    fn from(v: Arc<C>) -> Self {
-        Payload::Full(v)
-    }
-}
-
-impl<C: CStruct> Wire for Payload<C> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Payload::Full(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            Payload::Delta {
-                base_len,
-                digest,
-                suffix,
-            } => {
-                out.push(1);
-                base_len.encode(out);
-                digest.encode(out);
-                suffix.encode(out);
-            }
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(Payload::Full(Arc::<C>::decode(input)?)),
-            1 => Ok(Payload::Delta {
-                base_len: u64::decode(input)?,
-                digest: u64::decode(input)?,
-                suffix: Wire::decode(input)?,
-            }),
-            _ => Err(WireError {
-                what: "invalid payload tag",
-            }),
-        }
-    }
-}
 
 /// Messages exchanged by Multicoordinated Paxos agents.
 ///
 /// The type parameter is the c-struct set the deployment agrees on;
 /// commands are `C::Cmd`. C-struct payloads (`vval`/`val`) are
-/// [`Arc`]-shared: a message cloned for an n-way multicast, or duplicated
+/// [`std::sync::Arc`]-shared: a message cloned for an n-way multicast, or duplicated
 /// by the lossy network, shares one allocation of the (potentially large)
 /// command history instead of deep-copying it per recipient. Receivers
 /// that keep the payload store the same `Arc`, so a value accepted by one

@@ -47,7 +47,7 @@ impl Round {
     };
 
     /// Creates a round.
-    pub fn new(major: u32, minor: u32, owner: u16, rtype: u8) -> Self {
+    pub const fn new(major: u32, minor: u32, owner: u16, rtype: u8) -> Self {
         Round {
             major,
             minor,

@@ -241,48 +241,19 @@ pub fn shard_configs(
 mod tests {
     use super::*;
     use crate::agents::Proposer;
+    use crate::testctx::TestCtx;
     use mcpaxos_actor::wire::{from_bytes, to_bytes};
-    use mcpaxos_actor::MemStore;
     use mcpaxos_cstruct::CmdSet;
     use std::sync::Arc;
 
     type C = CmdSet<u32>;
-
-    struct Ctx {
-        sent: Vec<(ProcessId, ShardMsg<C>)>,
-        store: MemStore,
-    }
-
-    impl Context<ShardMsg<C>> for Ctx {
-        fn me(&self) -> ProcessId {
-            ProcessId(64)
-        }
-        fn now(&self) -> SimTime {
-            SimTime(1)
-        }
-        fn send(&mut self, to: ProcessId, msg: ShardMsg<C>) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-        fn cancel_timer(&mut self, _t: TimerToken) {}
-        fn storage(&mut self) -> &mut dyn StableStore {
-            &mut self.store
-        }
-        fn metric(&mut self, _m: Metric) {}
-        fn random(&mut self) -> u64 {
-            0
-        }
-    }
 
     #[test]
     fn wrapped_agent_sends_are_shard_tagged_and_foreign_shards_dropped() {
         let cfg = Arc::new(shard_configs(2, 1, 1, 3, 1, Policy::SingleCoordinated)[1].clone());
         cfg.validate().unwrap();
         let mut p: Sharded<Proposer<C>> = Sharded::new(1, Proposer::new(cfg));
-        let mut cx = Ctx {
-            sent: vec![],
-            store: MemStore::new(),
-        };
+        let mut cx: TestCtx<ShardMsg<C>> = TestCtx::new(64);
         let propose = Msg::Propose {
             cmd: 7,
             acc_quorum: None,

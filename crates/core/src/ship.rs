@@ -1,0 +1,561 @@
+//! Payload shipping: *how* a c-struct travels between agents.
+//!
+//! The agents exchange one kind of thing — a c-struct in a "1b", "2a" or
+//! "2b" (§3.2). Everything about its transport is decided here, once:
+//!
+//! * [`Payload`] is what goes on the wire: the whole value, or a suffix
+//!   delta against a base the receiver is optimistically assumed to hold,
+//!   authenticated by [`value_digest`];
+//! * [`Shipper`] is the **sender half**: the per-peer `(round, len)`
+//!   bases, the single send loop (full when delta shipping is off or no
+//!   usable base exists, delta otherwise), byte accounting, the answer to
+//!   [`Msg::NeedFull`] and the base drops on [`Msg::Hello`] / link reset;
+//! * [`Receiver`] is the **receiver half**: resolve against the stored
+//!   base, retry once after compaction, reply `NeedFull` / `NeedStable`,
+//!   and the [`Msg::Stable`] / [`Msg::NeedStable`] catch-up handlers.
+//!
+//! Agents keep only what is theirs: which value is primary, which side
+//! state follows a truncation ([`Receiver::realign`]), and what to do with
+//! a resolved value.
+
+use crate::agents::metrics;
+use crate::compact::{Compactor, Resolved};
+use crate::config::WireConfig;
+use crate::msg::Msg;
+use crate::round::Round;
+use mcpaxos_actor::wire::{Wire, WireError};
+use mcpaxos_actor::{Context, Metric, ProcessId};
+use mcpaxos_cstruct::CStruct;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// A c-struct carried by `1b`/`2a`/`2b` messages: either the whole value
+/// or a *delta* against a base the receiver is known (optimistically) to
+/// hold.
+///
+/// Senders that just shipped a value of `base_len` commands to a peer can
+/// follow up with `Delta { base_len, digest, suffix }` — the commands at
+/// logical positions `base_len..` — turning the O(n²) cumulative cost of
+/// re-serializing ever-growing histories into O(n). Receivers reconstruct
+/// against their stored copy of the sender's last value and answer
+/// [`Msg::NeedFull`] on a gap (lost base, truncated past the base), upon
+/// which the sender falls back to `Full`. `Full` payloads are `Arc`-shared
+/// exactly as before: fan-out clones a pointer, not the history.
+///
+/// `base_len` alone cannot authenticate the base: after a crash/recover a
+/// receiver can hold an equal-length-but-divergent value (e.g. a vote
+/// rolled back to an older history of the same length), and appending the
+/// suffix to it would silently corrupt the reconstruction. `digest` is
+/// [`value_digest`] of the *result* the sender intends; receivers verify
+/// it after applying the suffix and treat a mismatch exactly like a gap.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Payload<C: CStruct> {
+    /// The whole c-struct, shared across the fan-out.
+    Full(Arc<C>),
+    /// The commands at logical positions `base_len..` of the sender's
+    /// value; the receiver appends them to its copy of the sender's last
+    /// shipped value (`base_len` counts the truncated stable prefix too,
+    /// so lengths are comparable across compactions).
+    Delta {
+        /// Logical length of the base the suffix extends.
+        base_len: u64,
+        /// [`value_digest`] of the sender's full value (base + suffix):
+        /// what the receiver must reconstruct.
+        digest: u64,
+        /// The commands beyond the base, in the sender's order.
+        suffix: Vec<C::Cmd>,
+    },
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Content digest of a c-struct, for delta-base validation (FNV-1a over
+/// the watermark and the wire encoding of every live command, in
+/// representation order).
+///
+/// Two equal values always digest equally. The watermark is included so a
+/// receiver whose compaction frontier diverges from the sender's digests
+/// differently and conservatively resyncs. C-structs without a sequence
+/// representation ([`CStruct::suffix_from`] returns `None`) digest their
+/// logical length only — they never ship deltas, so the digest is never
+/// compared.
+pub fn value_digest<C: CStruct>(v: &C) -> u64 {
+    let wm = v.watermark();
+    let mut h = fnv1a(FNV_OFFSET, &wm.to_le_bytes());
+    match v.suffix_from(wm) {
+        Some(cmds) => {
+            let mut buf = Vec::new();
+            for c in &cmds {
+                buf.clear();
+                c.encode(&mut buf);
+                h = fnv1a(h, &buf);
+            }
+        }
+        None => h = fnv1a(h, &v.total_len().to_le_bytes()),
+    }
+    h
+}
+
+impl<C: CStruct> Payload<C> {
+    /// Wraps a full value.
+    pub fn full(v: C) -> Self {
+        Payload::Full(Arc::new(v))
+    }
+
+    /// Whether this is a delta payload.
+    pub fn is_delta(&self) -> bool {
+        matches!(self, Payload::Delta { .. })
+    }
+
+    /// The shared full value, when this is a `Full` payload. Test and
+    /// harness convenience; agents resolve payloads against their bases.
+    pub fn as_full(&self) -> Option<&Arc<C>> {
+        match self {
+            Payload::Full(v) => Some(v),
+            Payload::Delta { .. } => None,
+        }
+    }
+
+    /// Serialized size in bytes, as the wire accounting sees it.
+    pub fn encoded_len(&self) -> u64 {
+        let mut buf = Vec::new();
+        self.encode(&mut buf);
+        buf.len() as u64
+    }
+}
+
+/// `C` and `Arc<C>` convert into full payloads, so call sites (and tests)
+/// can keep writing `val: value.into()`.
+impl<C: CStruct> From<C> for Payload<C> {
+    fn from(v: C) -> Self {
+        Payload::full(v)
+    }
+}
+
+impl<C: CStruct> From<Arc<C>> for Payload<C> {
+    fn from(v: Arc<C>) -> Self {
+        Payload::Full(v)
+    }
+}
+
+impl<C: CStruct> Wire for Payload<C> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Payload::Full(v) => {
+                out.push(0);
+                v.encode(out);
+            }
+            Payload::Delta {
+                base_len,
+                digest,
+                suffix,
+            } => {
+                out.push(1);
+                base_len.encode(out);
+                digest.encode(out);
+                suffix.encode(out);
+            }
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(input)? {
+            0 => Ok(Payload::Full(Arc::<C>::decode(input)?)),
+            1 => Ok(Payload::Delta {
+                base_len: u64::decode(input)?,
+                digest: u64::decode(input)?,
+                suffix: Wire::decode(input)?,
+            }),
+            _ => Err(WireError {
+                what: "invalid payload tag",
+            }),
+        }
+    }
+}
+
+/// Rounds of per-round bookkeeping an agent keeps before pruning.
+pub(crate) const ROUND_WINDOW: usize = 8;
+
+/// Drops the lowest rounds of `m` beyond the last [`ROUND_WINDOW`].
+pub(crate) fn prune_rounds<V>(m: &mut BTreeMap<Round, V>) {
+    while m.len() > ROUND_WINDOW {
+        m.pop_first();
+    }
+}
+
+/// Restart announcement: the caller's ingest caches died with its volatile
+/// state, so `peers` holding a delta base for it must downgrade to `Full`.
+/// Pure optimization — a lost `Hello` just re-opens the `NeedFull` path —
+/// so it only costs wire bytes when delta shipping is on.
+pub(crate) fn announce_restart<C: CStruct>(
+    wire: &WireConfig,
+    peers: &[ProcessId],
+    ctx: &mut dyn Context<Msg<C>>,
+) {
+    if wire.delta_ship {
+        ctx.multicast(peers, Msg::Hello);
+    }
+}
+
+/// The sender half: ships one agent's primary value as `wrap(round,
+/// payload)` messages and tracks what each peer holds of it.
+pub(crate) struct Shipper<C: CStruct> {
+    delta_ship: bool,
+    account_bytes: bool,
+    wrap: fn(Round, Payload<C>) -> Msg<C>,
+    /// Per peer: the round and logical value length of the last payload
+    /// shipped to it — the base the next delta extends.
+    bases: BTreeMap<ProcessId, (Round, u64)>,
+}
+
+impl<C: CStruct> Shipper<C> {
+    /// A shipper emitting `wrap(round, payload)` messages (`P2a` for
+    /// coordinators, `P2b` for acceptors).
+    pub(crate) fn new(wire: &WireConfig, wrap: fn(Round, Payload<C>) -> Msg<C>) -> Self {
+        Shipper {
+            delta_ship: wire.delta_ship,
+            account_bytes: wire.account_bytes,
+            wrap,
+            bases: BTreeMap::new(),
+        }
+    }
+
+    /// Emits the `bytes_sent` metric, when byte accounting is on.
+    fn account(&self, bytes: impl FnOnce() -> u64, ctx: &mut dyn Context<Msg<C>>) {
+        if self.account_bytes {
+            ctx.metric(Metric::add(metrics::BYTES_SENT, bytes() as i64));
+        }
+    }
+
+    /// Multicasts `wrap(Full(val))` to `targets` outside the base
+    /// tracking: "1b" reports are always shipped full, since the receiver
+    /// generally holds no base from the sender for that round.
+    pub(crate) fn multicast_full(
+        &self,
+        targets: &[ProcessId],
+        val: Arc<C>,
+        wrap: impl FnOnce(Payload<C>) -> Msg<C>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) {
+        let payload = Payload::Full(val);
+        self.account(|| payload.encoded_len() * targets.len() as u64, ctx);
+        ctx.multicast(targets, wrap(payload));
+    }
+
+    /// The send loop: ships `val` for `round` to each of `targets`, in
+    /// order. A peer whose base is this round's shorter value gets the
+    /// suffix beyond it (authenticated by one digest of `val`); everyone
+    /// else — always, when delta shipping is off — shares the full `Arc`.
+    /// Lost messages surface as `NeedFull`, answered by [`Self::resync`].
+    pub(crate) fn ship(
+        &mut self,
+        targets: &[ProcessId],
+        round: Round,
+        val: &Arc<C>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) {
+        let total = val.total_len();
+        let (mut digest, mut full_len) = (None, None);
+        let (mut deltas, mut bytes) = (0, 0);
+        for &t in targets {
+            let suffix = match self.bases.get(&t) {
+                Some(&(r, len)) if r == round && len <= total => {
+                    val.suffix_from(len).map(|s| (len, s))
+                }
+                _ => None,
+            };
+            let payload = match suffix {
+                Some((base_len, suffix)) => {
+                    deltas += 1;
+                    Payload::Delta {
+                        base_len,
+                        digest: *digest.get_or_insert_with(|| value_digest(val.as_ref())),
+                        suffix,
+                    }
+                }
+                None => Payload::Full(val.clone()),
+            };
+            if self.account_bytes {
+                bytes += match &payload {
+                    Payload::Full(_) => *full_len.get_or_insert_with(|| payload.encoded_len()),
+                    Payload::Delta { .. } => payload.encoded_len(),
+                };
+            }
+            if self.delta_ship {
+                self.bases.insert(t, (round, total));
+            }
+            ctx.send(t, (self.wrap)(round, payload));
+        }
+        if deltas > 0 {
+            ctx.metric(Metric::add(metrics::DELTA_SENDS, deltas));
+        }
+        self.account(|| bytes, ctx);
+    }
+
+    /// Answers `from`'s [`Msg::NeedFull`] for `round`: re-ships the full
+    /// current value and re-bases the peer on it, or — when the sender has
+    /// moved on to another round — just forgets the peer's base.
+    pub(crate) fn resync(
+        &mut self,
+        from: ProcessId,
+        round: Round,
+        current: Round,
+        val: Option<&Arc<C>>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) {
+        if round != current {
+            self.bases.remove(&from);
+        } else if let Some(val) = val {
+            ctx.metric(Metric::incr(metrics::FULL_RESYNCS));
+            let payload = Payload::Full(val.clone());
+            self.account(|| payload.encoded_len(), ctx);
+            self.bases.insert(from, (round, val.total_len()));
+            ctx.send(from, (self.wrap)(round, payload));
+        }
+    }
+
+    /// `peer` restarted ([`Msg::Hello`]) or its link was severed and
+    /// healed: whatever base we had established with it may be gone on
+    /// its side. Dropping ours means the next payload ships `Full`, saving
+    /// the `NeedFull` round-trip a stale delta would trigger.
+    pub(crate) fn reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
+        if self.bases.remove(&peer).is_some() {
+            ctx.metric(Metric::incr(metrics::BASE_RESETS));
+        }
+    }
+}
+
+/// The receiver half, implemented by every agent that ingests c-struct
+/// payloads. The agent supplies its [`Compactor`] and its truncation rule;
+/// the resolve / retry / reply protocol is provided.
+pub(crate) trait Receiver<C: CStruct>: Sized {
+    /// The agent's compaction state.
+    fn compactor(&mut self) -> &mut Compactor<C>;
+
+    /// Applies every pending stable segment the agent's primary value
+    /// covers *now* and brings its side state to the new watermark;
+    /// returns whether the watermark moved. (Learners compact only at the
+    /// start of an upcall, so theirs never moves mid-upcall.)
+    fn realign(&mut self, ctx: &mut dyn Context<Msg<C>>) -> bool;
+
+    /// Asks `to` for the stable segments above the local watermark.
+    fn need_stable(&mut self, to: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
+        let from = self.compactor().watermark();
+        ctx.send(to, Msg::NeedStable { from });
+    }
+
+    /// Resolves `from`'s payload for `round` against `base` (its last
+    /// value for that round), retrying once after compaction when the
+    /// watermarks disagree. Returns the value at the local watermark and
+    /// whether it differs from the base; `None` means the message is
+    /// dropped — after asking the sender for its full value on a delta
+    /// gap, or for the missing stable segments when it is ahead of us.
+    fn ingest(
+        &mut self,
+        from: ProcessId,
+        round: Round,
+        payload: Payload<C>,
+        base: impl Fn(&Self) -> Option<Arc<C>>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) -> Option<(Arc<C>, bool)> {
+        let b = base(self);
+        let mut resolved = self.compactor().resolve(payload, b.as_ref());
+        if let Resolved::Unaligned(p) = resolved {
+            // Maybe a pending segment unlocks the mismatch.
+            resolved = if self.realign(ctx) {
+                let b = base(self);
+                self.compactor().resolve(p, b.as_ref())
+            } else {
+                Resolved::Unaligned(p)
+            };
+        }
+        match resolved {
+            Resolved::Value(v, changed) => return Some((v, changed)),
+            Resolved::Gap => ctx.send(from, Msg::NeedFull { round }),
+            Resolved::Unaligned(p) => {
+                let w = self.compactor().watermark();
+                if p.as_full().is_some_and(|v| v.watermark() > w) {
+                    self.need_stable(from, ctx);
+                }
+            }
+        }
+        None
+    }
+
+    /// Handles [`Msg::Stable`]: buffers the segment and applies what can
+    /// apply. Still short of the announced frontier with nothing buffered
+    /// at our watermark means a segment in between was missed — request
+    /// the gap from the sender (the designated learner).
+    fn on_stable(
+        &mut self,
+        from: ProcessId,
+        seg_from: u64,
+        cmds: Vec<C::Cmd>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) {
+        self.compactor().offer(seg_from, cmds);
+        self.realign(ctx);
+        let comp = self.compactor();
+        if seg_from > comp.watermark() && comp.gap_at_watermark() {
+            self.need_stable(from, ctx);
+        }
+    }
+
+    /// Handles [`Msg::NeedStable`]: re-sends the retained segments at or
+    /// above the requester's watermark.
+    fn on_need_stable(&mut self, from: ProcessId, want: u64, ctx: &mut dyn Context<Msg<C>>) {
+        for (f, seg) in self.compactor().recent_from(want) {
+            ctx.send(from, Msg::Stable { from: f, cmds: seg });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The two halves wired back to back, no agents involved.
+    use super::*;
+    use crate::testctx::{h, TestCtx, H};
+
+    type Ctx = TestCtx<Msg<H>>;
+
+    const SENDER: ProcessId = ProcessId(4);
+    const PEER: ProcessId = ProcessId(9);
+    const R: Round = Round::new(0, 1, 0, crate::schedule::RTYPE_MULTI);
+
+    fn shipper(wire: WireConfig) -> Shipper<H> {
+        Shipper::new(&wire, |round, val| Msg::P2b { round, val })
+    }
+
+    /// Delta shipping on: a sender, its peer and the sender's context.
+    fn pair() -> (Shipper<H>, Peer, Ctx) {
+        let out = shipper(WireConfig::bounded(64));
+        (out, Peer::new(), Ctx::new(SENDER.raw()))
+    }
+
+    /// A bare receiver half: keeps the sender's last resolved value.
+    struct Peer {
+        comp: Compactor<H>,
+        last: Option<Arc<H>>,
+    }
+
+    impl Receiver<H> for Peer {
+        fn compactor(&mut self) -> &mut Compactor<H> {
+            &mut self.comp
+        }
+        fn realign(&mut self, _ctx: &mut dyn Context<Msg<H>>) -> bool {
+            false
+        }
+    }
+
+    impl Peer {
+        fn new() -> Self {
+            Peer {
+                comp: Compactor::new(4),
+                last: None,
+            }
+        }
+
+        /// Ingests the "2b" in `cx.sent` (clearing it); returns the replies.
+        fn receive(&mut self, cx: &mut Ctx) -> Vec<Msg<H>> {
+            let mut replies = Ctx::new(PEER.raw());
+            for (to, msg) in cx.sent.drain(..) {
+                assert_eq!(to, PEER);
+                let Msg::P2b { round, val } = msg else {
+                    panic!("unexpected {msg:?}")
+                };
+                let base = |p: &Self| p.last.clone();
+                if let Some((v, _)) = self.ingest(SENDER, round, val, base, &mut replies) {
+                    self.last = Some(v);
+                }
+            }
+            replies.sent.into_iter().map(|(_, m)| m).collect()
+        }
+    }
+
+    fn sent_delta(cx: &Ctx) -> bool {
+        matches!(&cx.sent[..], [(_, Msg::P2b { val, .. })] if val.is_delta())
+    }
+
+    #[test]
+    fn dropped_delta_resyncs_once_and_deltas_resume() {
+        let (mut out, mut peer, mut cx) = pair();
+        out.ship(&[PEER], R, &Arc::new(h(4)), &mut cx);
+        assert!(!sent_delta(&cx), "no base yet: full");
+        assert!(peer.receive(&mut cx).is_empty());
+        // The delta 4→6 is lost; the next one (6→8) finds a base of 4.
+        out.ship(&[PEER], R, &Arc::new(h(6)), &mut cx);
+        assert!(sent_delta(&cx));
+        cx.sent.clear();
+        let v8 = Arc::new(h(8));
+        out.ship(&[PEER], R, &v8, &mut cx);
+        assert_eq!(peer.receive(&mut cx), vec![Msg::NeedFull { round: R }]);
+        // The answer is the full value, counted once, and ends the exchange:
+        // the peer is re-based, so the next delta resolves to a value.
+        out.resync(PEER, R, R, Some(&v8), &mut cx);
+        assert_eq!(cx.metric_count(metrics::FULL_RESYNCS), 1);
+        assert!(!sent_delta(&cx));
+        assert!(peer.receive(&mut cx).is_empty());
+        out.ship(&[PEER], R, &Arc::new(h(9)), &mut cx);
+        assert!(sent_delta(&cx));
+        assert!(peer.receive(&mut cx).is_empty());
+        assert_eq!(peer.last.as_deref(), Some(&h(9)));
+        // A `NeedFull` for a round the sender has left only drops the base.
+        out.resync(PEER, R, Round::ZERO, Some(&v8), &mut cx);
+        assert!(cx.sent.is_empty());
+        assert_eq!(cx.metric_count(metrics::FULL_RESYNCS), 1);
+    }
+
+    #[test]
+    fn hello_or_link_reset_makes_the_next_send_full_with_no_needfull() {
+        let (mut out, mut peer, mut cx) = pair();
+        out.ship(&[PEER], R, &Arc::new(h(4)), &mut cx);
+        peer.receive(&mut cx);
+        // The peer restarts: its copy of our value is gone. It says Hello.
+        peer.last = None;
+        out.reset(PEER, &mut cx);
+        out.reset(PEER, &mut cx); // idempotent: nothing left to drop
+        assert_eq!(cx.metric_count(metrics::BASE_RESETS), 1);
+        out.ship(&[PEER], R, &Arc::new(h(6)), &mut cx);
+        assert!(!sent_delta(&cx));
+        assert!(peer.receive(&mut cx).is_empty(), "no NeedFull round-trip");
+        assert_eq!(peer.last.as_deref(), Some(&h(6)));
+        assert_eq!(cx.metric_count(metrics::DELTA_SENDS), 0);
+    }
+
+    #[test]
+    fn delta_off_ships_full_in_multicast_order() {
+        let (learners, coords, gossip) = (
+            [ProcessId(9), ProcessId(10)],
+            [ProcessId(1), ProcessId(2), ProcessId(3)],
+            [ProcessId(5)],
+        );
+        let val = Arc::new(h(3));
+        // Three multicasts of one shared full payload, in this order.
+        let mut want = Ctx::new(SENDER.raw());
+        let msg = Msg::P2b {
+            round: R,
+            val: Payload::Full(val.clone()),
+        };
+        want.multicast(&learners, msg.clone());
+        want.multicast(&coords, msg.clone());
+        want.multicast(&gossip, msg);
+        let mut got = Ctx::new(SENDER.raw());
+        let mut out = shipper(WireConfig::default());
+        let targets = [&learners[..], &coords, &gossip].concat();
+        for _ in 0..2 {
+            out.ship(&targets, R, &val, &mut got);
+        }
+        want.sent.extend(want.sent.clone());
+        assert_eq!(got.sent, want.sent);
+        // No bases are kept, so a Hello has nothing to reset.
+        out.reset(learners[0], &mut got);
+        assert!(got.metrics.is_empty(), "{:?}", got.metrics);
+    }
+}
