@@ -10,10 +10,10 @@
 //! a [`CrossShardSequencer`] and are proposed to every involved shard;
 //! the per-shard learned histories merge through [`ShardedReplica`].
 
-use mcpaxos_actor::{ProcessId, SimTime};
+use mcpaxos_actor::{ProcessId, SimDuration, SimTime};
 use mcpaxos_core::{
-    shard_configs, shard_tag, Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer,
-    ShardMsg, Sharded,
+    shard_configs, shard_tag, Acceptor, BatchConfig, Coordinator, DeployConfig, Learner, Msg,
+    Overflow, Policy, Proposer, ShardMsg, Sharded,
 };
 use mcpaxos_cstruct::{CStruct, CommandHistory};
 use mcpaxos_simnet::{NetConfig, Sim, WireTotal};
@@ -394,17 +394,89 @@ pub fn shard_wire_run_tuned(
     }
 }
 
+/// One batched-vs-unbatched sharded measurement: the same workload with
+/// the batching knobs wired through [`ShardedHarness::with_config`].
+#[derive(Clone, Debug)]
+pub struct ShardBatchedStats {
+    /// Commands the merged replica applied.
+    pub learned: usize,
+    /// Simulator tick at which every shard had learned everything.
+    pub end_ticks: u64,
+    /// Final merged bank balance total (determinism anchor).
+    pub bank_total: u64,
+}
+
+/// Runs the sharded workload with every shard's coordinator/proposer
+/// batching dialed to `batch`/`depth` (`batch = 0` leaves the knobs off)
+/// and returns deterministic completion statistics.
+///
+/// # Panics
+///
+/// Panics if the run stalls or the merged replica misses commands.
+pub fn shard_batched_run(
+    shards: u16,
+    batch: usize,
+    depth: usize,
+    commands: usize,
+    seed: u64,
+) -> ShardBatchedStats {
+    let tune = move |c: DeployConfig| {
+        if batch == 0 {
+            c
+        } else {
+            c.with_batching(BatchConfig {
+                batch_size: batch,
+                batch_ticks: SimDuration(2),
+                pipeline_depth: depth,
+                queue_cap: 0,
+                overflow: Overflow::Shed,
+            })
+        }
+    };
+    let mut h = ShardedHarness::with_config(
+        shards,
+        Policy::MultiCoordinated,
+        seed,
+        NetConfig::lockstep(),
+        tune,
+        None::<fn(ProcessId) -> Box<dyn mcpaxos_actor::StableStore>>,
+    );
+    let mut w = Workload::new(seed, 0, 0.0)
+        .with_cold_keys(SHARD_BENCH_ACCOUNTS)
+        .with_transfer_fraction(0.01);
+    // Open-loop at 4 commands/tick (vs the paced 1-per-2-ticks of the
+    // scaling runs): enough offered load that a lockstep pipeline
+    // backlogs and batching has something to amortize.
+    let mut t = 100;
+    for i in 0..commands {
+        t = 100 + (i as u64) / 4;
+        h.submit_at(t, w.next_sharded_bank());
+    }
+    let end_ticks = h.drive_until_done(t + 1_000_000);
+    assert!(
+        h.done(),
+        "{shards}-shard batched (b={batch}/d={depth}) run stalled at t={end_ticks}"
+    );
+    let rep = h.merged();
+    assert_eq!(rep.applied_count(), commands as u64);
+    assert_eq!(rep.pending(), 0);
+    ShardBatchedStats {
+        learned: rep.applied_count() as usize,
+        end_ticks,
+        bank_total: rep.machine().total(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcpaxos_core::BatchConfig;
 
     #[test]
     fn batched_shards_learn_the_same_state() {
-        let plain = shard_wire_run(2, 0.01, 60, 7);
-        let batched = shard_wire_run_tuned(2, 0.01, 60, 7, |c| {
-            c.with_batching(BatchConfig::pipelined(8, 4))
-        });
+        let plain = shard_batched_run(2, 0, 0, 60, 7);
+        let batched = shard_batched_run(2, 8, 4, 60, 7);
+        assert_eq!(plain.learned, 60);
+        assert_eq!(batched.learned, 60);
         assert_eq!(plain.bank_total, batched.bank_total);
     }
 

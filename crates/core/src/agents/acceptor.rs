@@ -149,10 +149,10 @@ impl<C: CStruct> Acceptor<C> {
         if self.group_commit_on() {
             ctx.storage().flush();
         }
-        let (vrnd, vval) = (self.vrnd, self.vval.clone());
         // The fan-out shares the accepted value's Arc — no clone.
-        let wrap = |vval| Msg::P1b { round, vrnd, vval };
-        self.out.multicast_full(to, vval, wrap, ctx);
+        let vval = self.out.full(self.vval.clone(), to.len(), ctx);
+        let vrnd = self.vrnd;
+        ctx.multicast(to, Msg::P1b { round, vrnd, vval });
     }
 
     /// The acceptors other than `me`.

@@ -761,7 +761,8 @@ impl<C: CStruct> Actor for Coordinator<C> {
                         let acceptors = self.cfg.roles.acceptors().to_vec();
                         ctx.multicast(&acceptors, Msg::P1a { round });
                         while self.echoed_1a.len() > ROUND_WINDOW {
-                            self.echoed_1a.pop_first();
+                            let lowest = *self.echoed_1a.iter().next().expect("non-empty");
+                            self.echoed_1a.remove(&lowest);
                         }
                     }
                 }

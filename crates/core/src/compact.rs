@@ -87,20 +87,14 @@ impl<C: CStruct> Compactor<C> {
         let mut applied = 0;
         while let Some((from, cmds)) = self.pending.remove_entry(&self.watermark) {
             on_applied(&cmds);
-            self.retire(from, cmds);
+            self.watermark = from + cmds.len() as u64;
+            self.recent.push_back((from, cmds));
+            while self.recent.len() > self.keep {
+                self.recent.pop_front();
+            }
             applied += 1;
         }
         applied
-    }
-
-    /// Moves the watermark past the applied segment `cmds` at `from` and
-    /// retains it in the normalization window.
-    fn retire(&mut self, from: u64, cmds: Vec<C::Cmd>) {
-        self.watermark = from + cmds.len() as u64;
-        self.recent.push_back((from, cmds));
-        while self.recent.len() > self.keep {
-            self.recent.pop_front();
-        }
     }
 
     /// Buffers a stable segment starting at `from` (idempotent; segments
@@ -132,7 +126,11 @@ impl<C: CStruct> Compactor<C> {
                 .remove_entry(&self.watermark)
                 .expect("just probed");
             on_applied(&cmds);
-            self.retire(from, cmds);
+            self.watermark = from + cmds.len() as u64;
+            self.recent.push_back((from, cmds));
+            while self.recent.len() > self.keep {
+                self.recent.pop_front();
+            }
             applied += 1;
         }
         // Anything below the watermark can never apply again.
@@ -218,11 +216,10 @@ impl<C: CStruct> Compactor<C> {
     /// resolved value differs from `base`.
     pub fn resolve(&self, payload: Payload<C>, base: Option<&Arc<C>>) -> Resolved<C> {
         match payload {
-            Payload::Full(full) => {
-                let mut v = full.clone();
+            Payload::Full(mut v) => {
                 if !self.normalize_arc(&mut v) {
                     // We are behind the sender, or too far ahead of it.
-                    return Resolved::Unaligned(Payload::Full(full));
+                    return Resolved::Unaligned(Payload::Full(v));
                 }
                 let changed = match base {
                     Some(b) => b.watermark() != v.watermark() || **b != *v,
@@ -270,8 +267,9 @@ impl<C: CStruct> Compactor<C> {
         }
     }
 
-    /// Normalizes a stored shared value in place; returns `false` when it
-    /// cannot be brought to the watermark (caller should drop it).
+    /// Normalizes a stored shared value in place; returns `false`, leaving
+    /// `v` untouched, when it cannot be brought to the watermark (caller
+    /// should drop it).
     pub fn normalize_arc(&self, v: &mut Arc<C>) -> bool {
         if v.watermark() == self.watermark {
             return true;

@@ -234,19 +234,18 @@ impl<C: CStruct> Shipper<C> {
         }
     }
 
-    /// Multicasts `wrap(Full(val))` to `targets` outside the base
-    /// tracking: "1b" reports are always shipped full, since the receiver
-    /// generally holds no base from the sender for that round.
-    pub(crate) fn multicast_full(
+    /// The always-full payload of a "1b" report, accounted for `fanout`
+    /// recipients and outside the base tracking: the receiver generally
+    /// holds no base from the sender for that round.
+    pub(crate) fn full(
         &self,
-        targets: &[ProcessId],
         val: Arc<C>,
-        wrap: impl FnOnce(Payload<C>) -> Msg<C>,
+        fanout: usize,
         ctx: &mut dyn Context<Msg<C>>,
-    ) {
+    ) -> Payload<C> {
         let payload = Payload::Full(val);
-        self.account(|| payload.encoded_len() * targets.len() as u64, ctx);
-        ctx.multicast(targets, wrap(payload));
+        self.account(|| payload.encoded_len() * fanout as u64, ctx);
+        payload
     }
 
     /// The send loop: ships `val` for `round` to each of `targets`, in
@@ -300,8 +299,9 @@ impl<C: CStruct> Shipper<C> {
     }
 
     /// Answers `from`'s [`Msg::NeedFull`] for `round`: re-ships the full
-    /// current value and re-bases the peer on it, or — when the sender has
-    /// moved on to another round — just forgets the peer's base.
+    /// current value and (under delta shipping) re-bases the peer on it,
+    /// or — when the sender has moved on to another round — just forgets
+    /// the peer's base.
     pub(crate) fn resync(
         &mut self,
         from: ProcessId,
@@ -316,7 +316,9 @@ impl<C: CStruct> Shipper<C> {
             ctx.metric(Metric::incr(metrics::FULL_RESYNCS));
             let payload = Payload::Full(val.clone());
             self.account(|| payload.encoded_len(), ctx);
-            self.bases.insert(from, (round, val.total_len()));
+            if self.delta_ship {
+                self.bases.insert(from, (round, val.total_len()));
+            }
             ctx.send(from, (self.wrap)(round, payload));
         }
     }
@@ -554,8 +556,17 @@ mod tests {
         }
         want.sent.extend(want.sent.clone());
         assert_eq!(got.sent, want.sent);
-        // No bases are kept, so a Hello has nothing to reset.
+        // No bases are kept, so a Hello has nothing to reset ...
         out.reset(learners[0], &mut got);
         assert!(got.metrics.is_empty(), "{:?}", got.metrics);
+        // ... and a stray `NeedFull` is answered but establishes none.
+        got.sent.clear();
+        out.resync(PEER, R, R, Some(&val), &mut got);
+        out.ship(&[PEER], R, &Arc::new(h(5)), &mut got);
+        assert!(got
+            .sent
+            .iter()
+            .all(|(_, m)| matches!(m, Msg::P2b { val, .. } if !val.is_delta())));
+        assert_eq!(got.metric_count(metrics::DELTA_SENDS), 0);
     }
 }
