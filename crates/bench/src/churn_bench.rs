@@ -10,8 +10,8 @@
 //! datacenter — replayed deterministically against both round policies
 //! with the same seed, failure detector and proposer backoff. The
 //! worst-case per-command delivery latency ("max stall") is the headline
-//! number; `bench_churn --check` gates the ≥3× single-vs-multi ratio in
-//! the leader-crash scenario.
+//! number; [`churn_floors`] gates the ≥3× single-vs-multi ratio in the
+//! leader-crash scenario, and the E13 table builder applies it.
 
 use crate::harness::ClusterHarness;
 use mcpaxos_actor::{ProcessId, SimDuration, SimTime};
@@ -54,7 +54,7 @@ impl ChurnScenario {
         ChurnScenario::PartitionHeal,
     ];
 
-    /// Stable scenario label for tables and JSON.
+    /// Stable scenario label for tables.
     pub fn name(self) -> &'static str {
         match self {
             ChurnScenario::LeaderCrash => "leader crash",
@@ -149,9 +149,7 @@ pub struct ChurnRunStats {
     pub scenario: &'static str,
     /// Round policy label.
     pub policy: &'static str,
-    /// Commands injected.
-    pub commands: u32,
-    /// Commands learned by the horizon.
+    /// Commands learned by the horizon (of [`CHURN_COMMANDS`] injected).
     pub learned: u64,
     /// Mean delivery latency over learned commands, in ticks.
     pub mean_latency: f64,
@@ -163,14 +161,9 @@ pub struct ChurnRunStats {
     pub false_suspicions: i64,
     /// Suspicion-driven leader failovers.
     pub failovers: i64,
-    /// Rounds started over the whole run.
-    pub rounds: i64,
-    /// Per-command delivery-latency time series, in injection order
-    /// (`None` = never learned).
-    pub series: Vec<Option<u64>>,
 }
 
-/// Short policy label for tables and JSON.
+/// Short policy label for tables.
 pub fn policy_label(policy: Policy) -> &'static str {
     match policy {
         Policy::SingleCoordinated => "single-coord",
@@ -180,92 +173,68 @@ pub fn policy_label(policy: Policy) -> &'static str {
     }
 }
 
-/// A [`ClusterHarness`] deployed onto the 3-DC WAN with one churn
-/// scenario's chaos schedule installed: the replay unit of the E13
-/// matrix. Both policies run with three coordinators — the comparison
-/// is purely the round type, so the single-coordinated runs *can* fail
-/// over; their stall is the detect+elect+rephase window the
-/// multicoordinated rounds never enter.
-pub struct ChurnHarness {
-    scenario: ChurnScenario,
-    policy: Policy,
-    cluster: ClusterHarness<Set>,
-}
-
-impl ChurnHarness {
-    /// Deploys the standard 1/3/5/1 cluster under `policy` on the WAN
-    /// topology, applies `scenario`'s chaos schedule and queues
-    /// `CHURN_COMMANDS` commands paced `CHURN_PACE` ticks apart.
-    pub fn new(policy: Policy, scenario: ChurnScenario, seed: u64) -> Self {
-        let cfg = DeployConfig::simple(1, 3, 5, 1, policy).with_timing(churn_timing());
-        let mut cluster: ClusterHarness<Set> =
-            ClusterHarness::new(cfg, seed, NetConfig::lockstep());
-        cluster.sim.set_topology(wan3_topology(&cluster.cfg));
-        scenario.schedule(&cluster.cfg).apply(&mut cluster.sim);
-        for i in 0..CHURN_COMMANDS {
-            cluster.propose_at(SimTime(CHURN_START + CHURN_PACE * u64::from(i)), 0, i);
-        }
-        ChurnHarness {
-            scenario,
-            policy,
-            cluster,
-        }
-    }
-
-    /// The underlying cluster (e.g. for extra fault injection in tests).
-    pub fn cluster_mut(&mut self) -> &mut ClusterHarness<Set> {
-        &mut self.cluster
-    }
-
-    /// Replays the scenario to the horizon and collects the run's stats.
-    pub fn run(mut self) -> ChurnRunStats {
-        self.cluster.run_until(CHURN_HORIZON);
-        let h = &self.cluster;
-        ChurnRunStats {
-            scenario: self.scenario.name(),
-            policy: policy_label(self.policy),
-            commands: CHURN_COMMANDS,
-            learned: h.learned(0).count() as u64,
-            mean_latency: h.mean_latency(0),
-            max_stall: h.max_latency(0),
-            suspicions: h.metric_total("suspicions"),
-            false_suspicions: h.metric_total("false_suspicions"),
-            failovers: h.metric_total("failovers"),
-            rounds: h.metric_total("rounds_started"),
-            series: h.latencies(0),
-        }
-    }
-}
-
-/// Runs one `(policy, scenario, seed)` cell of the churn matrix.
+/// Runs one `(policy, scenario, seed)` cell of the churn matrix: the
+/// standard 1/3/5/1 cluster under `policy` on the 3-DC WAN, `scenario`'s
+/// chaos schedule installed, `CHURN_COMMANDS` commands paced
+/// `CHURN_PACE` ticks apart, replayed to the horizon. Both policies run
+/// with three coordinators — the comparison is purely the round type, so
+/// the single-coordinated runs *can* fail over; their stall is the
+/// detect+elect+rephase window the multicoordinated rounds never enter.
 pub fn churn_run(policy: Policy, scenario: ChurnScenario, seed: u64) -> ChurnRunStats {
-    ChurnHarness::new(policy, scenario, seed).run()
+    let cfg = DeployConfig::simple(1, 3, 5, 1, policy).with_timing(churn_timing());
+    let mut h: ClusterHarness<Set> = ClusterHarness::new(cfg, seed, NetConfig::lockstep());
+    h.sim.set_topology(wan3_topology(&h.cfg));
+    scenario.schedule(&h.cfg).apply(&mut h.sim);
+    for i in 0..CHURN_COMMANDS {
+        h.propose_at(SimTime(CHURN_START + CHURN_PACE * u64::from(i)), 0, i);
+    }
+    h.run_until(CHURN_HORIZON);
+    ChurnRunStats {
+        scenario: scenario.name(),
+        policy: policy_label(policy),
+        learned: h.learned(0).count() as u64,
+        mean_latency: h.mean_latency(0),
+        max_stall: h.max_latency(0),
+        suspicions: h.metric_total("suspicions"),
+        false_suspicions: h.metric_total("false_suspicions"),
+        failovers: h.metric_total("failovers"),
+    }
 }
 
-/// The full 2-policy × 3-scenario matrix at one seed, in report order
-/// (scenario-major, single before multi).
-pub fn churn_matrix(seed: u64) -> Vec<ChurnRunStats> {
-    let mut out = Vec::new();
-    for scenario in ChurnScenario::ALL {
-        for policy in [Policy::SingleCoordinated, Policy::MultiCoordinated] {
-            out.push(churn_run(policy, scenario, seed));
-        }
-    }
-    out
+/// The full 3-scenario × 2-policy matrix at one seed: one
+/// `[single, multi]` pair per scenario, indexed by `scenario as usize`
+/// (which is also report order).
+pub fn churn_matrix(seed: u64) -> [[ChurnRunStats; 2]; 3] {
+    ChurnScenario::ALL.map(|scenario| {
+        [Policy::SingleCoordinated, Policy::MultiCoordinated]
+            .map(|policy| churn_run(policy, scenario, seed))
+    })
 }
 
-/// The single-vs-multi worst-stall ratio for one scenario of a matrix
-/// (`NaN` if either run is missing).
-pub fn stall_ratio(matrix: &[ChurnRunStats], scenario: ChurnScenario) -> f64 {
-    let find = |p: &str| {
-        matrix
-            .iter()
-            .find(|r| r.scenario == scenario.name() && r.policy == p)
-    };
-    match (find("single-coord"), find("multi-coord")) {
-        (Some(s), Some(m)) => s.max_stall as f64 / m.max_stall.max(1) as f64,
-        _ => f64::NAN,
+/// The single-vs-multi worst-stall ratio of one scenario's pair of runs.
+pub fn stall_ratio(single: &ChurnRunStats, multi: &ChurnRunStats) -> f64 {
+    single.max_stall as f64 / multi.max_stall.max(1) as f64
+}
+
+/// The E13 gate on the leader-crash pair of a matrix; `Err` names the
+/// first floor that does not hold. The suspicion/failover floor is what
+/// shows the failure detector, not a passive timeout, drove the
+/// single-coordinated recovery.
+pub fn churn_floors(single: &ChurnRunStats, multi: &ChurnRunStats) -> Result<(), String> {
+    let ratio = stall_ratio(single, multi);
+    if ratio < 3.0 {
+        return Err(format!(
+            "leader-crash worst-stall ratio {ratio:.1}x < 3x floor"
+        ));
     }
+    if single.suspicions < 1 || single.failovers < 1 {
+        return Err(format!(
+            "single-coord leader crash recovered without the failure \
+             detector (suspicions {}, failovers {})",
+            single.suspicions, single.failovers
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -276,7 +245,6 @@ mod tests {
     fn leader_crash_run_learns_everything_and_detects_the_crash() {
         let s = churn_run(Policy::MultiCoordinated, ChurnScenario::LeaderCrash, 3);
         assert_eq!(s.learned, u64::from(CHURN_COMMANDS));
-        assert_eq!(s.series.len(), CHURN_COMMANDS as usize);
         assert!(s.suspicions > 0, "the crash must be suspected");
         assert!(s.max_stall >= s.mean_latency as u64);
     }
@@ -292,5 +260,36 @@ mod tests {
         assert_eq!(all, expect);
         let t = wan3_topology(&cfg);
         assert!(t.max_delay() >= 40);
+    }
+
+    /// Each E13 floor fires on a leader-crash pair doctored to miss it
+    /// alone.
+    #[test]
+    fn churn_floors_name_the_missed_floor() {
+        let run = |policy, max_stall, suspicions, failovers| ChurnRunStats {
+            scenario: ChurnScenario::LeaderCrash.name(),
+            policy,
+            learned: u64::from(CHURN_COMMANDS),
+            mean_latency: 60.0,
+            max_stall,
+            suspicions,
+            false_suspicions: 0,
+            failovers,
+        };
+        let multi = run("multi-coord", 100, 2, 0);
+        assert_eq!(
+            churn_floors(&run("single-coord", 300, 2, 1), &multi),
+            Ok(())
+        );
+
+        let doctored = [
+            ("2.9x < 3x", run("single-coord", 290, 2, 1)),
+            ("suspicions 0, failovers 1", run("single-coord", 300, 0, 1)),
+            ("suspicions 2, failovers 0", run("single-coord", 300, 2, 0)),
+        ];
+        for (expect, single) in doctored {
+            let err = churn_floors(&single, &multi).unwrap_err();
+            assert!(err.contains(expect), "{expect:?} not in {err:?}");
+        }
     }
 }

@@ -41,7 +41,6 @@ pub struct ShardedHarness {
     /// Commands each shard is expected to learn (cross-shard commands
     /// count once per involved shard).
     expected: Vec<usize>,
-    submitted: usize,
     cross_submitted: usize,
 }
 
@@ -125,7 +124,6 @@ impl ShardedHarness {
             router: ShardRouter::new(n_shards),
             sequencer: CrossShardSequencer::new(),
             expected: vec![0; usize::from(n_shards)],
-            submitted: 0,
             cross_submitted: 0,
         }
     }
@@ -138,19 +136,9 @@ impl ShardedHarness {
         }));
     }
 
-    /// Number of shards deployed.
-    pub fn n_shards(&self) -> u16 {
-        self.n_shards
-    }
-
     /// The router commands are sharded by.
     pub fn router(&self) -> ShardRouter {
         self.router
-    }
-
-    /// Commands submitted so far.
-    pub fn submitted(&self) -> usize {
-        self.submitted
     }
 
     /// Cross-shard commands submitted so far.
@@ -184,7 +172,6 @@ impl ShardedHarness {
         for &s in &involved {
             self.expected[usize::from(s)] += 1;
         }
-        self.submitted += 1;
         if involved.len() == 1 {
             self.propose_to(involved[0], t, cmd);
         } else {
@@ -265,12 +252,6 @@ impl ShardedHarness {
             .map_or(0, |a| a.inner().learned().total_len() as usize)
     }
 
-    /// Total commands learned across shards (cross-shard commands counted
-    /// once per involved shard).
-    pub fn learned_total(&self) -> usize {
-        (0..self.n_shards).map(|s| self.learned_count(s)).sum()
-    }
-
     /// Merges every shard's learned history into one [`Bank`] via
     /// [`ShardedReplica`], for state verification.
     pub fn merged(&self) -> ShardedReplica<Bank> {
@@ -312,8 +293,6 @@ pub const SHARD_BENCH_ACCOUNTS: u16 = 4_096;
 pub struct ShardWireStats {
     /// Number of shards deployed.
     pub shards: u16,
-    /// Commands submitted.
-    pub commands: usize,
     /// Commands the router classified as cross-shard.
     pub cross_shard: usize,
     /// Simulator tick at which every shard had learned everything.
@@ -385,7 +364,6 @@ pub fn shard_wire_run_tuned(
         .collect();
     ShardWireStats {
         shards,
-        commands,
         cross_shard: h.cross_submitted(),
         end_ticks,
         total_bytes: per_shard_bytes.iter().sum(),
@@ -400,8 +378,6 @@ pub fn shard_wire_run_tuned(
 pub struct ShardBatchedStats {
     /// Commands the merged replica applied.
     pub learned: usize,
-    /// Simulator tick at which every shard had learned everything.
-    pub end_ticks: u64,
     /// Final merged bank balance total (determinism anchor).
     pub bank_total: u64,
 }
@@ -462,7 +438,6 @@ pub fn shard_batched_run(
     assert_eq!(rep.pending(), 0);
     ShardBatchedStats {
         learned: rep.applied_count() as usize,
-        end_ticks,
         bank_total: rep.machine().total(),
     }
 }

@@ -108,12 +108,6 @@ impl Table {
     }
 }
 
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render_text())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,8 +54,6 @@ pub struct ThroughputStats {
     pub commands: usize,
     /// Commands learned.
     pub learned: usize,
-    /// Ticks from first injection until every command was learned.
-    pub makespan_ticks: u64,
     /// Commands per second at 1 tick = 1 ms.
     pub cps: f64,
     /// Delivery-latency distribution (ticks, nearest-rank percentiles).
@@ -64,10 +62,6 @@ pub struct ThroughputStats {
     pub batches: i64,
     /// Commands carried in those waves.
     pub batched_cmds: i64,
-    /// Commands shed by full coordinator queues.
-    pub sheds: i64,
-    /// Commands stall-held at proposers.
-    pub stalls: i64,
 }
 
 fn deploy(batch: usize, depth: usize) -> DeployConfig {
@@ -108,13 +102,10 @@ fn finish(
         depth,
         commands,
         learned,
-        makespan_ticks,
         cps: commands as f64 * 1_000.0 / makespan_ticks as f64,
         lat,
         batches: h.metric_total(metrics::BATCHES),
         batched_cmds: h.metric_total(metrics::BATCHED_CMDS),
-        sheds: h.metric_total(metrics::BACKPRESSURE_SHEDS),
-        stalls: h.metric_total(metrics::BACKPRESSURE_STALLS),
     }
 }
 

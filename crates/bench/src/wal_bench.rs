@@ -12,9 +12,9 @@
 //!
 //! The same paced command stream runs once per flush policy and the run
 //! records total acceptor syncs, the amortization ratio against the
-//! per-vote baseline, and the latency the deferral costs.
-//! `bench_wal --check` fails CI if group commit stops amortizing
-//! (reduction < 5×), loses commands, or surfaces corrupt records.
+//! per-vote baseline, and the latency the deferral costs. [`wal_floors`]
+//! is the gate the E11 table builder applies: group commit must keep
+//! amortizing (reduction ≥ 5×) and no store may surface corrupt records.
 
 use crate::harness::ClusterHarness;
 use mcpaxos_actor::{SimDuration, SimTime, WalStore};
@@ -38,10 +38,6 @@ pub const WAL_PACE: u64 = 1;
 pub struct WalRunStats {
     /// Flush-policy label ("per-vote" or "gc=N").
     pub label: String,
-    /// Group-commit interval in ticks (0 = flush per vote).
-    pub group_commit: u64,
-    /// Commands injected (and required to be learned).
-    pub commands: u32,
     /// Commands actually learned by the learner.
     pub learned: usize,
     /// Synchronous disk writes summed over all acceptors (the §4.4 unit:
@@ -99,8 +95,6 @@ pub fn wal_run(group_commit: u64, n: u32) -> WalRunStats {
         } else {
             format!("gc={group_commit}")
         },
-        group_commit,
-        commands: n,
         learned,
         acc_syncs,
         syncs_per_cmd: acc_syncs as f64 / f64::from(n).max(1.0) / n_acc,
@@ -116,12 +110,30 @@ pub fn sync_reduction(baseline: &WalRunStats, batched: &WalRunStats) -> f64 {
     baseline.acc_syncs as f64 / batched.acc_syncs.max(1) as f64
 }
 
+/// The E11 gate on the per-vote `baseline` and the run at
+/// [`WAL_GROUP_COMMIT`]; `Err` names the first floor that does not hold.
+pub fn wal_floors(baseline: &WalRunStats, batched: &WalRunStats) -> Result<(), String> {
+    for s in [baseline, batched] {
+        if s.corrupt_records != 0 {
+            return Err(format!(
+                "{} run surfaced {} corrupt records without a crash",
+                s.label, s.corrupt_records
+            ));
+        }
+    }
+    let ratio = sync_reduction(baseline, batched);
+    if ratio < 5.0 {
+        return Err(format!("disk-write reduction {ratio:.1}x < 5x floor"));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A small smoke run (the full 1k-command comparison lives in
-    /// `bench_wal --check`, which CI runs in release).
+    /// A small smoke run (the full 1k-command comparison is the E11
+    /// table, which `gen_experiments --check` renders in release).
     #[test]
     fn wal_run_smoke() {
         let baseline = wal_run(0, 100);
@@ -134,5 +146,31 @@ mod tests {
             sync_reduction(&baseline, &batched) > 2.0,
             "no amortization: {baseline:?} vs {batched:?}"
         );
+    }
+
+    /// Each E11 floor fires on a pair of runs doctored to miss it alone.
+    #[test]
+    fn wal_floors_name_the_missed_floor() {
+        let run = |label: &str, acc_syncs| WalRunStats {
+            label: label.to_string(),
+            learned: 100,
+            acc_syncs,
+            syncs_per_cmd: acc_syncs as f64 / 500.0,
+            corrupt_records: 0,
+            mean_latency: 3.0,
+            max_latency: 3,
+        };
+        let baseline = run("per-vote", 500);
+        let good = run("gc=8", 100);
+        assert_eq!(wal_floors(&baseline, &good), Ok(()));
+
+        let slow = run("gc=8", 120);
+        let err = wal_floors(&baseline, &slow).unwrap_err();
+        assert!(err.contains("4.2x < 5x"), "{err}");
+
+        let mut corrupt = good.clone();
+        corrupt.corrupt_records = 1;
+        let err = wal_floors(&baseline, &corrupt).unwrap_err();
+        assert!(err.contains("gc=8 run surfaced 1 corrupt"), "{err}");
     }
 }

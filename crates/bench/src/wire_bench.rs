@@ -8,8 +8,8 @@
 //! mode ([`WireConfig::bounded`]: suffix deltas + learner-quorum stable
 //! watermark + truncation). The bounded run must cut cumulative
 //! `2a`/`2b` bytes ≥ 10× and keep every acceptor's live history window
-//! bounded (non-monotonic over time) — `bench_wire --check` fails CI
-//! otherwise.
+//! bounded (non-monotonic over time): [`wire_floors`] states those
+//! floors once, and the E10 table builder refuses to render without them.
 
 use crate::harness::ClusterHarness;
 use mcpaxos_actor::wire::to_bytes;
@@ -35,21 +35,13 @@ pub struct WireRunStats {
     pub label: &'static str,
     /// Commands injected (and required to be learned).
     pub commands: u32,
-    /// Cumulative serialized bytes / message counts per protocol tag.
+    /// Cumulative serialized "2a" bytes.
     pub bytes_2a: u64,
-    /// Messages carrying "2a".
-    pub count_2a: u64,
     /// Cumulative "2b" bytes.
     pub bytes_2b: u64,
-    /// Messages carrying "2b".
-    pub count_2b: u64,
-    /// Cumulative "1b" bytes.
-    pub bytes_1b: u64,
     /// Compaction-control bytes (`stable`/`stable_prop`/`stable_ack`/
     /// `needfull`/`needstable`): the overhead the savings pay for.
     pub bytes_control: u64,
-    /// Cumulative bytes across every message tag.
-    pub bytes_total: u64,
     /// Logical learned length at the end (must equal `commands`).
     pub learned_total: u64,
     /// Largest live history window observed at any acceptor.
@@ -139,18 +131,13 @@ pub fn wire_run(bounded: bool, n: u32) -> WireRunStats {
         + wt("stable_ack").bytes
         + wt("needfull").bytes
         + wt("needstable").bytes;
-    let bytes_total = h.sim.wire_totals().values().map(|t| t.bytes).sum();
 
     WireRunStats {
         label: if bounded { "bounded" } else { "full" },
         commands: n,
         bytes_2a: wt("2a").bytes,
-        count_2a: wt("2a").count,
         bytes_2b: wt("2b").bytes,
-        count_2b: wt("2b").count,
-        bytes_1b: wt("1b").bytes,
         bytes_control: control,
-        bytes_total,
         learned_total,
         acc_live_max,
         acc_live_final,
@@ -167,12 +154,39 @@ pub fn data_plane_bytes(s: &WireRunStats) -> u64 {
     s.bytes_2a + s.bytes_2b
 }
 
+/// How many times fewer `2a`+`2b` bytes `bounded` shipped than `full`.
+pub fn wire_reduction(full: &WireRunStats, bounded: &WireRunStats) -> f64 {
+    data_plane_bytes(full) as f64 / data_plane_bytes(bounded).max(1) as f64
+}
+
+/// The E10 gate on a full/bounded pair of runs; `Err` names the first
+/// floor that does not hold.
+pub fn wire_floors(full: &WireRunStats, bounded: &WireRunStats) -> Result<(), String> {
+    let ratio = wire_reduction(full, bounded);
+    if ratio < 10.0 {
+        return Err(format!("2a+2b byte reduction {ratio:.1}x < 10x floor"));
+    }
+    if !bounded.acc_live_decreased {
+        return Err("bounded acceptor window never shrank (monotonic)".into());
+    }
+    if bounded.acc_live_final * 4 > bounded.commands as usize {
+        return Err(format!(
+            "bounded acceptor window ended at {} (> {}/4)",
+            bounded.acc_live_final, bounded.commands
+        ));
+    }
+    if bounded.watermark == 0 {
+        return Err("bounded watermark never advanced".into());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A small smoke run (the full 1k-command comparison lives in
-    /// `bench_wire --check`, which CI runs in release).
+    /// A small smoke run (the full 1k-command comparison is the E10
+    /// table, which `gen_experiments --check` renders in release).
     #[test]
     fn wire_run_smoke() {
         // Past one stable segment (64) so compaction actually runs.
@@ -183,5 +197,42 @@ mod tests {
         assert!(bounded.watermark > 0);
         assert!(bounded.acc_live_decreased, "no truncation observed");
         assert!(data_plane_bytes(&bounded) < data_plane_bytes(&full));
+    }
+
+    /// Each E10 floor fires on a pair of runs doctored to miss it alone.
+    #[test]
+    fn wire_floors_name_the_missed_floor() {
+        let run = |label, bytes, acc_live_final| WireRunStats {
+            label,
+            commands: 1_000,
+            bytes_2a: bytes,
+            bytes_2b: bytes,
+            bytes_control: 0,
+            learned_total: 1_000,
+            acc_live_max: 200,
+            acc_live_final,
+            acc_live_decreased: true,
+            watermark: 960,
+            delta_sends: 0,
+            full_resyncs: 0,
+            truncations: 0,
+        };
+        let full = run("full", 10_000, 1_000);
+        let good = run("bounded", 1_000, 250);
+        assert_eq!(wire_floors(&full, &good), Ok(()));
+
+        type Doctor = fn(&mut WireRunStats);
+        let doctored: [(&str, Doctor); 4] = [
+            ("9.1x < 10x", |s| s.bytes_2b = 1_200),
+            ("never shrank", |s| s.acc_live_decreased = false),
+            ("ended at 251", |s| s.acc_live_final = 251),
+            ("watermark never advanced", |s| s.watermark = 0),
+        ];
+        for (expect, doctor) in doctored {
+            let mut bad = good.clone();
+            doctor(&mut bad);
+            let err = wire_floors(&full, &bad).unwrap_err();
+            assert!(err.contains(expect), "{expect:?} not in {err:?}");
+        }
     }
 }

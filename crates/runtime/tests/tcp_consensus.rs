@@ -13,11 +13,12 @@
 
 mod common;
 
-use common::{cmd, delta_cfg, settle, total, H, K, M};
-use mcpaxos_actor::{FileWal, ProcessId};
+use common::{cmd, delta_cfg, of, settle, total, H, K, M};
+use mcpaxos_actor::frame::FRAME_OVERHEAD;
+use mcpaxos_actor::{wire, FileWal, ProcessId};
 use mcpaxos_core::{Acceptor, Coordinator, Learner, Msg, Proposer};
 use mcpaxos_cstruct::CStruct;
-use mcpaxos_runtime::{PeerTable, TcpConfig, TcpNode};
+use mcpaxos_runtime::{LiveByteMeter, PeerTable, SendActor, TcpConfig, TcpNode, DATA_HEADER_BYTES};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -153,4 +154,94 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     accs.stop();
     revived.stop();
     let _ = std::fs::remove_file(&wal);
+}
+
+/// Wire-byte accounting parity: with **every process on its own node**
+/// each protocol message is framed onto a real socket, and the live byte
+/// meter (`wire_msgs`/`wire_bytes`, recorded at hand-off to the transport
+/// — the accounting the simulator's E10 tables use) must agree exactly,
+/// per agent, with the transport's independent frame ledger
+/// (`tcp_frames`/`tcp_frame_bytes`, recorded at socket-write time): one
+/// frame per metered send, and a fixed 13-byte envelope (packet tag +
+/// sender id + length prefix + CRC) per message. That is what lets the
+/// simulator's wire tables transfer to the socket backend up to a
+/// constant.
+#[test]
+fn wire_meter_and_frame_ledger_agree_per_agent() {
+    const N_CMDS: u32 = 60;
+    const ENVELOPE: i64 = (DATA_HEADER_BYTES + FRAME_OVERHEAD) as i64;
+
+    let peers = PeerTable::shared();
+    let cfg = delta_cfg(1, 2, 3, 2);
+    cfg.validate().unwrap();
+    let meter: LiveByteMeter<M> =
+        std::sync::Arc::new(|m| (m.tag(), wire::to_bytes(m).len() as u64));
+
+    let proposer = cfg.roles.proposers()[0];
+    let all = cfg.roles.all();
+    let mut nodes: Vec<TcpNode<M>> = Vec::new();
+    for &p in &all {
+        let mut n = TcpNode::bind(peers.clone(), TcpConfig::default()).unwrap();
+        n.set_byte_meter(meter.clone());
+        let actor: SendActor<M> = if cfg.roles.is_proposer(p) {
+            Box::new(Proposer::<H>::new(cfg.clone()))
+        } else if cfg.roles.is_coordinator(p) {
+            Box::new(Coordinator::<H>::new(cfg.clone(), p))
+        } else if cfg.roles.is_acceptor(p) {
+            Box::new(Acceptor::<H>::new(cfg.clone()))
+        } else {
+            Box::new(Learner::<H>::new(cfg.clone()))
+        };
+        n.spawn(p, actor);
+        nodes.push(n);
+    }
+    // Inject at the proposer's own node, so the client's `Propose` never
+    // crosses a socket and both ledgers see agent traffic only.
+    let front = &nodes[all.iter().position(|&p| p == proposer).unwrap()];
+    for i in 0..N_CMDS {
+        front.send(
+            proposer,
+            ProcessId(9_999),
+            Msg::Propose {
+                cmd: cmd(i),
+                acc_quorum: None,
+            },
+        );
+    }
+    let refs: Vec<&TcpNode<M>> = nodes.iter().collect();
+    settle(&refs, &cfg, i64::from(N_CMDS));
+
+    // Snapshot the two ledgers while the cluster is quiescent (settle's
+    // stability window guarantees the outbound queues have drained).
+    for &p in &all {
+        let (msgs, bytes) = (of(&refs, p, "wire_msgs"), of(&refs, p, "wire_bytes"));
+        assert!(
+            msgs > 0,
+            "process {p} sent nothing: the meter is not installed"
+        );
+        assert_eq!(
+            of(&refs, p, "tcp_frames"),
+            msgs,
+            "process {p}: a metered send did not become exactly one frame"
+        );
+        assert_eq!(
+            of(&refs, p, "tcp_frame_bytes"),
+            bytes + ENVELOPE * msgs,
+            "process {p}: framed size is not wire size + {ENVELOPE} per message"
+        );
+    }
+    for lossy in ["tcp_queue_drops", "send_failures", "tcp_frame_errors"] {
+        assert_eq!(total(&refs, lossy), 0, "faultless run counted {lossy}");
+    }
+
+    let expected: HashSet<K> = (0..N_CMDS).map(cmd).collect();
+    for node in nodes {
+        for (pid, actor) in node.stop() {
+            if let Some(learner) = actor.as_any().downcast_ref::<Learner<H>>() {
+                let got: HashSet<K> = learner.learned().commands().into_iter().collect();
+                assert_eq!(learner.learned().total_len(), u64::from(N_CMDS));
+                assert_eq!(got, expected, "learner {pid} learned the wrong set");
+            }
+        }
+    }
 }

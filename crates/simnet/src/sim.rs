@@ -424,12 +424,14 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         self.heap.push(Scheduled { key, event });
     }
 
+    /// Appends a trace entry; `detail` is rendered only when the entry is
+    /// actually kept, so an untraced run never formats a message.
     fn record(
         &mut self,
         kind: TraceKind,
         process: ProcessId,
         from: Option<ProcessId>,
-        detail: String,
+        detail: impl FnOnce() -> String,
         bytes: u64,
     ) {
         if self.trace_cap == 0 || self.trace.len() >= self.trace_cap {
@@ -440,7 +442,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             kind,
             process,
             from,
-            detail,
+            detail: detail(),
             bytes,
         });
     }
@@ -476,14 +478,20 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 let up = self.procs.get(&to).map(|n| n.up).unwrap_or(false);
                 let bytes = self.trace_bytes(&msg);
                 if !up || self.is_blocked(from, to) {
-                    self.record(TraceKind::Drop, to, Some(from), format!("{msg:?}"), bytes);
+                    self.record(
+                        TraceKind::Drop,
+                        to,
+                        Some(from),
+                        || format!("{msg:?}"),
+                        bytes,
+                    );
                     return;
                 }
                 self.record(
                     TraceKind::Deliver,
                     to,
                     Some(from),
-                    format!("{msg:?}"),
+                    || format!("{msg:?}"),
                     bytes,
                 );
                 if let Some(n) = self.procs.get_mut(&to) {
@@ -517,7 +525,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     n.timers.remove(&token);
                     n.stats.timers_fired += 1;
                 }
-                self.record(TraceKind::Timer, at, None, format!("{token:?}"), 0);
+                self.record(TraceKind::Timer, at, None, || format!("{token:?}"), 0);
                 self.upcall(at, UpKind::Timer(token));
             }
             Event::Crash(p) => {
@@ -530,7 +538,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                         // Buffered-but-unflushed stable writes die with
                         // the process (group commit's crash semantics).
                         n.storage.lose_unflushed();
-                        self.record(TraceKind::Crash, p, None, String::new(), 0);
+                        self.record(TraceKind::Crash, p, None, String::new, 0);
                     }
                 }
             }
@@ -540,7 +548,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     let node = self.procs.get_mut(&p).expect("checked above");
                     node.actor = Some((node.factory)());
                     node.up = true;
-                    self.record(TraceKind::Recover, p, None, String::new(), 0);
+                    self.record(TraceKind::Recover, p, None, String::new, 0);
                     self.upcall(p, UpKind::Recover);
                 }
             }
@@ -670,7 +678,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 TraceKind::Drop,
                 to,
                 Some(from),
-                format!("{msg:?}"),
+                || format!("{msg:?}"),
                 trace_bytes,
             );
             return;
@@ -680,7 +688,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 TraceKind::Drop,
                 to,
                 Some(from),
-                format!("{msg:?}"),
+                || format!("{msg:?}"),
                 trace_bytes,
             );
             return;

@@ -20,8 +20,8 @@
 //! * [`smr`] — replicated state machines (key-value store, bank) on top;
 //! * [`runtime`] — a threaded live runtime for the same agents.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-claim reproduction tables.
+//! See `README.md` for a tour and `EXPERIMENTS.md` for the paper-claim
+//! reproduction tables.
 //!
 //! # Quickstart
 //!
