@@ -117,28 +117,10 @@ pub trait Actor: Any {
     }
 }
 
-/// Extension for downcasting boxed actors; used by test harnesses to inspect
-/// final agent state (e.g. a learner's `learned` c-struct) after a run.
-pub trait AnyActor: Any {
-    /// Upcast to `&dyn Any` for downcasting.
-    fn as_any(&self) -> &dyn Any;
-    /// Upcast to `&mut dyn Any` for downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<T: Any> AnyActor for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemStore, MetricSink, Metrics};
+    use crate::host::Recorder;
 
     struct Probe {
         seen: Vec<(ProcessId, u32)>,
@@ -156,51 +138,13 @@ mod tests {
         }
     }
 
-    /// A minimal hand-rolled context for unit-testing actors in isolation.
-    struct TestCtx {
-        me: ProcessId,
-        now: SimTime,
-        sent: Vec<(ProcessId, u32)>,
-        store: MemStore,
-        metrics: Metrics,
-    }
-
-    impl Context<u32> for TestCtx {
-        fn me(&self) -> ProcessId {
-            self.me
-        }
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn send(&mut self, to: ProcessId, msg: u32) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _after: SimDuration, _token: TimerToken) {}
-        fn cancel_timer(&mut self, _token: TimerToken) {}
-        fn storage(&mut self) -> &mut dyn StableStore {
-            &mut self.store
-        }
-        fn metric(&mut self, metric: Metric) {
-            self.metrics.record(self.me, metric);
-        }
-        fn random(&mut self) -> u64 {
-            4 // chosen by fair dice roll
-        }
-    }
-
     #[test]
     fn actor_reacts_through_context() {
         let mut a = Probe {
             seen: vec![],
             fired: vec![],
         };
-        let mut ctx = TestCtx {
-            me: ProcessId(9),
-            now: SimTime(42),
-            sent: vec![],
-            store: MemStore::default(),
-            metrics: Metrics::default(),
-        };
+        let mut ctx = Recorder::new(9);
         a.on_message(ProcessId(1), 10, &mut ctx);
         a.on_timer(TimerToken(3), &mut ctx);
         assert_eq!(a.seen, vec![(ProcessId(1), 10)]);
@@ -218,24 +162,21 @@ mod tests {
             }
             fn on_timer(&mut self, _t: TimerToken, _c: &mut dyn Context<u32>) {}
         }
-        let mut ctx = TestCtx {
-            me: ProcessId(0),
-            now: SimTime::ZERO,
-            sent: vec![],
-            store: MemStore::default(),
-            metrics: Metrics::default(),
-        };
+        let mut ctx = Recorder::new(0);
         Fanout.on_message(ProcessId(5), 7, &mut ctx);
         assert_eq!(ctx.sent, vec![(ProcessId(1), 7), (ProcessId(2), 7)]);
     }
 
+    /// Hosts inspect a boxed actor by upcasting to `dyn Any`; this is
+    /// what `Actor: Any` is for.
     #[test]
     fn downcast_via_any_actor() {
-        let a = Probe {
+        let boxed: Box<dyn Actor<Msg = u32>> = Box::new(Probe {
             seen: vec![],
-            fired: vec![],
-        };
-        let boxed: Box<dyn Any> = Box::new(a);
-        assert!(boxed.downcast_ref::<Probe>().is_some());
+            fired: vec![TimerToken(1)],
+        });
+        let any: &dyn Any = boxed.as_ref();
+        let probe = any.downcast_ref::<Probe>().expect("concrete type");
+        assert_eq!(probe.fired, vec![TimerToken(1)]);
     }
 }

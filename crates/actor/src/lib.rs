@@ -33,13 +33,14 @@
 
 mod actor;
 pub mod frame;
+pub mod host;
 mod id;
 mod metrics;
 mod storage;
 mod time;
 pub mod wire;
 
-pub use actor::{Actor, AnyActor, Context, TimerToken};
+pub use actor::{Actor, Context, TimerToken};
 pub use id::{ProcessId, RoleMap};
 pub use metrics::{Metric, MetricSink, Metrics};
 pub use storage::{crc32, FileWal, MemStore, StableStore, WalStore};

@@ -13,7 +13,7 @@
 use mcpaxos_actor::{ProcessId, SimDuration, SimTime};
 use mcpaxos_core::{
     shard_configs, shard_tag, Acceptor, BatchConfig, Coordinator, DeployConfig, Learner, Msg,
-    Overflow, Policy, Proposer, ShardMsg, Sharded,
+    Policy, Proposer, ShardMsg, Sharded,
 };
 use mcpaxos_cstruct::{CStruct, CommandHistory};
 use mcpaxos_simnet::{NetConfig, Sim, WireTotal};
@@ -405,7 +405,6 @@ pub fn shard_batched_run(
                 batch_ticks: SimDuration(2),
                 pipeline_depth: depth,
                 queue_cap: 0,
-                overflow: Overflow::Shed,
             })
         }
     };

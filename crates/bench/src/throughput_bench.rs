@@ -23,7 +23,7 @@
 use crate::harness::ClusterHarness;
 use mcpaxos_actor::{SimDuration, SimTime};
 use mcpaxos_core::agents::metrics;
-use mcpaxos_core::{BatchConfig, DeployConfig, Overflow, Policy};
+use mcpaxos_core::{BatchConfig, DeployConfig, Policy};
 use mcpaxos_cstruct::{CStruct, CommandHistory};
 use mcpaxos_simnet::{LatencyStats, NetConfig};
 use mcpaxos_smr::{open_loop_arrivals, KvCmd, Workload};
@@ -76,7 +76,6 @@ fn deploy(batch: usize, depth: usize) -> DeployConfig {
         // Uncapped queue: the sweep measures batching/pipelining, not
         // shedding policy (the backpressure rows exercise caps).
         queue_cap: 0,
-        overflow: Overflow::Shed,
     })
 }
 

@@ -732,15 +732,15 @@ impl<C: CStruct> Actor for Acceptor<C> {
 mod tests {
     use super::*;
     use crate::schedule::{Policy, RTYPE_MULTI, RTYPE_SINGLE};
-    use crate::testctx::{cfg, mk, TestCtx};
-    use mcpaxos_actor::StableStore;
+    use crate::testctx::{cfg, mk};
+    use mcpaxos_actor::host::Recorder;
     use mcpaxos_cstruct::CmdSet;
 
     type C = CmdSet<u32>;
-    type Ctx = TestCtx<Msg<C>>;
+    type Ctx = Recorder<Msg<C>>;
 
     fn ctx() -> Ctx {
-        TestCtx::new(4) // an acceptor in the 1/3/5/1 layout
+        Recorder::new(4) // an acceptor in the 1/3/5/1 layout
     }
 
     #[test]
@@ -954,7 +954,7 @@ mod tests {
         type S = SingleDecree<u32>;
         let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated));
         let mut a: Acceptor<S> = Acceptor::new(cfg.clone());
-        let mut c: TestCtx<Msg<S>> = TestCtx::new(4);
+        let mut c: Recorder<Msg<S>> = Recorder::new(4);
         a.on_start(&mut c);
         let r = Round::new(0, 1, 0, RTYPE_MULTI);
         a.on_message(

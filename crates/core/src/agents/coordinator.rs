@@ -147,9 +147,6 @@ impl<C: CStruct> Coordinator<C> {
         }
         let cap = self.cfg.batch.queue_cap;
         if cap > 0 && self.batch_queue.len() >= cap {
-            // Shed regardless of the configured overflow policy: Stall is
-            // enforced at the proposer's forward window, so a command
-            // overflowing *here* has already escaped that window.
             ctx.metric(Metric::incr(metrics::BACKPRESSURE_SHEDS));
             return;
         }
@@ -826,15 +823,16 @@ impl<C: CStruct> Actor for Coordinator<C> {
 mod tests {
     use super::*;
     use crate::schedule::{Policy, RTYPE_MULTI};
-    use crate::testctx::{cfg, TestCtx};
+    use crate::testctx::cfg;
+    use mcpaxos_actor::host::Recorder;
     use mcpaxos_actor::SimDuration;
     use mcpaxos_cstruct::CmdSet;
 
     type C = CmdSet<u32>;
-    type Ctx = TestCtx<Msg<C>>;
+    type Ctx = Recorder<Msg<C>>;
 
     fn ctx_for(me: u32) -> Ctx {
-        let mut cx = TestCtx::new(me);
+        let mut cx = Recorder::new(me);
         cx.now = SimTime(100);
         cx
     }
@@ -1073,7 +1071,6 @@ mod tests {
                     batch_ticks: SimDuration(0),
                     pipeline_depth: depth,
                     queue_cap: cap,
-                    overflow: crate::config::Overflow::Shed,
                 },
             ),
         )

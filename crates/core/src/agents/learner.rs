@@ -453,12 +453,13 @@ impl<C: CStruct> Actor for Learner<C> {
 mod tests {
     use super::*;
     use crate::schedule::{Policy, RTYPE_MULTI};
-    use crate::testctx::{mk, TestCtx};
+    use crate::testctx::mk;
+    use mcpaxos_actor::host::Recorder;
     use mcpaxos_cstruct::{CmdSet, SingleDecree};
 
     /// A learner-side context at time `now`.
-    fn ctx_at<M>(now: u64) -> TestCtx<M> {
-        let mut c = TestCtx::new(42);
+    fn ctx_at<M>(now: u64) -> Recorder<M> {
+        let mut c = Recorder::new(42);
         c.now = SimTime(now);
         c
     }

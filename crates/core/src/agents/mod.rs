@@ -98,9 +98,7 @@ pub mod metrics {
     /// BATCHES` = achieved batch occupancy).
     pub const BATCHED_CMDS: &str = "batched_cmds";
     /// Commands shed by a full coordinator batch queue
-    /// ([`crate::Overflow::Shed`]); proposers re-offer them on resend.
+    /// ([`crate::BatchConfig::queue_cap`]); proposers re-offer them on
+    /// resend.
     pub const BACKPRESSURE_SHEDS: &str = "backpressure_sheds";
-    /// Commands held back at a proposer by a full forward window
-    /// ([`crate::Overflow::Stall`]); forwarded once learning progresses.
-    pub const BACKPRESSURE_STALLS: &str = "backpressure_stalls";
 }

@@ -13,7 +13,7 @@
 //! duplicate proposals) makes the protocol live under fair-lossy links.
 
 use crate::agents::{metrics, TOK_BATCH, TOK_RESEND};
-use crate::config::{DeployConfig, Overflow};
+use crate::config::DeployConfig;
 use crate::msg::Msg;
 use mcpaxos_actor::{Actor, Backoff, Context, Metric, ProcessId, TimerToken};
 use mcpaxos_cstruct::CStruct;
@@ -31,10 +31,6 @@ pub struct Proposer<C: CStruct> {
     /// Batching mode: admitted commands awaiting the next
     /// [`Msg::ProposeBatch`] flush (a subset of `pending`).
     outbox: Vec<C::Cmd>,
-    /// Batching mode, [`Overflow::Stall`]: commands held un-forwarded
-    /// because the in-flight window is full (a subset of `pending`);
-    /// promoted into the outbox as learning progress frees space.
-    stalled: Vec<C::Cmd>,
     /// Whether a `TOK_BATCH` linger flush is armed.
     linger_armed: bool,
 }
@@ -47,7 +43,6 @@ impl<C: CStruct> Proposer<C> {
             pending: Vec::new(),
             attempts: 0,
             outbox: Vec::new(),
-            stalled: Vec::new(),
             linger_armed: false,
         }
     }
@@ -57,19 +52,8 @@ impl<C: CStruct> Proposer<C> {
         &self.pending
     }
 
-    /// Commands held back by a full [`Overflow::Stall`] window.
-    pub fn stalled(&self) -> &[C::Cmd] {
-        &self.stalled
-    }
-
     fn batching(&self) -> bool {
         self.cfg.batch.enabled()
-    }
-
-    /// Commands forwarded and not yet learned (outside the outbox and the
-    /// stall hold): the in-flight window the `Stall` policy bounds.
-    fn in_flight(&self) -> usize {
-        self.pending.len() - self.outbox.len() - self.stalled.len()
     }
 
     fn pick_subset(
@@ -158,20 +142,6 @@ impl<C: CStruct> Proposer<C> {
         }
     }
 
-    /// Moves stalled commands into the outbox while the in-flight window
-    /// has room, then flushes.
-    fn promote_stalled(&mut self, ctx: &mut dyn Context<Msg<C>>) {
-        let cap = self.cfg.batch.queue_cap;
-        if self.stalled.is_empty() || cap == 0 {
-            return;
-        }
-        while !self.stalled.is_empty() && self.in_flight() + self.outbox.len() < cap {
-            let cmd = self.stalled.remove(0);
-            self.outbox.push(cmd);
-        }
-        self.flush_outbox(false, ctx);
-    }
-
     fn arm_resend(&self, ctx: &mut dyn Context<Msg<C>>) {
         let every = self.cfg.timing.proposer_resend;
         if every.ticks() == 0 {
@@ -217,17 +187,8 @@ impl<C: CStruct> Actor for Proposer<C> {
                 if self.pending.contains(&cmd) {
                     return;
                 }
-                // Window occupancy before this admission: forwarded or
-                // outboxed commands, not stall-held ones.
-                let occupied = self.in_flight() + self.outbox.len();
                 self.pending.push(cmd.clone());
                 ctx.metric(Metric::incr(metrics::PROPOSED));
-                let b = self.cfg.batch;
-                if b.overflow == Overflow::Stall && b.queue_cap > 0 && occupied >= b.queue_cap {
-                    ctx.metric(Metric::incr(metrics::BACKPRESSURE_STALLS));
-                    self.stalled.push(cmd);
-                    return;
-                }
                 self.outbox.push(cmd);
                 self.flush_outbox(false, ctx);
             }
@@ -235,13 +196,9 @@ impl<C: CStruct> Actor for Proposer<C> {
                 let before = self.pending.len();
                 self.pending.retain(|c| !cmds.contains(c));
                 self.outbox.retain(|c| !cmds.contains(c));
-                self.stalled.retain(|c| !cmds.contains(c));
                 if self.pending.len() < before {
                     // Progress: the path works again, restart the ladder.
                     self.attempts = 0;
-                    if self.batching() {
-                        self.promote_stalled(ctx);
-                    }
                 }
             }
             _ => {}
@@ -253,22 +210,15 @@ impl<C: CStruct> Actor for Proposer<C> {
             if !self.pending.is_empty() {
                 ctx.metric(Metric::incr(metrics::RESENDS));
                 if self.batching() {
-                    // Re-forward the in-flight window (everything pending
-                    // except stall-held commands) in batch-sized chunks;
-                    // the outbox rides along, so clear it — its contents
-                    // are on the wire after this.
-                    let window: Vec<C::Cmd> = self
-                        .pending
-                        .iter()
-                        .filter(|c| !self.stalled.contains(c))
-                        .cloned()
-                        .collect();
+                    // Re-forward everything pending in batch-sized
+                    // chunks; the outbox rides along, so clear it — its
+                    // contents are on the wire after this.
                     self.outbox.clear();
                     if std::mem::take(&mut self.linger_armed) {
                         ctx.cancel_timer(TOK_BATCH);
                     }
                     let chunk = self.cfg.batch.batch_size.max(1);
-                    for part in window.chunks(chunk) {
+                    for part in self.pending.chunks(chunk) {
                         self.forward_batch(part.to_vec(), ctx);
                     }
                 } else {
@@ -292,15 +242,15 @@ impl<C: CStruct> Actor for Proposer<C> {
 mod tests {
     use super::*;
     use crate::schedule::Policy;
-    use crate::testctx::TestCtx;
+    use mcpaxos_actor::host::Recorder;
     use mcpaxos_actor::SimDuration;
     use mcpaxos_cstruct::SingleDecree;
 
     type C = SingleDecree<u32>;
-    type Ctx = TestCtx<Msg<C>>;
+    type Ctx = Recorder<Msg<C>>;
 
     fn ctx() -> Ctx {
-        TestCtx::new(0)
+        Recorder::new(0)
     }
 
     #[test]
@@ -360,13 +310,12 @@ mod tests {
         }
     }
 
-    fn batch_cfg(batch: usize, cap: usize, overflow: crate::config::Overflow) -> Arc<DeployConfig> {
+    fn batch_cfg(batch: usize) -> Arc<DeployConfig> {
         let b = crate::config::BatchConfig {
             batch_size: batch,
             batch_ticks: SimDuration(2),
             pipeline_depth: 4,
-            queue_cap: cap,
-            overflow,
+            queue_cap: 0,
         };
         Arc::new(DeployConfig::simple(1, 1, 3, 1, Policy::SingleCoordinated).with_batching(b))
     }
@@ -386,7 +335,7 @@ mod tests {
 
     #[test]
     fn batching_lingers_partial_and_flushes_full_batches() {
-        let cfg = batch_cfg(2, 0, crate::config::Overflow::Shed);
+        let cfg = batch_cfg(2);
         let mut p: Proposer<C> = Proposer::new(cfg.clone());
         let mut c = ctx();
         p.on_message(
@@ -428,35 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn stall_window_holds_commands_and_promotes_on_progress() {
-        let cfg = batch_cfg(1, 2, crate::config::Overflow::Stall);
-        // batch_size 1 + linger still means a chunk of 1 flushes as soon
-        // as it is full, so every admitted command hits the wire at once.
-        let mut p: Proposer<C> = Proposer::new(cfg.clone());
-        let mut c = ctx();
-        for cmd in [1u32, 2, 3] {
-            p.on_message(
-                ProcessId(99),
-                Msg::Propose {
-                    cmd,
-                    acc_quorum: None,
-                },
-                &mut c,
-            );
-        }
-        // Window of 2 in flight; the third command is held back.
-        assert_eq!(batches_of(&c, &cfg), vec![vec![1], vec![2]]);
-        assert_eq!(p.stalled(), &[3]);
-        // Learning progress frees a slot: the stalled command goes out.
-        p.on_message(ProcessId(50), Msg::Learned { cmds: vec![1] }, &mut c);
-        assert_eq!(batches_of(&c, &cfg), vec![vec![1], vec![2], vec![3]]);
-        assert!(p.stalled().is_empty());
-        assert_eq!(p.pending(), &[2, 3]);
-    }
-
-    #[test]
     fn resend_rebatches_the_inflight_window() {
-        let cfg = batch_cfg(2, 0, crate::config::Overflow::Shed);
+        let cfg = batch_cfg(2);
         let mut p: Proposer<C> = Proposer::new(cfg.clone());
         let mut c = ctx();
         for cmd in [1u32, 2, 3, 4, 5] {

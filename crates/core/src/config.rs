@@ -166,20 +166,6 @@ impl Timing {
     }
 }
 
-/// What a bounded batching queue does when it is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Overflow {
-    /// Drop the overflowing command and count it
-    /// (`backpressure_sheds`); the proposer's retransmission timer
-    /// re-offers it once the queue drains. Bounds coordinator memory at
-    /// the cost of extra resend traffic under overload.
-    Shed,
-    /// Hold the overflowing command at the *proposer* — it stays pending
-    /// but is not forwarded until learning progress frees window space
-    /// (`backpressure_stalls`). Bounds in-flight work without dropping.
-    Stall,
-}
-
 /// Proposal batching and phase-2 pipelining knobs (the hot-path
 /// scheduler).
 ///
@@ -203,11 +189,12 @@ pub struct BatchConfig {
     /// un-learned commands, in batches, per proposer). Must be ≥ 1 when
     /// batching is on.
     pub pipeline_depth: usize,
-    /// Bound on queued-but-not-yet-sent commands (coordinator batch queue
-    /// / proposer forward window). 0 = unbounded.
+    /// Bound on the coordinator's queue of not-yet-sent commands
+    /// (0 = unbounded). A command past it is dropped and counted
+    /// (`backpressure_sheds`); the proposer's retransmission timer
+    /// re-offers it once the queue drains. Bounds coordinator memory at
+    /// the cost of extra resend traffic under overload.
     pub queue_cap: usize,
-    /// What happens to commands past `queue_cap`.
-    pub overflow: Overflow,
 }
 
 impl Default for BatchConfig {
@@ -217,7 +204,6 @@ impl Default for BatchConfig {
             batch_ticks: SimDuration(0),
             pipeline_depth: 1,
             queue_cap: 0,
-            overflow: Overflow::Shed,
         }
     }
 }
@@ -237,7 +223,6 @@ impl BatchConfig {
             batch_ticks: SimDuration(2),
             pipeline_depth: depth,
             queue_cap: batch.saturating_mul(depth).saturating_mul(4),
-            overflow: Overflow::Shed,
         }
     }
 }
@@ -502,7 +487,6 @@ mod tests {
         assert!(cfg.batch.enabled());
         assert_eq!(cfg.batch.batch_size, 16);
         assert_eq!(cfg.batch.pipeline_depth, 8);
-        assert_eq!(cfg.batch.overflow, Overflow::Shed);
         cfg.validate().unwrap();
 
         let bad =

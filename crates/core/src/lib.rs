@@ -57,9 +57,7 @@ mod testctx;
 
 pub use agents::{Acceptor, Coordinator, Learner, Proposer};
 pub use compact::{Compactor, Resolved};
-pub use config::{
-    BatchConfig, CollisionPolicy, DeployConfig, Durability, Overflow, Timing, WireConfig,
-};
+pub use config::{BatchConfig, CollisionPolicy, DeployConfig, Durability, Timing, WireConfig};
 pub use msg::Msg;
 pub use provedsafe::{pick, proved_safe, proved_safe_exact, OneB};
 pub use quorum::{check_intersections, CoordQuorum, QuorumSpec, RoundInfo};

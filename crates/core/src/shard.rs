@@ -241,7 +241,7 @@ pub fn shard_configs(
 mod tests {
     use super::*;
     use crate::agents::Proposer;
-    use crate::testctx::TestCtx;
+    use mcpaxos_actor::host::Recorder;
     use mcpaxos_actor::wire::{from_bytes, to_bytes};
     use mcpaxos_cstruct::CmdSet;
     use std::sync::Arc;
@@ -253,7 +253,7 @@ mod tests {
         let cfg = Arc::new(shard_configs(2, 1, 1, 3, 1, Policy::SingleCoordinated)[1].clone());
         cfg.validate().unwrap();
         let mut p: Sharded<Proposer<C>> = Sharded::new(1, Proposer::new(cfg));
-        let mut cx: TestCtx<ShardMsg<C>> = TestCtx::new(64);
+        let mut cx: Recorder<ShardMsg<C>> = Recorder::new(64);
         let propose = Msg::Propose {
             cmd: 7,
             acc_quorum: None,

@@ -423,9 +423,10 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
 mod tests {
     //! The two halves wired back to back, no agents involved.
     use super::*;
-    use crate::testctx::{h, TestCtx, H};
+    use crate::testctx::{h, H};
+    use mcpaxos_actor::host::Recorder;
 
-    type Ctx = TestCtx<Msg<H>>;
+    type Ctx = Recorder<Msg<H>>;
 
     const SENDER: ProcessId = ProcessId(4);
     const PEER: ProcessId = ProcessId(9);

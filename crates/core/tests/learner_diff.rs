@@ -9,10 +9,9 @@
 //! containing the sender and skips unchanged glbs; after every single
 //! message the two must agree (poset equality).
 
+use mcpaxos_actor::host::Recorder;
 use mcpaxos_actor::wire::{Wire, WireError};
-use mcpaxos_actor::{
-    Actor, Context, MemStore, Metric, ProcessId, SimDuration, SimTime, StableStore, TimerToken,
-};
+use mcpaxos_actor::{Actor, ProcessId};
 use mcpaxos_core::{DeployConfig, Learner, Msg, Policy, Round, RTYPE_MULTI, RTYPE_SINGLE};
 use mcpaxos_cstruct::{glb_all, CStruct, CmdSet, CommandHistory, Conflict, ConflictKeys};
 use rand::rngs::StdRng;
@@ -40,40 +39,6 @@ impl Wire for K {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(K(u16::decode(input)?, u16::decode(input)?))
-    }
-}
-
-/// Sink context: the test only inspects `learned`.
-struct Sink<C: CStruct> {
-    store: MemStore,
-    _c: std::marker::PhantomData<C>,
-}
-
-impl<C: CStruct> Sink<C> {
-    fn new() -> Self {
-        Sink {
-            store: MemStore::new(),
-            _c: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<C: CStruct> Context<Msg<C>> for Sink<C> {
-    fn me(&self) -> ProcessId {
-        ProcessId(9)
-    }
-    fn now(&self) -> SimTime {
-        SimTime::ZERO
-    }
-    fn send(&mut self, _to: ProcessId, _m: Msg<C>) {}
-    fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-    fn cancel_timer(&mut self, _t: TimerToken) {}
-    fn storage(&mut self) -> &mut dyn StableStore {
-        &mut self.store
-    }
-    fn metric(&mut self, _m: Metric) {}
-    fn random(&mut self) -> u64 {
-        0
     }
 }
 
@@ -122,7 +87,8 @@ where
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated));
     let qsize = cfg.quorums.classic_size();
     let mut learner: Learner<C> = Learner::new(cfg);
-    let mut ctx = Sink::new();
+    // The test only inspects `learned`; what the learner sends is ignored.
+    let mut ctx = Recorder::new(9);
     let mut rng = StdRng::seed_from_u64(seed);
     let rounds = [
         Round::new(0, 1, 0, RTYPE_MULTI),

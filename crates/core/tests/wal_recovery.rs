@@ -19,11 +19,9 @@
 mod common;
 
 use common::{assert_safety, deploy, learned, propose_at};
+use mcpaxos_actor::host::Recorder;
 use mcpaxos_actor::wire::{from_bytes, to_bytes};
-use mcpaxos_actor::{
-    Actor, Context, MemStore, Metric, ProcessId, SimDuration, SimTime, StableStore, TimerToken,
-    WalStore,
-};
+use mcpaxos_actor::{Actor, MemStore, ProcessId, SimDuration, SimTime, StableStore, WalStore};
 use mcpaxos_core::agents::metrics::{CORRUPT_RECORDS, LOST_RECORDS};
 use mcpaxos_core::{
     pick, proved_safe, Acceptor, DeployConfig, Durability, Msg, OneB, Policy, Round,
@@ -178,52 +176,15 @@ proptest! {
 
 // ----- corruption-path unit coverage (satellites: no more crash loops) ----
 
-/// Minimal harness context recording metrics, backed by any store.
-struct RecCtx {
-    store: Box<dyn StableStore>,
-    metrics: Vec<Metric>,
-}
-
-impl RecCtx {
-    fn metric_total(&self, name: &str) -> i64 {
-        self.metrics
-            .iter()
-            .filter(|m| m.name == name)
-            .map(|m| m.value)
-            .sum()
-    }
-}
-
-impl Context<Msg<C>> for RecCtx {
-    fn me(&self) -> ProcessId {
-        ProcessId(4)
-    }
-    fn now(&self) -> SimTime {
-        SimTime::ZERO
-    }
-    fn send(&mut self, _to: ProcessId, _msg: Msg<C>) {}
-    fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-    fn cancel_timer(&mut self, _t: TimerToken) {}
-    fn storage(&mut self) -> &mut dyn StableStore {
-        self.store.as_mut()
-    }
-    fn metric(&mut self, m: Metric) {
-        self.metrics.push(m);
-    }
-    fn random(&mut self) -> u64 {
-        0
-    }
-}
-
 fn cluster(durability: Durability) -> Arc<DeployConfig> {
     Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated).with_durability(durability))
 }
 
-fn rec_ctx(store: Box<dyn StableStore>) -> RecCtx {
-    RecCtx {
-        store,
-        metrics: Vec::new(),
-    }
+/// A recorder for acceptor a4 of the 1/3/5/1 layout over `store`.
+fn rec_ctx(store: Box<dyn StableStore>) -> Recorder<Msg<C>> {
+    let mut ctx = Recorder::new(4);
+    ctx.store = store;
+    ctx
 }
 
 /// Encodes a `(vrnd, vval)` vote record as the acceptor persists it.

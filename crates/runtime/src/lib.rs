@@ -1,34 +1,32 @@
 //! Threaded live runtime for `mcpaxos` actors.
 //!
 //! Runs the same agents as the simulator on real OS threads: each process
-//! is a thread with a mailbox, local timers and local storage, driven by
-//! the shared event loop in [`process`]. One logical tick equals one
-//! millisecond of wall-clock time, so the default protocol timings
-//! (heartbeats every 50 ticks, etc.) translate to sensible live values.
+//! is a thread with a mailbox, local timers and local storage, and every
+//! upcall goes through [`mcpaxos_actor::host`] exactly as it does under
+//! the simulator. One logical tick equals one millisecond of wall-clock
+//! time, so the default protocol timings (heartbeats every 50 ticks,
+//! etc.) translate to sensible live values.
 //!
-//! Two message transports back that loop, selected per deployment (the
-//! in-process backend stays the default everywhere):
+//! There is one way to host processes, a [`TcpNode`]:
 //!
-//! * [`Cluster`] — crossbeam channels. Reliable and FIFO per link, which
-//!   is *stronger* than the protocol's fair-lossy assumption; the
-//!   noise-free backend the experiments run on.
-//! * [`TcpNode`] — loopback/LAN TCP over `std::net`: length-prefixed
-//!   CRC-framed messages, one supervised connection per peer with a
-//!   bounded drop-oldest send queue, reconnect under a jittered
-//!   exponential [`mcpaxos_actor::Backoff`], and `on_link_reset`
-//!   delivery on reconnects so delta-shipping survives peer restarts
-//!   without `NeedFull` round-trips. Optionally wraps every outbound
-//!   link in a seeded deterministic fault injector ([`FaultyTransport`])
-//!   for CI chaos tests that never flake.
-//!
-//! Harnesses that want to run over either backend program against the
-//! [`Transport`] trait.
+//! * Processes spawned on the *same* node reach each other by a direct
+//!   mailbox push — reliable, FIFO per link, no socket, no codec. One
+//!   node hosting every role *is* the in-process mode: the noise-free
+//!   deployment for examples and cross-runtime tests.
+//! * Processes on *different* nodes talk loopback/LAN TCP over
+//!   `std::net`: length-prefixed CRC-framed messages, one supervised
+//!   connection per peer with a bounded drop-oldest send queue,
+//!   reconnect under a jittered exponential [`mcpaxos_actor::Backoff`],
+//!   and `on_link_reset` delivery on reconnects so delta-shipping
+//!   survives peer restarts without `NeedFull` round-trips. Optionally
+//!   every outbound link is wrapped in a seeded deterministic fault
+//!   injector ([`FaultyTransport`]) for CI chaos tests that never flake.
 //!
 //! # Example
 //!
 //! ```
 //! use mcpaxos_actor::{Actor, Context, ProcessId, TimerToken};
-//! use mcpaxos_runtime::Cluster;
+//! use mcpaxos_runtime::{PeerTable, TcpConfig, TcpNode};
 //!
 //! struct Echo;
 //! impl Actor for Echo {
@@ -41,29 +39,25 @@
 //!     fn on_timer(&mut self, _t: TimerToken, _c: &mut dyn Context<u32>) {}
 //! }
 //!
-//! let mut cluster: Cluster<u32> = Cluster::new();
-//! cluster.spawn(ProcessId(0), Box::new(Echo));
-//! cluster.spawn(ProcessId(1), Box::new(Echo));
-//! cluster.send(ProcessId(0), ProcessId(1), 0);
+//! let mut node: TcpNode<u32> = TcpNode::bind(PeerTable::shared(), TcpConfig::default()).unwrap();
+//! node.spawn(ProcessId(0), Box::new(Echo));
+//! node.spawn(ProcessId(1), Box::new(Echo));
+//! node.send(ProcessId(0), ProcessId(1), 0);
 //! std::thread::sleep(std::time::Duration::from_millis(50));
-//! cluster.stop();
+//! node.stop();
 //! ```
 
-mod cluster;
 mod fault;
 mod process;
 mod tcp;
-mod transport;
 
-pub use cluster::Cluster;
 pub use fault::{FaultAction, FaultConfig, FaultyTransport};
 pub use process::{
-    LiveByteMeter, SendActor, SendableActor, METRIC_BACKPRESSURE_DROPS, METRIC_SEND_FAILURES,
-    METRIC_WIRE_BYTES, METRIC_WIRE_MSGS,
+    LiveByteMeter, SendActor, SendableActor, METRIC_SEND_FAILURES, METRIC_WIRE_BYTES,
+    METRIC_WIRE_MSGS,
 };
 pub use tcp::{
     framed_size_of, PeerTable, TcpConfig, TcpNode, DATA_HEADER_BYTES, METRIC_TCP_FRAMES,
     METRIC_TCP_FRAME_BYTES, METRIC_TCP_FRAME_ERRORS, METRIC_TCP_LINK_RESETS,
     METRIC_TCP_QUEUE_DEPTH, METRIC_TCP_QUEUE_DROPS, METRIC_TCP_RECONNECTS,
 };
-pub use transport::Transport;

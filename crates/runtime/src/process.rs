@@ -1,18 +1,17 @@
-//! The per-process event loop shared by every live backend.
+//! The event loop of one live process.
 //!
 //! A live process is one OS thread running one actor: it owns a mailbox,
 //! local timers, local stable storage and a PRNG, and it interacts with
-//! the rest of the cluster only through a [`Router`] — the function that
-//! carries an outgoing message toward its destination. The in-process
-//! channel backend ([`crate::Cluster`]) and the TCP backend
-//! ([`crate::TcpNode`]) both drive this same loop with different
-//! routers, which is what keeps agent behaviour identical across
-//! transports.
+//! the rest of the deployment only through a [`Router`] — the function
+//! that carries an outgoing message toward its destination, which
+//! [`crate::TcpNode`] implements as a mailbox push for a co-located
+//! process and a supervised TCP link otherwise. Upcalls run through
+//! [`mcpaxos_actor::host`], exactly as they do under the simulator.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
+use mcpaxos_actor::host::{Effects, HostCtx, Upcall};
 use mcpaxos_actor::{
-    Actor, Context, Metric, MetricSink, Metrics, ProcessId, SimDuration, SimTime, StableStore,
-    TimerToken,
+    Actor, Metric, MetricSink, Metrics, ProcessId, SimTime, StableStore, TimerToken,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -22,38 +21,13 @@ use std::time::{Duration, Instant};
 /// A boxed actor that can move to its hosting thread.
 pub type SendActor<M> = Box<dyn SendableActor<M>>;
 
-/// Object-safe alias trait for `Actor<Msg = M> + Send`.
-pub trait SendableActor<M>: Send {
-    /// See [`Actor::on_start`].
-    fn on_start(&mut self, ctx: &mut dyn Context<M>);
-    /// See [`Actor::on_recover`].
-    fn on_recover(&mut self, ctx: &mut dyn Context<M>);
-    /// See [`Actor::on_message`].
-    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut dyn Context<M>);
-    /// See [`Actor::on_timer`].
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn Context<M>);
-    /// See [`Actor::on_link_reset`].
-    fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<M>);
+/// `Actor<Msg = M> + Send` as one object-safe trait.
+pub trait SendableActor<M>: Actor<Msg = M> + Send {
     /// Upcast for post-run inspection.
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
-impl<M, A: Actor<Msg = M> + Send + 'static> SendableActor<M> for A {
-    fn on_start(&mut self, ctx: &mut dyn Context<M>) {
-        Actor::on_start(self, ctx);
-    }
-    fn on_recover(&mut self, ctx: &mut dyn Context<M>) {
-        Actor::on_recover(self, ctx);
-    }
-    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut dyn Context<M>) {
-        Actor::on_message(self, from, msg, ctx);
-    }
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn Context<M>) {
-        Actor::on_timer(self, token, ctx);
-    }
-    fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<M>) {
-        Actor::on_link_reset(self, peer, ctx);
-    }
+impl<M, A: Actor<Msg = M> + Send> SendableActor<M> for A {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -70,9 +44,8 @@ pub(crate) enum Event<M> {
     Stop,
 }
 
-/// Carries an outgoing message `(from, to, msg)` toward its destination.
-/// Backends decide what that means: an in-process channel push, or an
-/// enqueue onto a supervised TCP link.
+/// Carries an outgoing message `(from, to, msg)` toward its destination:
+/// a mailbox push, or an enqueue onto a supervised TCP link.
 pub(crate) type Router<M> = Arc<dyn Fn(ProcessId, ProcessId, M) + Send + Sync>;
 
 /// Sizes a message for live wire accounting: returns a static tag and the
@@ -90,14 +63,8 @@ pub const METRIC_WIRE_MSGS: &str = "wire_msgs";
 /// too large to frame. Recorded per *sender* — it is the sender's view
 /// of the fair-lossy link.
 pub const METRIC_SEND_FAILURES: &str = "send_failures";
-/// Metric name counting sends shed because the destination's bounded
-/// mailbox was full (see [`crate::Cluster::with_mailbox_cap`]). Distinct
-/// from [`METRIC_SEND_FAILURES`]: the peer is alive but overloaded, so
-/// the drop is backpressure, not a dead link. Recorded per *sender*.
-pub const METRIC_BACKPRESSURE_DROPS: &str = "backpressure_drops";
 
-/// Everything a process thread needs to run, bundled so backends build
-/// it declaratively.
+/// Everything a process thread needs to run.
 pub(crate) struct ProcessSpec<M> {
     pub pid: ProcessId,
     pub actor: SendActor<M>,
@@ -115,42 +82,54 @@ pub(crate) struct ProcessSpec<M> {
     pub recovered: bool,
 }
 
-pub(crate) fn run_process<M: Send + 'static>(spec: ProcessSpec<M>) -> SendActor<M> {
-    let ProcessSpec {
-        pid,
-        mut actor,
-        rx,
-        router,
-        metrics,
-        start,
-        meter,
-        mut storage,
-        recovered,
-    } = spec;
+pub(crate) fn run_process<M: Send + 'static>(mut spec: ProcessSpec<M>) -> SendActor<M> {
+    let pid = spec.pid;
     let mut timers: BTreeMap<TimerToken, Instant> = BTreeMap::new();
     let mut rng = rand_like::SplitMix64::new(0x5EED ^ u64::from(pid.raw()));
-    let mut fx = ThreadFx::default();
+    let mut fx = Effects::default();
+    // Runs one upcall, then applies what it buffered: metrics to the
+    // shared table, timers to wall-clock deadlines (one tick = one
+    // millisecond), sends to the router.
+    let mut upcall = |kind: Upcall<M>, timers: &mut BTreeMap<TimerToken, Instant>| {
+        let now = SimTime(spec.start.elapsed().as_millis() as u64);
+        let mut random = || rng.next();
+        let mut ctx = HostCtx::new(pid, now, &mut *spec.storage, &mut random, &mut fx);
+        kind.run(&mut *spec.actor, &mut ctx);
+        if !fx.metrics.is_empty() {
+            let mut m = spec.metrics.lock();
+            for metric in fx.metrics.drain(..) {
+                m.record(pid, metric);
+            }
+        }
+        for token in fx.timer_cancels.drain(..) {
+            timers.remove(&token);
+        }
+        let armed_at = Instant::now();
+        for (after, token) in fx.timer_sets.drain(..) {
+            timers.insert(token, armed_at + Duration::from_millis(after.ticks()));
+        }
+        if fx.sends.is_empty() {
+            return;
+        }
+        // Wire accounting at hand-off to the transport, mirroring the
+        // simulator's per-send byte metering.
+        if let Some(meter) = &spec.meter {
+            let total: u64 = fx.sends.iter().map(|(_, msg)| meter(msg).1).sum();
+            let mut m = spec.metrics.lock();
+            m.record(pid, Metric::add(METRIC_WIRE_BYTES, total as i64));
+            m.record(pid, Metric::add(METRIC_WIRE_MSGS, fx.sends.len() as i64));
+        }
+        for (to, msg) in fx.sends.drain(..) {
+            (spec.router)(pid, to, msg);
+        }
+    };
 
-    macro_rules! upcall {
-        ($body:expr) => {{
-            let mut ctx = ThreadCtx {
-                me: pid,
-                start,
-                storage: &mut *storage,
-                rng: &mut rng,
-                fx: &mut fx,
-            };
-            #[allow(clippy::redundant_closure_call)]
-            ($body)(&mut ctx);
-            apply_effects(pid, &mut fx, &router, &metrics, &mut timers, &meter);
-        }};
-    }
-
-    if recovered {
-        upcall!(|ctx: &mut ThreadCtx<'_, M>| actor.on_recover(ctx));
+    let first = if spec.recovered {
+        Upcall::Recover
     } else {
-        upcall!(|ctx: &mut ThreadCtx<'_, M>| actor.on_start(ctx));
-    }
+        Upcall::Start
+    };
+    upcall(first, &mut timers);
 
     loop {
         // Fire due timers first.
@@ -162,7 +141,7 @@ pub(crate) fn run_process<M: Send + 'static>(spec: ProcessSpec<M>) -> SendActor<
             .collect();
         for token in due {
             timers.remove(&token);
-            upcall!(|ctx: &mut ThreadCtx<'_, M>| actor.on_timer(token, ctx));
+            upcall(Upcall::Timer(token), &mut timers);
         }
         // Wait for the next message or timer deadline.
         let next_deadline = timers.values().min().copied();
@@ -170,109 +149,12 @@ pub(crate) fn run_process<M: Send + 'static>(spec: ProcessSpec<M>) -> SendActor<
             Some(at) => at.saturating_duration_since(Instant::now()),
             None => Duration::from_millis(50),
         };
-        match rx.recv_timeout(wait) {
-            Ok(Event::Msg { from, msg }) => {
-                upcall!(|ctx: &mut ThreadCtx<'_, M>| actor.on_message(from, msg, ctx));
-            }
-            Ok(Event::LinkReset(peer)) => {
-                upcall!(|ctx: &mut ThreadCtx<'_, M>| actor.on_link_reset(peer, ctx));
-            }
-            Ok(Event::Stop) => return actor,
+        match spec.rx.recv_timeout(wait) {
+            Ok(Event::Msg { from, msg }) => upcall(Upcall::Msg(from, msg), &mut timers),
+            Ok(Event::LinkReset(peer)) => upcall(Upcall::LinkReset(peer), &mut timers),
+            Ok(Event::Stop) | Err(RecvTimeoutError::Disconnected) => return spec.actor,
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return actor,
         }
-    }
-}
-
-struct ThreadFx<M> {
-    sends: Vec<(ProcessId, M)>,
-    timer_sets: Vec<(SimDuration, TimerToken)>,
-    timer_cancels: Vec<TimerToken>,
-    metrics: Vec<Metric>,
-}
-
-impl<M> Default for ThreadFx<M> {
-    fn default() -> Self {
-        ThreadFx {
-            sends: Vec::new(),
-            timer_sets: Vec::new(),
-            timer_cancels: Vec::new(),
-            metrics: Vec::new(),
-        }
-    }
-}
-
-fn apply_effects<M: Send + 'static>(
-    pid: ProcessId,
-    fx: &mut ThreadFx<M>,
-    router: &Router<M>,
-    metrics: &Arc<Mutex<Metrics>>,
-    timers: &mut BTreeMap<TimerToken, Instant>,
-    meter: &Option<LiveByteMeter<M>>,
-) {
-    if !fx.metrics.is_empty() {
-        let mut m = metrics.lock();
-        for metric in fx.metrics.drain(..) {
-            m.record(pid, metric);
-        }
-    }
-    for token in fx.timer_cancels.drain(..) {
-        timers.remove(&token);
-    }
-    let now = Instant::now();
-    for (after, token) in fx.timer_sets.drain(..) {
-        timers.insert(token, now + Duration::from_millis(after.ticks()));
-    }
-    if !fx.sends.is_empty() {
-        // Wire accounting at hand-off to the transport, mirroring the
-        // simulator's per-send byte metering.
-        if let Some(meter) = meter {
-            let mut total = 0u64;
-            for (_, msg) in fx.sends.iter() {
-                total += meter(msg).1;
-            }
-            let mut m = metrics.lock();
-            m.record(pid, Metric::add(METRIC_WIRE_BYTES, total as i64));
-            m.record(pid, Metric::add(METRIC_WIRE_MSGS, fx.sends.len() as i64));
-        }
-        for (to, msg) in fx.sends.drain(..) {
-            router(pid, to, msg);
-        }
-    }
-}
-
-struct ThreadCtx<'a, M> {
-    me: ProcessId,
-    start: Instant,
-    storage: &'a mut dyn StableStore,
-    rng: &'a mut rand_like::SplitMix64,
-    fx: &'a mut ThreadFx<M>,
-}
-
-impl<M> Context<M> for ThreadCtx<'_, M> {
-    fn me(&self) -> ProcessId {
-        self.me
-    }
-    fn now(&self) -> SimTime {
-        SimTime(self.start.elapsed().as_millis() as u64)
-    }
-    fn send(&mut self, to: ProcessId, msg: M) {
-        self.fx.sends.push((to, msg));
-    }
-    fn set_timer(&mut self, after: SimDuration, token: TimerToken) {
-        self.fx.timer_sets.push((after, token));
-    }
-    fn cancel_timer(&mut self, token: TimerToken) {
-        self.fx.timer_cancels.push(token);
-    }
-    fn storage(&mut self) -> &mut dyn StableStore {
-        self.storage
-    }
-    fn metric(&mut self, metric: Metric) {
-        self.fx.metrics.push(metric);
-    }
-    fn random(&mut self) -> u64 {
-        self.rng.next()
     }
 }
 
@@ -303,6 +185,11 @@ pub(crate) mod rand_like {
 #[cfg(test)]
 mod tests {
     use super::rand_like::SplitMix64;
+    use crate::{PeerTable, TcpConfig, TcpNode};
+    use mcpaxos_actor::{
+        Actor, Context, MemStore, Metric, ProcessId, SimDuration, StableStore, TimerToken,
+    };
+    use std::time::{Duration, Instant};
 
     #[test]
     fn splitmix_is_deterministic_and_nonconstant() {
@@ -312,5 +199,108 @@ mod tests {
         let ys: Vec<u64> = (0..5).map(|_| b.next()).collect();
         assert_eq!(xs, ys);
         assert!(xs.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    fn node() -> TcpNode<u32> {
+        TcpNode::bind(PeerTable::shared(), TcpConfig::default()).expect("bind loopback")
+    }
+
+    /// Polls until metric `name` totals `want`, at most two seconds.
+    fn await_total(node: &TcpNode<u32>, name: &str, want: i64) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while node.metrics().total(name) < want && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(node.metrics().total(name), want);
+    }
+
+    struct Counter {
+        seen: u32,
+    }
+    impl Actor for Counter {
+        type Msg = u32;
+        fn on_message(&mut self, from: ProcessId, msg: u32, ctx: &mut dyn Context<u32>) {
+            self.seen += 1;
+            ctx.metric(Metric::incr("seen"));
+            if msg > 0 {
+                ctx.send(from, msg - 1);
+            }
+        }
+        fn on_timer(&mut self, _t: TimerToken, _c: &mut dyn Context<u32>) {}
+    }
+
+    #[test]
+    fn ping_pong_live() {
+        let mut node = node();
+        node.spawn(ProcessId(0), Box::new(Counter { seen: 0 }));
+        node.spawn(ProcessId(1), Box::new(Counter { seen: 0 }));
+        node.send(ProcessId(0), ProcessId(1), 9);
+        await_total(&node, "seen", 10);
+        let actors = node.stop();
+        let seen = |p| {
+            let a: &Counter = actors[&ProcessId(p)].as_any().downcast_ref().unwrap();
+            a.seen
+        };
+        assert_eq!(seen(0) + seen(1), 10);
+    }
+
+    struct TimerBeat {
+        beats: u32,
+    }
+    impl Actor for TimerBeat {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut dyn Context<u32>) {
+            ctx.set_timer(SimDuration(10), TimerToken(1));
+        }
+        fn on_message(&mut self, _f: ProcessId, _m: u32, _c: &mut dyn Context<u32>) {}
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn Context<u32>) {
+            self.beats += 1;
+            ctx.metric(Metric::incr("beat"));
+            if self.beats < 5 {
+                ctx.set_timer(SimDuration(10), token);
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fire_live() {
+        let mut node = node();
+        node.spawn(ProcessId(0), Box::new(TimerBeat { beats: 0 }));
+        await_total(&node, "beat", 5);
+        node.stop();
+    }
+
+    struct Recovers;
+    impl Actor for Recovers {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut dyn Context<u32>) {
+            ctx.metric(Metric::incr("started"));
+            ctx.storage().write("mark", vec![42]);
+        }
+        fn on_recover(&mut self, ctx: &mut dyn Context<u32>) {
+            let seen = ctx.storage().read("mark").map(<[u8]>::to_vec);
+            if seen == Some(vec![42]) {
+                ctx.metric(Metric::incr("recovered_with_state"));
+            }
+        }
+        fn on_message(&mut self, _f: ProcessId, _m: u32, _c: &mut dyn Context<u32>) {}
+        fn on_timer(&mut self, _t: TimerToken, _c: &mut dyn Context<u32>) {}
+    }
+
+    #[test]
+    fn spawn_recovered_enters_via_on_recover_with_carried_storage() {
+        let mut node = node();
+        // Seed storage the way a pre-crash incarnation would have.
+        let mut store = MemStore::new();
+        store.write("mark", vec![42]);
+
+        node.spawn_recovered(ProcessId(3), Box::new(Recovers), Box::new(store));
+        await_total(&node, "recovered_with_state", 1);
+        assert_eq!(
+            node.metrics().total("started"),
+            0,
+            "on_start must not run on recovery"
+        );
+        node.stop();
     }
 }

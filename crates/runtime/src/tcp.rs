@@ -39,7 +39,6 @@ use crate::process::{
     rand_like::SplitMix64, run_process, Event, LiveByteMeter, ProcessSpec, Router, SendActor,
     METRIC_SEND_FAILURES,
 };
-use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Sender};
 use mcpaxos_actor::frame::{encode_frame, FrameDecoder, FRAME_OVERHEAD};
 use mcpaxos_actor::wire::{Wire, WireError};
@@ -379,8 +378,11 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
         self.addr
     }
 
-    /// Installs a byte meter (see [`crate::Cluster::set_byte_meter`]);
-    /// install before spawning.
+    /// Installs a byte meter: every message a process sends from now on
+    /// is sized and recorded as the [`crate::METRIC_WIRE_BYTES`] /
+    /// [`crate::METRIC_WIRE_MSGS`] metrics of the sender, co-located
+    /// destinations included. Install *before* spawning the processes
+    /// whose traffic should be measured.
     pub fn set_byte_meter(&mut self, meter: LiveByteMeter<M>) {
         self.meter = Some(meter);
     }
@@ -516,18 +518,6 @@ impl<M: Wire + Send + 'static> TcpNode<M> {
     /// semantics match a real kill).
     pub fn kill(self) {
         let _ = self.stop();
-    }
-}
-
-impl<M: Wire + Send + 'static> Transport<M> for TcpNode<M> {
-    fn send(&self, to: ProcessId, from: ProcessId, msg: M) {
-        TcpNode::send(self, to, from, msg)
-    }
-    fn metrics(&self) -> Metrics {
-        TcpNode::metrics(self)
-    }
-    fn now(&self) -> SimTime {
-        TcpNode::now(self)
     }
 }
 

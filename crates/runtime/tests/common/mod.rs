@@ -1,11 +1,14 @@
 //! Shared scaffolding for the TCP backend integration tests: a keyed
-//! command type, a delta-shipping deployment config, and metric/settle
-//! helpers over a set of [`TcpNode`]s.
+//! command type, a delta-shipping deployment config, the agent for a
+//! role, and metric/settle helpers over a set of [`TcpNode`]s.
 
 use mcpaxos_actor::wire::{Wire, WireError};
-use mcpaxos_core::{DeployConfig, Msg, Policy, WireConfig};
+use mcpaxos_actor::ProcessId;
+use mcpaxos_core::{
+    Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer, WireConfig,
+};
 use mcpaxos_cstruct::{CommandHistory, Conflict, ConflictKeys};
-use mcpaxos_runtime::TcpNode;
+use mcpaxos_runtime::{SendActor, TcpNode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,6 +55,19 @@ pub fn delta_cfg(n_prop: usize, n_coord: usize, n_acc: usize, n_learn: usize) ->
     )
 }
 
+/// A fresh agent for the role `p` holds in `cfg`.
+pub fn agent(cfg: &Arc<DeployConfig>, p: ProcessId) -> SendActor<M> {
+    if cfg.roles.is_proposer(p) {
+        Box::new(Proposer::<H>::new(cfg.clone()))
+    } else if cfg.roles.is_coordinator(p) {
+        Box::new(Coordinator::<H>::new(cfg.clone(), p))
+    } else if cfg.roles.is_acceptor(p) {
+        Box::new(Acceptor::<H>::new(cfg.clone()))
+    } else {
+        Box::new(Learner::<H>::new(cfg.clone()))
+    }
+}
+
 /// Sums `name` across every node's metrics.
 pub fn total(nodes: &[&TcpNode<M>], name: &str) -> i64 {
     nodes.iter().map(|n| n.metrics().total(name)).sum()
@@ -59,7 +75,7 @@ pub fn total(nodes: &[&TcpNode<M>], name: &str) -> i64 {
 
 /// Sums process `p`'s metric `name` across every node (only its host
 /// node records anything for it, so this is a cross-node lookup).
-pub fn of(nodes: &[&TcpNode<M>], p: mcpaxos_actor::ProcessId, name: &str) -> i64 {
+pub fn of(nodes: &[&TcpNode<M>], p: ProcessId, name: &str) -> i64 {
     nodes.iter().map(|n| n.metrics().of(p, name)).sum()
 }
 

@@ -1,10 +1,10 @@
 //! The full Multicoordinated Paxos stack on real threads: same agents as
-//! the simulator, live channels and wall-clock timers.
+//! the simulator, every role on one `TcpNode`, wall-clock timers.
 
 use mcpaxos_actor::ProcessId;
 use mcpaxos_core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
 use mcpaxos_cstruct::{CStruct, CmdSet};
-use mcpaxos_runtime::Cluster;
+use mcpaxos_runtime::{PeerTable, TcpConfig, TcpNode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,7 +14,8 @@ type Set = CmdSet<u32>;
 fn live_multicoordinated_cluster_learns_commands() {
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated));
     cfg.validate().unwrap();
-    let mut cluster: Cluster<Msg<Set>> = Cluster::new();
+    let mut cluster: TcpNode<Msg<Set>> =
+        TcpNode::bind(PeerTable::shared(), TcpConfig::default()).unwrap();
     for &p in cfg.roles.proposers() {
         cluster.spawn(p, Box::new(Proposer::<Set>::new(cfg.clone())));
     }

@@ -13,12 +13,12 @@
 
 mod common;
 
-use common::{cmd, delta_cfg, of, settle, total, H, K, M};
+use common::{agent, cmd, delta_cfg, of, settle, total, H, K, M};
 use mcpaxos_actor::frame::FRAME_OVERHEAD;
 use mcpaxos_actor::{wire, FileWal, ProcessId};
-use mcpaxos_core::{Acceptor, Coordinator, Learner, Msg, Proposer};
+use mcpaxos_core::{Learner, Msg};
 use mcpaxos_cstruct::CStruct;
-use mcpaxos_runtime::{LiveByteMeter, PeerTable, SendActor, TcpConfig, TcpNode, DATA_HEADER_BYTES};
+use mcpaxos_runtime::{LiveByteMeter, PeerTable, TcpConfig, TcpNode, DATA_HEADER_BYTES};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -35,12 +35,12 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     let mut learn: TcpNode<M> = TcpNode::bind(peers.clone(), tcp.clone()).unwrap();
 
     let proposer = cfg.roles.proposers()[0];
-    front.spawn(proposer, Box::new(Proposer::<H>::new(cfg.clone())));
+    front.spawn(proposer, agent(&cfg, proposer));
     for &c in cfg.roles.coordinators() {
-        front.spawn(c, Box::new(Coordinator::<H>::new(cfg.clone(), c)));
+        front.spawn(c, agent(&cfg, c));
     }
     for &a in &cfg.roles.acceptors()[..2] {
-        accs.spawn(a, Box::new(Acceptor::<H>::new(cfg.clone())));
+        accs.spawn(a, agent(&cfg, a));
     }
     // The kill target runs on its own node over a file-backed WAL, so
     // its durable acceptor state survives the node exactly as it would
@@ -51,11 +51,11 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     let _ = std::fs::remove_file(&wal);
     victim.spawn_with_storage(
         a_kill,
-        Box::new(Acceptor::<H>::new(cfg.clone())),
+        agent(&cfg, a_kill),
         Box::new(FileWal::open_synchronous(&wal).unwrap()),
     );
     for &l in cfg.roles.learners() {
-        learn.spawn(l, Box::new(Learner::<H>::new(cfg.clone())));
+        learn.spawn(l, agent(&cfg, l));
     }
 
     let client = ProcessId(9_999);
@@ -90,7 +90,7 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     let mut revived: TcpNode<M> = TcpNode::bind(peers.clone(), tcp.clone()).unwrap();
     revived.spawn_recovered(
         a_kill,
-        Box::new(Acceptor::<H>::new(cfg.clone())),
+        agent(&cfg, a_kill),
         Box::new(FileWal::open_synchronous(&wal).unwrap()),
     );
 
@@ -183,16 +183,7 @@ fn wire_meter_and_frame_ledger_agree_per_agent() {
     for &p in &all {
         let mut n = TcpNode::bind(peers.clone(), TcpConfig::default()).unwrap();
         n.set_byte_meter(meter.clone());
-        let actor: SendActor<M> = if cfg.roles.is_proposer(p) {
-            Box::new(Proposer::<H>::new(cfg.clone()))
-        } else if cfg.roles.is_coordinator(p) {
-            Box::new(Coordinator::<H>::new(cfg.clone(), p))
-        } else if cfg.roles.is_acceptor(p) {
-            Box::new(Acceptor::<H>::new(cfg.clone()))
-        } else {
-            Box::new(Learner::<H>::new(cfg.clone()))
-        };
-        n.spawn(p, actor);
+        n.spawn(p, agent(&cfg, p));
         nodes.push(n);
     }
     // Inject at the proposer's own node, so the client's `Propose` never
@@ -243,5 +234,53 @@ fn wire_meter_and_frame_ledger_agree_per_agent() {
                 assert_eq!(got, expected, "learner {pid} learned the wrong set");
             }
         }
+    }
+}
+
+/// One node hosting every role is the in-process mode: co-located
+/// processes reach each other by a mailbox push, so the byte meter sees
+/// every protocol message while no frame is ever written to a socket.
+#[test]
+fn all_roles_on_one_node_learn_everything_without_touching_a_socket() {
+    const N_CMDS: u32 = 40;
+
+    let cfg = delta_cfg(1, 2, 3, 2);
+    cfg.validate().unwrap();
+    let mut node: TcpNode<M> = TcpNode::bind(PeerTable::shared(), TcpConfig::default()).unwrap();
+    node.set_byte_meter(std::sync::Arc::new(|m: &M| {
+        (m.tag(), wire::to_bytes(m).len() as u64)
+    }));
+    for p in cfg.roles.all() {
+        node.spawn(p, agent(&cfg, p));
+    }
+    for i in 0..N_CMDS {
+        node.send(
+            cfg.roles.proposers()[0],
+            ProcessId(9_999),
+            Msg::Propose {
+                cmd: cmd(i),
+                acc_quorum: None,
+            },
+        );
+    }
+    settle(&[&node], &cfg, i64::from(N_CMDS));
+
+    assert!(total(&[&node], "wire_msgs") > 0, "the agents did talk");
+    for socket in ["tcp_frames", "tcp_frame_bytes", "tcp_queue_depth"] {
+        assert_eq!(
+            total(&[&node], socket),
+            0,
+            "co-located run counted {socket}"
+        );
+    }
+    assert_eq!(total(&[&node], "send_failures"), 0);
+
+    let expected: HashSet<K> = (0..N_CMDS).map(cmd).collect();
+    let actors = node.stop();
+    for &l in cfg.roles.learners() {
+        let learner: &Learner<H> = actors[&l].as_any().downcast_ref().expect("learner type");
+        let got: HashSet<K> = learner.learned().commands().into_iter().collect();
+        assert_eq!(learner.learned().total_len(), u64::from(N_CMDS));
+        assert_eq!(got, expected, "learner {l} learned the wrong set");
     }
 }

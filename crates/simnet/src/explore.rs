@@ -21,15 +21,11 @@
 //! is threaded through an accumulator that is recomputed during each
 //! replay.
 
-use crate::sim::StorageFactory;
-use mcpaxos_actor::{
-    Actor, Context, MemStore, Metric, ProcessId, SimDuration, SimTime, StableStore, TimerToken,
-};
-use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::procs::{ActorBox, ProcTable};
+use mcpaxos_actor::host::{Effects, Upcall};
+use mcpaxos_actor::{Actor, ProcessId, SimDuration, SimTime, StableStore, TimerToken};
+use std::collections::BTreeSet;
 use std::fmt::Debug;
-
-type ActorBox<M> = Box<dyn Actor<Msg = M>>;
 
 /// One scheduling decision of the explorer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,23 +104,15 @@ impl std::fmt::Display for Violation {
     }
 }
 
-struct ENode<M> {
-    actor: Option<ActorBox<M>>,
-    factory: Box<dyn FnMut() -> ActorBox<M>>,
-    up: bool,
-    storage: Box<dyn StableStore>,
-    timers: BTreeSet<TimerToken>,
-}
-
 /// The explorable network: a process table plus a queue of in-flight
 /// messages, with *no* clock-driven event heap — when things happen is
 /// entirely up to the sequence of [`Choice`]s applied.
 pub struct ExploreNet<M> {
-    procs: BTreeMap<ProcessId, ENode<M>>,
+    /// Each process with its armed timer tokens.
+    procs: ProcTable<M, BTreeSet<TimerToken>>,
     /// In-flight messages as `(to, from, msg)`, in send order.
     pending: Vec<(ProcessId, ProcessId, M)>,
     now: SimTime,
-    storage_factory: StorageFactory,
 }
 
 impl<M: Clone + Debug + 'static> Default for ExploreNet<M> {
@@ -137,10 +125,9 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
     /// An empty network.
     pub fn new() -> Self {
         ExploreNet {
-            procs: BTreeMap::new(),
+            procs: ProcTable::new(),
             pending: Vec::new(),
             now: SimTime::ZERO,
-            storage_factory: Box::new(|_| Box::new(MemStore::new())),
         }
     }
 
@@ -151,29 +138,17 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
     where
         F: FnMut(ProcessId) -> Box<dyn StableStore> + 'static,
     {
-        self.storage_factory = Box::new(factory);
+        self.procs.set_storage_factory(factory);
     }
 
     /// Registers a process and runs its `on_start`. Sends performed during
     /// start-up join the pending queue like any others.
-    pub fn add_process<F>(&mut self, pid: ProcessId, mut factory: F)
+    pub fn add_process<F>(&mut self, pid: ProcessId, factory: F)
     where
         F: FnMut() -> ActorBox<M> + 'static,
     {
-        let actor = factory();
-        let storage = (self.storage_factory)(pid);
-        let prev = self.procs.insert(
-            pid,
-            ENode {
-                actor: Some(actor),
-                factory: Box::new(factory),
-                up: true,
-                storage,
-                timers: BTreeSet::new(),
-            },
-        );
-        assert!(prev.is_none(), "process {pid} registered twice");
-        self.upcall(pid, EKind::Start);
+        self.procs.add_process(pid, factory);
+        self.upcall(pid, Upcall::Start);
     }
 
     /// Adds `msg` to the in-flight queue (client traffic, scripted
@@ -189,7 +164,7 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
 
     /// Whether `p` is currently up.
     pub fn is_up(&self, p: ProcessId) -> bool {
-        self.procs.get(&p).map(|n| n.up).unwrap_or(false)
+        self.procs.is_up(p)
     }
 
     /// The logical clock: one tick per applied [`Choice`]. Invariant
@@ -201,20 +176,17 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
 
     /// All registered process ids.
     pub fn processes(&self) -> Vec<ProcessId> {
-        self.procs.keys().copied().collect()
+        self.procs.processes()
     }
 
     /// Immutable access to `p`'s actor, downcast to its concrete type.
     pub fn actor<A: Actor<Msg = M>>(&self, p: ProcessId) -> Option<&A> {
-        let node = self.procs.get(&p)?;
-        let a: &dyn Actor<Msg = M> = node.actor.as_deref()?;
-        let any: &dyn Any = a;
-        any.downcast_ref::<A>()
+        self.procs.actor(p)
     }
 
     /// The stable storage of `p`.
     pub fn storage(&self, p: ProcessId) -> Option<&(dyn StableStore + '_)> {
-        self.procs.get(&p).map(|n| n.storage.as_ref())
+        self.procs.storage(p)
     }
 
     /// Enumerates every choice enabled in the current state, in a
@@ -235,18 +207,14 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
                 out.push(Choice::Deliver(i));
             }
         }
-        for (&p, node) in &self.procs {
-            if node.up {
-                for &t in &node.timers {
-                    out.push(Choice::Fire(p, t));
-                }
-            }
+        for (p, timers) in self.procs.up_hosts() {
+            out.extend(timers.iter().map(|&t| Choice::Fire(p, t)));
         }
         for &p in &cfg.crash_candidates {
-            match self.procs.get(&p) {
-                Some(n) if n.up => out.push(Choice::Crash(p)),
-                Some(_) => out.push(Choice::Recover(p)),
-                None => {}
+            if self.is_up(p) {
+                out.push(Choice::Crash(p));
+            } else if self.procs.host(p).is_some() {
+                out.push(Choice::Recover(p));
             }
         }
         out
@@ -260,140 +228,50 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
         match choice {
             Choice::Deliver(i) => {
                 let (to, from, msg) = self.pending.remove(*i);
-                if self.is_up(to) {
-                    self.upcall(to, EKind::Msg(from, msg));
-                }
+                self.upcall(to, Upcall::Msg(from, msg));
             }
             Choice::Fire(p, t) => {
-                let armed = self
-                    .procs
-                    .get_mut(p)
-                    .map(|n| n.up && n.timers.remove(t))
-                    .unwrap_or(false);
+                let armed = self.is_up(*p)
+                    && self
+                        .procs
+                        .host_mut(*p)
+                        .is_some_and(|timers| timers.remove(t));
                 assert!(armed, "Fire({p}, {t:?}) on unarmed timer");
-                self.upcall(*p, EKind::Timer(*t));
+                self.upcall(*p, Upcall::Timer(*t));
             }
             Choice::Crash(p) => {
-                let n = self.procs.get_mut(p).expect("crash of unknown process");
-                assert!(n.up, "Crash({p}) while down");
-                n.up = false;
-                n.actor = None;
-                n.timers.clear();
-                n.storage.lose_unflushed();
+                let timers = self.procs.crash(*p);
+                timers.expect("Crash of a process that is not up").clear();
             }
             Choice::Recover(p) => {
-                let n = self.procs.get_mut(p).expect("recover of unknown process");
-                assert!(!n.up, "Recover({p}) while up");
-                n.actor = Some((n.factory)());
-                n.up = true;
-                self.upcall(*p, EKind::Recover);
+                assert!(self.procs.recover(*p), "Recover({p}) while not down");
+                self.upcall(*p, Upcall::Recover);
             }
         }
     }
 
-    fn upcall(&mut self, pid: ProcessId, kind: EKind<M>) {
-        let (mut actor, mut storage) = {
-            let node = match self.procs.get_mut(&pid) {
-                Some(n) if n.up => n,
-                _ => return,
-            };
-            let actor = node.actor.take().expect("up process has an actor");
-            let storage = std::mem::replace(
-                &mut node.storage,
-                Box::new(MemStore::new()) as Box<dyn StableStore>,
-            );
-            (actor, storage)
-        };
-        let mut fx = EEffects::default();
-        {
-            let mut ctx = ECtx {
-                me: pid,
-                now: self.now,
-                storage: storage.as_mut(),
-                fx: &mut fx,
-            };
-            match kind {
-                EKind::Start => actor.on_start(&mut ctx),
-                EKind::Recover => actor.on_recover(&mut ctx),
-                EKind::Msg(from, m) => actor.on_message(from, m, &mut ctx),
-                EKind::Timer(t) => actor.on_timer(t, &mut ctx),
-            }
-        }
-        {
-            let node = self.procs.get_mut(&pid).expect("node exists");
-            node.actor = Some(actor);
-            node.storage = storage;
-            for t in fx.timer_cancels.drain(..) {
-                node.timers.remove(&t);
-            }
-            for t in fx.timer_sets.drain(..) {
-                node.timers.insert(t);
-            }
-        }
-        for (to, msg) in fx.sends.drain(..) {
-            self.pending.push((to, pid, msg));
-        }
-    }
-}
-
-enum EKind<M> {
-    Start,
-    Recover,
-    Msg(ProcessId, M),
-    Timer(TimerToken),
-}
-
-struct EEffects<M> {
-    sends: Vec<(ProcessId, M)>,
-    timer_sets: Vec<TimerToken>,
-    timer_cancels: Vec<TimerToken>,
-}
-
-impl<M> Default for EEffects<M> {
-    fn default() -> Self {
-        EEffects {
-            sends: Vec::new(),
-            timer_sets: Vec::new(),
-            timer_cancels: Vec::new(),
-        }
-    }
-}
-
-struct ECtx<'a, M> {
-    me: ProcessId,
-    now: SimTime,
-    storage: &'a mut dyn StableStore,
-    fx: &'a mut EEffects<M>,
-}
-
-impl<M> Context<M> for ECtx<'_, M> {
-    fn me(&self) -> ProcessId {
-        self.me
-    }
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn send(&mut self, to: ProcessId, msg: M) {
-        self.fx.sends.push((to, msg));
-    }
-    fn set_timer(&mut self, _after: SimDuration, token: TimerToken) {
-        // Timer *durations* are irrelevant here: firing order is a
-        // scheduling choice, which is exactly what the explorer branches
-        // over.
-        self.fx.timer_sets.push(token);
-    }
-    fn cancel_timer(&mut self, token: TimerToken) {
-        self.fx.timer_cancels.push(token);
-    }
-    fn storage(&mut self) -> &mut dyn StableStore {
-        self.storage
-    }
-    fn metric(&mut self, _metric: Metric) {}
-    fn random(&mut self) -> u64 {
+    /// Runs one upcall (a no-op at a down process) and applies what it
+    /// buffered: metrics are dropped, sends join the pending queue.
+    fn upcall(&mut self, pid: ProcessId, kind: Upcall<M>) {
+        let mut fx = Effects::default();
         // Schedules are the only nondeterminism the explorer branches
         // over; actor-requested randomness is pinned to a constant so a
         // choice path fully determines the state.
-        0x9E37_79B9_7F4A_7C15
+        let mut pinned = || 0x9E37_79B9_7F4A_7C15;
+        let ran = self.procs.upcall(pid, kind, self.now, &mut pinned, &mut fx);
+        if ran.is_none() {
+            return;
+        }
+        let timers = self.procs.host_mut(pid).expect("the upcall ran here");
+        for t in fx.timer_cancels {
+            timers.remove(&t);
+        }
+        // Timer *durations* are irrelevant here: firing order is a
+        // scheduling choice, which is exactly what the explorer branches
+        // over.
+        timers.extend(fx.timer_sets.into_iter().map(|(_after, t)| t));
+        let sends = fx.sends.into_iter();
+        self.pending.extend(sends.map(|(to, msg)| (to, pid, msg)));
     }
 }
 
@@ -505,7 +383,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcpaxos_actor::WalStore;
+    use mcpaxos_actor::{Context, WalStore};
 
     const P0: ProcessId = ProcessId(0);
     const P1: ProcessId = ProcessId(1);

@@ -39,6 +39,7 @@
 mod chaos;
 mod config;
 pub mod explore;
+mod procs;
 mod sim;
 mod stats;
 mod topology;
@@ -47,7 +48,8 @@ mod trace;
 pub use chaos::{ChaosEvent, ChaosSchedule};
 pub use config::{DelayDist, NetConfig};
 pub use explore::{explore, Choice, ExploreConfig, ExploreNet, ExploreStats, Violation};
-pub use sim::{ByteMeter, ProcessStats, Sim, StorageFactory, WireTotal};
+pub use procs::StorageFactory;
+pub use sim::{ByteMeter, ProcessStats, Sim, WireTotal};
 pub use stats::{percentile, percentile_sorted, LatencyStats};
 pub use topology::Topology;
 pub use trace::{TraceEntry, TraceKind};

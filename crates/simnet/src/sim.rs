@@ -1,24 +1,15 @@
 //! The simulator core: event heap, process table, fault injection.
 
+use crate::procs::{ActorBox, ProcTable};
 use crate::{DelayDist, NetConfig, Topology, TraceEntry, TraceKind};
+use mcpaxos_actor::host::{Effects, Upcall};
 use mcpaxos_actor::{
-    Actor, Context, MemStore, Metric, MetricSink, Metrics, ProcessId, SimDuration, SimTime,
-    StableStore, TimerToken,
+    Actor, MetricSink, Metrics, ProcessId, SimDuration, SimTime, StableStore, TimerToken,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Debug;
-
-type ActorBox<M> = Box<dyn Actor<Msg = M>>;
-type Factory<M> = Box<dyn FnMut() -> ActorBox<M>>;
-
-/// Builds the stable storage for a newly registered process. The default
-/// factory hands every process a fresh [`MemStore`]; install a custom one
-/// with [`Sim::set_storage_factory`] to back processes with a
-/// write-ahead-log store instead.
-pub type StorageFactory = Box<dyn FnMut(ProcessId) -> Box<dyn StableStore>>;
 
 /// Per-process message counters, used by the load-balance experiment (E4).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -91,11 +82,9 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
-struct ProcNode<M> {
-    actor: Option<ActorBox<M>>,
-    factory: Factory<M>,
-    up: bool,
-    storage: Box<dyn StableStore>,
+/// What the simulator keeps per process beside the shared table's node.
+#[derive(Default)]
+struct SimProc {
     /// Monotonic arm counter: a timer event fires only if it carries the
     /// latest arm id for its token (cancel/re-arm/crash invalidate).
     next_arm: u64,
@@ -104,14 +93,6 @@ struct ProcNode<M> {
     /// must never validate (the `timers` map was cleared at the crash).
     epoch: u64,
     stats: ProcessStats,
-}
-
-enum UpKind<M> {
-    Start,
-    Recover,
-    Msg(ProcessId, M),
-    Timer(TimerToken),
-    LinkReset(ProcessId),
 }
 
 /// The deterministic discrete-event simulator.
@@ -126,7 +107,7 @@ pub struct Sim<M> {
     rng: StdRng,
     config: NetConfig,
     topology: Option<Topology>,
-    procs: BTreeMap<ProcessId, ProcNode<M>>,
+    procs: ProcTable<M, SimProc>,
     partitions: Vec<(Vec<ProcessId>, Vec<ProcessId>)>,
     metrics: Metrics,
     trace: Vec<TraceEntry>,
@@ -134,7 +115,8 @@ pub struct Sim<M> {
     events_processed: u64,
     byte_meter: Option<ByteMeter<M>>,
     wire: BTreeMap<&'static str, WireTotal>,
-    storage_factory: StorageFactory,
+    /// The effects buffer, reused across upcalls.
+    fx: Effects<M>,
 }
 
 impl<M: Clone + Debug + 'static> Sim<M> {
@@ -147,7 +129,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             rng: StdRng::seed_from_u64(seed),
             config,
             topology: None,
-            procs: BTreeMap::new(),
+            procs: ProcTable::new(),
             partitions: Vec::new(),
             metrics: Metrics::new(),
             trace: Vec::new(),
@@ -155,19 +137,20 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             events_processed: 0,
             byte_meter: None,
             wire: BTreeMap::new(),
-            storage_factory: Box::new(|_| Box::new(MemStore::new())),
+            fx: Effects::default(),
         }
     }
 
     /// Installs the storage factory consulted by every subsequent
     /// [`Sim::add_process`] call (already-registered processes keep their
     /// existing storage). Use this to back processes with a
-    /// [`mcpaxos_actor::WalStore`] instead of the default [`MemStore`].
+    /// [`mcpaxos_actor::WalStore`] instead of the default
+    /// [`mcpaxos_actor::MemStore`].
     pub fn set_storage_factory<F>(&mut self, factory: F)
     where
         F: FnMut(ProcessId) -> Box<dyn StableStore> + 'static,
     {
-        self.storage_factory = Box::new(factory);
+        self.procs.set_storage_factory(factory);
     }
 
     /// Registers a process and immediately runs its `on_start`.
@@ -178,27 +161,12 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     /// # Panics
     ///
     /// Panics if `pid` is already registered.
-    pub fn add_process<F>(&mut self, pid: ProcessId, mut factory: F)
+    pub fn add_process<F>(&mut self, pid: ProcessId, factory: F)
     where
         F: FnMut() -> ActorBox<M> + 'static,
     {
-        let actor = factory();
-        let storage = (self.storage_factory)(pid);
-        let prev = self.procs.insert(
-            pid,
-            ProcNode {
-                actor: Some(actor),
-                factory: Box::new(factory),
-                up: true,
-                storage,
-                next_arm: 0,
-                timers: BTreeMap::new(),
-                epoch: 0,
-                stats: ProcessStats::default(),
-            },
-        );
-        assert!(prev.is_none(), "process {pid} registered twice");
-        self.upcall(pid, UpKind::Start);
+        self.procs.add_process(pid, factory);
+        self.upcall(pid, Upcall::Start);
     }
 
     // ----- time and execution -------------------------------------------
@@ -235,12 +203,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         if t > self.now {
             self.now = t;
         }
-    }
-
-    /// Runs `d` ticks past the current time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now + d;
-        self.run_until(t);
     }
 
     /// Runs until no events remain or `max_events` have been processed.
@@ -304,9 +266,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     }
 
     /// Replaces the network configuration at time `t` (e.g. a scheduled
-    /// link-degradation burst). Unlike [`Sim::set_config`], the change is
-    /// ordered into the event stream, so a `(seed, schedule)` pair stays
-    /// deterministic.
+    /// link-degradation burst). The change is ordered into the event
+    /// stream, so a `(seed, schedule)` pair stays deterministic.
     pub fn set_config_at(&mut self, t: SimTime, config: NetConfig) {
         self.schedule(t, Event::Reconfig(config));
     }
@@ -315,44 +276,22 @@ impl<M: Clone + Debug + 'static> Sim<M> {
 
     /// Whether `p` is currently up.
     pub fn is_up(&self, p: ProcessId) -> bool {
-        self.procs.get(&p).map(|n| n.up).unwrap_or(false)
+        self.procs.is_up(p)
     }
 
     /// Immutable access to `p`'s actor, downcast to its concrete type.
     pub fn actor<A: Actor<Msg = M>>(&self, p: ProcessId) -> Option<&A> {
-        let node = self.procs.get(&p)?;
-        let a: &dyn Actor<Msg = M> = node.actor.as_deref()?;
-        let any: &dyn Any = a;
-        any.downcast_ref::<A>()
-    }
-
-    /// Mutable access to `p`'s actor, downcast to its concrete type.
-    /// Intended for test assertions, not for bypassing the protocol.
-    pub fn actor_mut<A: Actor<Msg = M>>(&mut self, p: ProcessId) -> Option<&mut A> {
-        let node = self.procs.get_mut(&p)?;
-        let a: &mut dyn Actor<Msg = M> = node.actor.as_deref_mut()?;
-        let any: &mut dyn Any = a;
-        any.downcast_mut::<A>()
+        self.procs.actor(p)
     }
 
     /// The stable storage of `p` (survives crashes).
     pub fn storage(&self, p: ProcessId) -> Option<&(dyn StableStore + '_)> {
-        self.procs.get(&p).map(|n| n.storage.as_ref())
-    }
-
-    /// Mutable access to `p`'s stable storage. Intended for test
-    /// scenarios that corrupt or truncate the medium between a crash and
-    /// the matching recovery.
-    pub fn storage_mut(&mut self, p: ProcessId) -> Option<&mut (dyn StableStore + '_)> {
-        match self.procs.get_mut(&p) {
-            Some(n) => Some(n.storage.as_mut()),
-            None => None,
-        }
+        self.procs.storage(p)
     }
 
     /// Message counters for `p`.
     pub fn stats(&self, p: ProcessId) -> ProcessStats {
-        self.procs.get(&p).map(|n| n.stats).unwrap_or_default()
+        self.procs.host(p).map(|h| h.stats).unwrap_or_default()
     }
 
     /// Aggregated metrics recorded by all actors.
@@ -365,11 +304,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         &self.config
     }
 
-    /// Replaces the network configuration mid-run (e.g. to raise jitter).
-    pub fn set_config(&mut self, config: NetConfig) {
-        self.config = config;
-    }
-
     /// Installs a per-pair latency matrix. Pairs with an entry sample
     /// their own delay distribution; all other pairs keep sampling the
     /// global [`NetConfig::delay`] exactly as before.
@@ -377,14 +311,9 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         self.topology = Some(topology);
     }
 
-    /// The installed latency matrix, if any.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
-    }
-
     /// All registered process ids.
     pub fn processes(&self) -> Vec<ProcessId> {
-        self.procs.keys().copied().collect()
+        self.procs.processes()
     }
 
     /// Enables event tracing, keeping at most `cap` entries.
@@ -475,9 +404,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     fn dispatch(&mut self, event: Event<M>) {
         match event {
             Event::Deliver { to, from, msg } => {
-                let up = self.procs.get(&to).map(|n| n.up).unwrap_or(false);
                 let bytes = self.trace_bytes(&msg);
-                if !up || self.is_blocked(from, to) {
+                if !self.procs.is_up(to) || self.is_blocked(from, to) {
                     self.record(
                         TraceKind::Drop,
                         to,
@@ -494,10 +422,10 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     || format!("{msg:?}"),
                     bytes,
                 );
-                if let Some(n) = self.procs.get_mut(&to) {
-                    n.stats.delivered += 1;
+                if let Some(h) = self.procs.host_mut(to) {
+                    h.stats.delivered += 1;
                 }
-                self.upcall(to, UpKind::Msg(from, msg));
+                self.upcall(to, Upcall::Msg(from, msg));
             }
             Event::Timer {
                 at,
@@ -505,51 +433,35 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 arm,
                 epoch,
             } => {
-                let valid = self
-                    .procs
-                    .get(&at)
-                    .map(|n| n.up && n.timers.get(&token) == Some(&arm))
-                    .unwrap_or(false);
-                if !valid {
+                let up = self.procs.is_up(at);
+                let armed = |h: &&mut SimProc| up && h.timers.get(&token) == Some(&arm);
+                let Some(h) = self.procs.host_mut(at).filter(armed) else {
                     return;
-                }
+                };
                 // A timer armed before a crash must never validate after
                 // the matching recover: the crash cleared `timers` and
                 // `next_arm` only moves forward, so an arm match implies
                 // the arm happened in the current crash epoch.
                 assert_eq!(
-                    epoch, self.procs[&at].epoch,
+                    epoch, h.epoch,
                     "stale pre-crash timer {token:?} fired across a recover at {at}"
                 );
-                if let Some(n) = self.procs.get_mut(&at) {
-                    n.timers.remove(&token);
-                    n.stats.timers_fired += 1;
-                }
+                h.timers.remove(&token);
+                h.stats.timers_fired += 1;
                 self.record(TraceKind::Timer, at, None, || format!("{token:?}"), 0);
-                self.upcall(at, UpKind::Timer(token));
+                self.upcall(at, Upcall::Timer(token));
             }
             Event::Crash(p) => {
-                if let Some(n) = self.procs.get_mut(&p) {
-                    if n.up {
-                        n.up = false;
-                        n.actor = None;
-                        n.timers.clear();
-                        n.epoch += 1;
-                        // Buffered-but-unflushed stable writes die with
-                        // the process (group commit's crash semantics).
-                        n.storage.lose_unflushed();
-                        self.record(TraceKind::Crash, p, None, String::new, 0);
-                    }
+                if let Some(h) = self.procs.crash(p) {
+                    h.timers.clear();
+                    h.epoch += 1;
+                    self.record(TraceKind::Crash, p, None, String::new, 0);
                 }
             }
             Event::Recover(p) => {
-                let needs = self.procs.get(&p).map(|n| !n.up).unwrap_or(false);
-                if needs {
-                    let node = self.procs.get_mut(&p).expect("checked above");
-                    node.actor = Some((node.factory)());
-                    node.up = true;
+                if self.procs.recover(p) {
                     self.record(TraceKind::Recover, p, None, String::new, 0);
-                    self.upcall(p, UpKind::Recover);
+                    self.upcall(p, Upcall::Recover);
                 }
             }
             Event::Partition(a, b) => {
@@ -575,7 +487,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 self.partitions.clear();
                 for (p, peer) in pairs {
                     // `upcall` skips processes that are down or absent.
-                    self.upcall(p, UpKind::LinkReset(peer));
+                    self.upcall(p, Upcall::LinkReset(peer));
                 }
             }
             Event::Reconfig(config) => {
@@ -584,43 +496,21 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         }
     }
 
-    fn upcall(&mut self, pid: ProcessId, kind: UpKind<M>) {
-        let (mut actor, mut storage) = {
-            let node = match self.procs.get_mut(&pid) {
-                Some(n) if n.up => n,
-                _ => return,
-            };
-            let actor = node.actor.take().expect("up process has an actor");
-            let storage = std::mem::replace(
-                &mut node.storage,
-                Box::new(MemStore::new()) as Box<dyn StableStore>,
-            );
-            (actor, storage)
-        };
-        let writes_before = storage.write_count();
-        let mut fx = Effects::default();
-        {
-            let mut ctx = SimCtx {
-                me: pid,
-                now: self.now,
-                storage: storage.as_mut(),
-                rng: &mut self.rng,
-                fx: &mut fx,
-            };
-            match kind {
-                UpKind::Start => actor.on_start(&mut ctx),
-                UpKind::Recover => actor.on_recover(&mut ctx),
-                UpKind::Msg(from, m) => actor.on_message(from, m, &mut ctx),
-                UpKind::Timer(tok) => actor.on_timer(tok, &mut ctx),
-                UpKind::LinkReset(peer) => actor.on_link_reset(peer, &mut ctx),
-            }
+    fn upcall(&mut self, pid: ProcessId, kind: Upcall<M>) {
+        let mut fx = std::mem::take(&mut self.fx);
+        let rng = &mut self.rng;
+        let ran = self
+            .procs
+            .upcall(pid, kind, self.now, &mut || rng.gen(), &mut fx);
+        // A process that is down or absent ran nothing.
+        if let Some(disk_writes) = ran {
+            self.apply(pid, disk_writes, &mut fx);
         }
-        let disk_writes = storage.write_count() - writes_before;
-        {
-            let node = self.procs.get_mut(&pid).expect("node exists");
-            node.actor = Some(actor);
-            node.storage = storage;
-        }
+        self.fx = fx;
+    }
+
+    /// Turns what an upcall at `pid` buffered into heap events.
+    fn apply(&mut self, pid: ProcessId, disk_writes: u64, fx: &mut Effects<M>) {
         for m in fx.metrics.drain(..) {
             self.metrics.record(pid, m);
         }
@@ -628,19 +518,15 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         // model: a synchronous write must finish before the results of the
         // action leave the process).
         let base = self.now + SimDuration(disk_writes * self.config.disk_write_ticks);
+        let host = self.procs.host_mut(pid).expect("the upcall ran here");
         for token in fx.timer_cancels.drain(..) {
-            if let Some(node) = self.procs.get_mut(&pid) {
-                node.timers.remove(&token);
-            }
+            host.timers.remove(&token);
         }
         for (after, token) in fx.timer_sets.drain(..) {
-            let (arm, epoch) = {
-                let node = self.procs.get_mut(&pid).expect("node exists");
-                node.next_arm += 1;
-                let arm = node.next_arm;
-                node.timers.insert(token, arm);
-                (arm, node.epoch)
-            };
+            let host = self.procs.host_mut(pid).expect("the upcall ran here");
+            host.next_arm += 1;
+            let (arm, epoch) = (host.next_arm, host.epoch);
+            host.timers.insert(token, arm);
             self.schedule(
                 base + after,
                 Event::Timer {
@@ -666,10 +552,10 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             t.count += 1;
             t.bytes += bytes;
         }
-        if let Some(n) = self.procs.get_mut(&from) {
-            n.stats.sent += 1;
+        if let Some(h) = self.procs.host_mut(from) {
+            h.stats.sent += 1;
             if let Some((_, bytes)) = metered {
-                n.stats.bytes_sent += bytes;
+                h.stats.bytes_sent += bytes;
             }
         }
         let trace_bytes = metered.map(|(_, b)| b).unwrap_or(0);
@@ -713,60 +599,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     }
 }
 
-struct Effects<M> {
-    sends: Vec<(ProcessId, M)>,
-    timer_sets: Vec<(SimDuration, TimerToken)>,
-    timer_cancels: Vec<TimerToken>,
-    metrics: Vec<Metric>,
-}
-
-impl<M> Default for Effects<M> {
-    fn default() -> Self {
-        Effects {
-            sends: Vec::new(),
-            timer_sets: Vec::new(),
-            timer_cancels: Vec::new(),
-            metrics: Vec::new(),
-        }
-    }
-}
-
-struct SimCtx<'a, M> {
-    me: ProcessId,
-    now: SimTime,
-    storage: &'a mut dyn StableStore,
-    rng: &'a mut StdRng,
-    fx: &'a mut Effects<M>,
-}
-
-impl<M> Context<M> for SimCtx<'_, M> {
-    fn me(&self) -> ProcessId {
-        self.me
-    }
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn send(&mut self, to: ProcessId, msg: M) {
-        self.fx.sends.push((to, msg));
-    }
-    fn set_timer(&mut self, after: SimDuration, token: TimerToken) {
-        self.fx.timer_sets.push((after, token));
-    }
-    fn cancel_timer(&mut self, token: TimerToken) {
-        self.fx.timer_cancels.push(token);
-    }
-    fn storage(&mut self) -> &mut dyn StableStore {
-        self.storage
-    }
-    fn metric(&mut self, metric: Metric) {
-        self.fx.metrics.push(metric);
-    }
-    fn random(&mut self) -> u64 {
-        self.rng.gen()
-    }
-}
-
-impl<M> std::fmt::Debug for Sim<M> {
+impl<M: 'static> std::fmt::Debug for Sim<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)

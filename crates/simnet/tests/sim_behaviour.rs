@@ -1,8 +1,10 @@
 //! Behavioural tests for the discrete-event simulator: determinism, timer
 //! semantics, fault injection, storage durability and message accounting.
 
-use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, SimTime, TimerToken};
-use mcpaxos_simnet::{DelayDist, NetConfig, Sim, TraceKind};
+use mcpaxos_actor::{
+    Actor, Context, Metric, ProcessId, SimDuration, SimTime, StableStore, TimerToken, WalStore,
+};
+use mcpaxos_simnet::{Choice, DelayDist, ExploreNet, NetConfig, Sim, TraceKind};
 
 const P0: ProcessId = ProcessId(0);
 const P1: ProcessId = ProcessId(1);
@@ -158,6 +160,60 @@ fn storage_survives_crash_and_volatile_state_does_not() {
     assert_eq!(a.restored, Some(42), "recovery must see persisted state");
     assert_eq!(sim.storage(P0).unwrap().write_count(), 1);
     assert!(sim.is_up(P0));
+}
+
+/// Writes every message under its own key; flushes on even ones only.
+struct Journal;
+
+impl Actor for Journal {
+    type Msg = u32;
+    fn on_message(&mut self, _from: ProcessId, msg: u32, ctx: &mut dyn Context<u32>) {
+        ctx.storage().write(&format!("k{msg}"), vec![msg as u8]);
+        if msg.is_multiple_of(2) {
+            ctx.storage().flush();
+        }
+    }
+    fn on_timer(&mut self, _t: TimerToken, _c: &mut dyn Context<u32>) {}
+}
+
+/// The simulator and the explorer share one process table, so the same
+/// deliver, deliver, crash, recover script must leave the same storage.
+#[test]
+fn sim_and_explorer_agree_on_what_a_crash_loses() {
+    let mut sim = Sim::new(1, NetConfig::lockstep());
+    sim.set_storage_factory(|_| Box::new(WalStore::new()));
+    sim.add_process(P0, || Box::new(Journal));
+    sim.inject_at(SimTime(1), P0, P1, 2);
+    sim.inject_at(SimTime(2), P0, P1, 3);
+    sim.crash_at(SimTime(3), P0);
+    sim.recover_at(SimTime(4), P0);
+    sim.run_until(SimTime(2));
+    let buffered = sim.storage(P0).unwrap().read("k3");
+    assert_eq!(buffered, Some(&[3u8][..]), "readable before the crash");
+    sim.run_until(SimTime(5));
+
+    let mut net = ExploreNet::new();
+    net.set_storage_factory(|_| Box::new(WalStore::new()));
+    net.add_process(P0, || Box::new(Journal));
+    net.inject(P0, P1, 2);
+    net.inject(P0, P1, 3);
+    for choice in [
+        Choice::Deliver(0),
+        Choice::Deliver(0),
+        Choice::Crash(P0),
+        Choice::Recover(P0),
+    ] {
+        net.apply(&choice);
+    }
+
+    let contents = |st: &dyn StableStore| {
+        let read = |key| st.read(key).map(<[u8]>::to_vec);
+        (read("k2"), read("k3"), st.write_count())
+    };
+    let in_sim = contents(sim.storage(P0).unwrap());
+    assert_eq!(in_sim, (Some(vec![2]), None, 1), "flushed survives alone");
+    assert_eq!(in_sim, contents(net.storage(P0).unwrap()));
+    assert!(sim.is_up(P0) && net.is_up(P0));
 }
 
 #[test]

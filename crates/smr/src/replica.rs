@@ -213,31 +213,9 @@ impl<SM: StateMachine> Actor for Replica<SM> {
 mod tests {
     use super::*;
     use crate::{CmdId, KvCmd, KvOp, KvStore};
-    use mcpaxos_actor::{MemStore, Metric, SimDuration, SimTime, StableStore};
+    use mcpaxos_actor::host::Recorder;
     use mcpaxos_core::{Policy, Round, RTYPE_MULTI};
     use mcpaxos_cstruct::CStruct;
-
-    struct Ctx {
-        store: MemStore,
-    }
-    impl Context<ReplicaMsg<KvStore>> for Ctx {
-        fn me(&self) -> ProcessId {
-            ProcessId(9)
-        }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn send(&mut self, _to: ProcessId, _m: ReplicaMsg<KvStore>) {}
-        fn set_timer(&mut self, _a: SimDuration, _t: TimerToken) {}
-        fn cancel_timer(&mut self, _t: TimerToken) {}
-        fn storage(&mut self) -> &mut dyn StableStore {
-            &mut self.store
-        }
-        fn metric(&mut self, _m: Metric) {}
-        fn random(&mut self) -> u64 {
-            0
-        }
-    }
 
     fn put(seq: u32, k: u16, v: u64) -> KvCmd {
         KvCmd {
@@ -251,9 +229,7 @@ mod tests {
         // 3 acceptors (a4..a6 in 1/3/3/1 layout), majority 2.
         let cfg = Arc::new(DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated));
         let mut r: Replica<KvStore> = Replica::new(cfg);
-        let mut ctx = Ctx {
-            store: MemStore::new(),
-        };
+        let mut ctx = Recorder::new(9);
         let round = Round::new(0, 1, 0, RTYPE_MULTI);
         let hist: CommandHistory<KvCmd> = [put(0, 7, 70)].into_iter().collect();
         for a in [4u32, 5] {
@@ -275,9 +251,7 @@ mod tests {
     fn batched_wave_drains_in_one_pass_and_redelivery_is_inert() {
         let cfg = Arc::new(DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated));
         let mut r: Replica<KvStore> = Replica::new(cfg);
-        let mut ctx = Ctx {
-            store: MemStore::new(),
-        };
+        let mut ctx = Recorder::new(9);
         let round = Round::new(0, 1, 0, RTYPE_MULTI);
         // One batched wave: the whole k-command value lands in a single
         // 2b pair and must apply on the first drain.
@@ -313,9 +287,7 @@ mod tests {
     fn checkpoint_roundtrips_and_restores() {
         let cfg = Arc::new(DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated));
         let mut r: Replica<KvStore> = Replica::new(cfg.clone());
-        let mut ctx = Ctx {
-            store: MemStore::new(),
-        };
+        let mut ctx = Recorder::new(9);
         let round = Round::new(0, 1, 0, RTYPE_MULTI);
         let hist: CommandHistory<KvCmd> = [put(0, 1, 10), put(1, 2, 20)].into_iter().collect();
         for a in [4u32, 5] {

@@ -1,12 +1,14 @@
 //! The same agents on real OS threads: a live Multicoordinated Paxos
-//! cluster over crossbeam channels, deciding commands in wall-clock time.
+//! cluster with every role hosted by one `TcpNode` — co-located
+//! processes reach each other by a mailbox push, never a socket —
+//! deciding commands in wall-clock time.
 //!
 //! Run with `cargo run --example live_cluster`.
 
 use mcpaxos_suite::actor::ProcessId;
 use mcpaxos_suite::core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
 use mcpaxos_suite::cstruct::{CStruct, CmdSet};
-use mcpaxos_suite::runtime::Cluster;
+use mcpaxos_suite::runtime::{PeerTable, TcpConfig, TcpNode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,7 +16,8 @@ type Set = CmdSet<u32>;
 
 fn main() {
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated));
-    let mut cluster: Cluster<Msg<Set>> = Cluster::new();
+    let mut cluster: TcpNode<Msg<Set>> =
+        TcpNode::bind(PeerTable::shared(), TcpConfig::default()).expect("bind loopback");
     for &p in cfg.roles.proposers() {
         cluster.spawn(p, Box::new(Proposer::<Set>::new(cfg.clone())));
     }

@@ -154,7 +154,7 @@ fn facade_quickstart_compiles_and_runs() {
 /// commands produce the same learned set (order-free c-struct).
 #[test]
 fn sim_and_live_runtime_agree() {
-    use mcpaxos_suite::runtime::Cluster;
+    use mcpaxos_suite::runtime::{PeerTable, TcpConfig, TcpNode};
     use std::time::{Duration, Instant};
 
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated));
@@ -197,7 +197,8 @@ fn sim_and_live_runtime_agree() {
         .clone();
 
     // Live run.
-    let mut cluster: Cluster<Msg<CmdSet<u32>>> = Cluster::new();
+    let mut cluster: TcpNode<Msg<CmdSet<u32>>> =
+        TcpNode::bind(PeerTable::shared(), TcpConfig::default()).unwrap();
     for &p in cfg.roles.proposers() {
         cluster.spawn(p, Box::new(Proposer::<CmdSet<u32>>::new(cfg.clone())));
     }
