@@ -128,11 +128,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet decoded into a frame.
-    pub fn pending_len(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
     /// Extracts the next complete frame's payload, `Ok(None)` when the
     /// buffered bytes end mid-frame (a torn tail — push more and retry).
     ///
@@ -197,7 +192,6 @@ mod tests {
                 }
             }
             assert_eq!(got, payloads, "chunk size {chunk}");
-            assert_eq!(dec.pending_len(), 0);
         }
     }
 

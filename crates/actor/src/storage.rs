@@ -103,11 +103,6 @@ impl MemStore {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Resets the write counter (used between experiment phases).
-    pub fn reset_write_count(&mut self) {
-        self.writes = 0;
-    }
 }
 
 impl StableStore for MemStore {
@@ -681,10 +676,6 @@ mod tests {
         s.write("k", vec![0]); // same value: still a disk write
         s.write("j", vec![1]);
         assert_eq!(s.write_count(), 3);
-        s.reset_write_count();
-        assert_eq!(s.write_count(), 0);
-        // data survives the counter reset
-        assert_eq!(s.read("j"), Some(&[1u8][..]));
     }
 
     #[test]

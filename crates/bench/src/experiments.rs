@@ -242,7 +242,7 @@ pub fn e5_collision_cost() -> Table {
                 h.propose_at(SimTime(100), 1, 222);
                 // Sample acceptor persists at decision time, so post-decision
                 // background traffic does not blur the collision cost.
-                h.run_until_learned(0, 1, 6_000);
+                h.run_until_learned(0, 1, 25, 6_000);
                 let coll = h.metric_total("collision_fast") + h.metric_total("collision_mc");
                 if coll == 0 {
                     continue; // only collided runs inform the recovery cost
@@ -736,12 +736,11 @@ pub fn e12_shards() -> Table {
     );
     let runs: Vec<_> = [1u16, 2, 4]
         .iter()
-        .map(|&s| shard_wire_run(s, E12_TRANSFERS, E12_COMMANDS, 42))
+        .map(|&s| shard_wire_run(s, E12_TRANSFERS, E12_COMMANDS, 42, |c| c))
         .collect();
     let batched = {
-        use crate::shard_bench::shard_wire_run_tuned;
         use mcpaxos_core::BatchConfig;
-        shard_wire_run_tuned(4, E12_TRANSFERS, E12_COMMANDS, 42, |c| {
+        shard_wire_run(4, E12_TRANSFERS, E12_COMMANDS, 42, |c| {
             c.with_batching(BatchConfig::pipelined(16, 8))
         })
     };

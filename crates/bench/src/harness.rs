@@ -1,7 +1,7 @@
 //! Reusable cluster harness for experiments: deploy, drive, measure.
 
 use mcpaxos_actor::{ProcessId, SimTime};
-use mcpaxos_core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Proposer};
+use mcpaxos_core::{agent, DeployConfig, Learner, Msg};
 use mcpaxos_cstruct::CStruct;
 use mcpaxos_simnet::{NetConfig, Sim};
 use std::sync::Arc;
@@ -40,21 +40,9 @@ impl<C: CStruct> ClusterHarness<C> {
     fn build(cfg: DeployConfig, mut sim: Sim<Msg<C>>) -> Self {
         cfg.validate().expect("invalid deployment config");
         let cfg = Arc::new(cfg);
-        for &p in cfg.roles.proposers() {
+        for p in cfg.roles.all() {
             let cfg = cfg.clone();
-            sim.add_process(p, move || Box::new(Proposer::<C>::new(cfg.clone())));
-        }
-        for &p in cfg.roles.coordinators() {
-            let cfg = cfg.clone();
-            sim.add_process(p, move || Box::new(Coordinator::<C>::new(cfg.clone(), p)));
-        }
-        for &p in cfg.roles.acceptors() {
-            let cfg = cfg.clone();
-            sim.add_process(p, move || Box::new(Acceptor::<C>::new(cfg.clone())));
-        }
-        for &p in cfg.roles.learners() {
-            let cfg = cfg.clone();
-            sim.add_process(p, move || Box::new(Learner::<C>::new(cfg.clone())));
+            sim.add_process(p, move || agent!(C, cfg, p));
         }
         ClusterHarness {
             cfg,
@@ -84,28 +72,27 @@ impl<C: CStruct> ClusterHarness<C> {
         self.sim.run_until(SimTime(t));
     }
 
-    /// Runs in 25-tick increments until learner `idx` holds at least
-    /// `count` commands or `max_t` is reached; returns the stop time.
-    pub fn run_until_learned(&mut self, idx: usize, count: usize, max_t: u64) -> u64 {
+    /// Runs in `slice`-tick increments until learner `idx` holds at least
+    /// `count` commands or `max_t` is reached; returns the stop time,
+    /// which is a multiple of `slice` past the start — short makespans
+    /// want a fine slice.
+    pub fn run_until_learned(&mut self, idx: usize, count: usize, slice: u64, max_t: u64) -> u64 {
         let mut t = self.sim.now().ticks();
-        while t < max_t {
-            if self.learned(idx).count() >= count {
-                break;
-            }
-            t = (t + 25).min(max_t);
+        while t < max_t && self.learner(idx).learned().total_len() < count as u64 {
+            t = (t + slice).min(max_t);
             self.sim.run_until(SimTime(t));
         }
         t
     }
 
+    fn learner(&self, idx: usize) -> &Learner<C> {
+        let l = self.cfg.roles.learners()[idx];
+        self.sim.actor::<Learner<C>>(l).expect("learner exists")
+    }
+
     /// The learned c-struct of learner `idx`.
     pub fn learned(&self, idx: usize) -> C {
-        let l = self.cfg.roles.learners()[idx];
-        self.sim
-            .actor::<Learner<C>>(l)
-            .expect("learner exists")
-            .learned()
-            .clone()
+        self.learner(idx).learned().clone()
     }
 
     /// Per-command latencies in ticks at learner `idx`: the k-th latency
@@ -113,13 +100,7 @@ impl<C: CStruct> ClusterHarness<C> {
     /// injection time (injections sorted by time). `None` for commands
     /// never learned.
     pub fn latencies(&self, idx: usize) -> Vec<Option<u64>> {
-        let l = self.cfg.roles.learners()[idx];
-        let history = self
-            .sim
-            .actor::<Learner<C>>(l)
-            .expect("learner exists")
-            .history()
-            .to_vec();
+        let history = self.learner(idx).history();
         let mut inj = self.injected.clone();
         inj.sort_unstable();
         inj.iter()
@@ -179,11 +160,6 @@ impl<C: CStruct> ClusterHarness<C> {
             .map(|&c| self.sim.storage(c).map(|s| s.write_count()).unwrap_or(0))
             .collect()
     }
-
-    /// Number of commands injected so far.
-    pub fn injected_count(&self) -> usize {
-        self.injected.len()
-    }
 }
 
 /// Formats a float with two decimals.
@@ -213,6 +189,5 @@ mod tests {
         assert_eq!(h.learned(0).count(), 1);
         assert!(h.metric_total("accepts") > 0);
         assert_eq!(h.acceptor_writes().len(), 5);
-        assert_eq!(h.injected_count(), 1);
     }
 }

@@ -10,10 +10,10 @@
 //! a [`CrossShardSequencer`] and are proposed to every involved shard;
 //! the per-shard learned histories merge through [`ShardedReplica`].
 
-use mcpaxos_actor::{ProcessId, SimDuration, SimTime};
+use mcpaxos_actor::SimTime;
 use mcpaxos_core::{
-    shard_configs, shard_tag, Acceptor, BatchConfig, Coordinator, DeployConfig, Learner, Msg,
-    Policy, Proposer, ShardMsg, Sharded,
+    agent, shard_configs, shard_tag, BatchConfig, DeployConfig, Learner, Msg, Policy, ShardMsg,
+    Sharded,
 };
 use mcpaxos_cstruct::{CStruct, CommandHistory};
 use mcpaxos_simnet::{NetConfig, Sim, WireTotal};
@@ -46,34 +46,10 @@ pub struct ShardedHarness {
 
 impl ShardedHarness {
     /// Deploys `n_shards` instances (1 proposer, 1 coordinator, 3
-    /// acceptors, 1 learner each) into a fresh simulator.
-    pub fn new(n_shards: u16, policy: Policy, seed: u64, net: NetConfig) -> Self {
-        Self::build(n_shards, policy, Sim::new(seed, net), |c| c)
-    }
-
-    /// Like [`ShardedHarness::new`], but lets `tune` adjust each shard's
-    /// [`DeployConfig`] (wire mode, group commit, …) and backs every
-    /// process with storage from `factory` when given.
-    pub fn with_config<T, F>(
-        n_shards: u16,
-        policy: Policy,
-        seed: u64,
-        net: NetConfig,
-        tune: T,
-        factory: Option<F>,
-    ) -> Self
-    where
-        T: Fn(DeployConfig) -> DeployConfig,
-        F: FnMut(ProcessId) -> Box<dyn mcpaxos_actor::StableStore> + 'static,
-    {
-        let mut sim: Sim<ShardNetMsg> = Sim::new(seed, net);
-        if let Some(factory) = factory {
-            sim.set_storage_factory(factory);
-        }
-        Self::build(n_shards, policy, sim, tune)
-    }
-
-    fn build(
+    /// acceptors, 1 learner each) into `sim` — a fresh simulator, with a
+    /// storage factory already set if the run wants one. `tune` adjusts
+    /// each shard's [`DeployConfig`] (wire mode, group commit, …).
+    pub fn new(
         n_shards: u16,
         policy: Policy,
         mut sim: Sim<ShardNetMsg>,
@@ -89,31 +65,10 @@ impl ShardedHarness {
             .collect();
         for (s, cfg) in cfgs.iter().enumerate() {
             let s = s as u16;
-            for &p in cfg.roles.proposers() {
+            for p in cfg.roles.all() {
                 let cfg = cfg.clone();
                 sim.add_process(p, move || {
-                    Box::new(Sharded::new(s, Proposer::<ShardHistory>::new(cfg.clone())))
-                });
-            }
-            for &p in cfg.roles.coordinators() {
-                let cfg = cfg.clone();
-                sim.add_process(p, move || {
-                    Box::new(Sharded::new(
-                        s,
-                        Coordinator::<ShardHistory>::new(cfg.clone(), p),
-                    ))
-                });
-            }
-            for &p in cfg.roles.acceptors() {
-                let cfg = cfg.clone();
-                sim.add_process(p, move || {
-                    Box::new(Sharded::new(s, Acceptor::<ShardHistory>::new(cfg.clone())))
-                });
-            }
-            for &p in cfg.roles.learners() {
-                let cfg = cfg.clone();
-                sim.add_process(p, move || {
-                    Box::new(Sharded::new(s, Learner::<ShardHistory>::new(cfg.clone())))
+                    agent!(ShardHistory, cfg, p, |a| Sharded::new(s, a))
                 });
             }
         }
@@ -307,9 +262,11 @@ pub struct ShardWireStats {
 
 /// Runs the sharded workload with the per-shard byte meter on and returns
 /// deterministic completion/wire statistics (simulator ticks and bytes,
-/// not wall-clock). Uses the default wire mode (full payloads, compaction
-/// off), so the per-message cost every consensus instance pays is
-/// proportional to its own history length: the work sharding divides.
+/// not wall-clock). With `tune` the identity this is the default wire
+/// mode (full payloads, compaction off), so the per-message cost every
+/// consensus instance pays is proportional to its own history length:
+/// the work sharding divides. The E12 batched row dials
+/// [`DeployConfig::with_batching`] in through `tune`.
 ///
 /// # Panics
 ///
@@ -319,32 +276,10 @@ pub fn shard_wire_run(
     transfer_fraction: f64,
     commands: usize,
     seed: u64,
-) -> ShardWireStats {
-    shard_wire_run_tuned(shards, transfer_fraction, commands, seed, |c| c)
-}
-
-/// [`shard_wire_run`] with a `tune` hook over each shard's
-/// [`DeployConfig`] — how the E12 batched row dials
-/// [`DeployConfig::with_batching`] in while keeping the byte meter on.
-///
-/// # Panics
-///
-/// Panics if the run stalls or the merged replica misses commands.
-pub fn shard_wire_run_tuned(
-    shards: u16,
-    transfer_fraction: f64,
-    commands: usize,
-    seed: u64,
     tune: impl Fn(DeployConfig) -> DeployConfig,
 ) -> ShardWireStats {
-    let mut h = ShardedHarness::with_config(
-        shards,
-        Policy::MultiCoordinated,
-        seed,
-        NetConfig::lockstep(),
-        tune,
-        None::<fn(ProcessId) -> Box<dyn mcpaxos_actor::StableStore>>,
-    );
+    let sim = Sim::new(seed, NetConfig::lockstep());
+    let mut h = ShardedHarness::new(shards, Policy::MultiCoordinated, sim, tune);
     h.enable_shard_byte_meter();
     let mut w = Workload::new(seed, 0, 0.0)
         .with_cold_keys(SHARD_BENCH_ACCOUNTS)
@@ -373,7 +308,7 @@ pub fn shard_wire_run_tuned(
 }
 
 /// One batched-vs-unbatched sharded measurement: the same workload with
-/// the batching knobs wired through [`ShardedHarness::with_config`].
+/// the batching knobs wired through [`ShardedHarness::new`]'s `tune`.
 #[derive(Clone, Debug)]
 pub struct ShardBatchedStats {
     /// Commands the merged replica applied.
@@ -401,21 +336,13 @@ pub fn shard_batched_run(
             c
         } else {
             c.with_batching(BatchConfig {
-                batch_size: batch,
-                batch_ticks: SimDuration(2),
-                pipeline_depth: depth,
                 queue_cap: 0,
+                ..BatchConfig::pipelined(batch, depth)
             })
         }
     };
-    let mut h = ShardedHarness::with_config(
-        shards,
-        Policy::MultiCoordinated,
-        seed,
-        NetConfig::lockstep(),
-        tune,
-        None::<fn(ProcessId) -> Box<dyn mcpaxos_actor::StableStore>>,
-    );
+    let sim = Sim::new(seed, NetConfig::lockstep());
+    let mut h = ShardedHarness::new(shards, Policy::MultiCoordinated, sim, tune);
     let mut w = Workload::new(seed, 0, 0.0)
         .with_cold_keys(SHARD_BENCH_ACCOUNTS)
         .with_transfer_fraction(0.01);
@@ -456,7 +383,8 @@ mod tests {
 
     #[test]
     fn sharded_harness_learns_and_merges() {
-        let mut h = ShardedHarness::new(2, Policy::MultiCoordinated, 7, NetConfig::lockstep());
+        let sim = Sim::new(7, NetConfig::lockstep());
+        let mut h = ShardedHarness::new(2, Policy::MultiCoordinated, sim, |c| c);
         let mut w = Workload::new(3, 0, 0.0)
             .with_cold_keys(64)
             .with_transfer_fraction(0.1);

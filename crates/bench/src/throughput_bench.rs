@@ -21,7 +21,7 @@
 //! `batch = 0` means knobs off: the unbatched per-command path.
 
 use crate::harness::ClusterHarness;
-use mcpaxos_actor::{SimDuration, SimTime};
+use mcpaxos_actor::SimTime;
 use mcpaxos_core::agents::metrics;
 use mcpaxos_core::{BatchConfig, DeployConfig, Policy};
 use mcpaxos_cstruct::{CStruct, CommandHistory};
@@ -70,12 +70,10 @@ fn deploy(batch: usize, depth: usize) -> DeployConfig {
         return cfg;
     }
     cfg.with_batching(BatchConfig {
-        batch_size: batch,
-        batch_ticks: SimDuration(2),
-        pipeline_depth: depth,
         // Uncapped queue: the sweep measures batching/pipelining, not
         // shedding policy (the backpressure rows exercise caps).
         queue_cap: 0,
+        ..BatchConfig::pipelined(batch, depth)
     })
 }
 
@@ -120,7 +118,7 @@ pub fn open_loop_run(batch: usize, depth: usize, commands: usize, seed: u64) -> 
     for at in open_loop_arrivals(THROUGHPUT_RATE, commands) {
         h.propose_at(SimTime(WARMUP_T + at), 0, w.next_kv_put());
     }
-    let end = run_fine_until_learned(&mut h, commands, 2_000_000);
+    let end = h.run_until_learned(0, commands, 5, 2_000_000);
     let stats = finish("open", batch, depth, commands, end, &h);
     assert_eq!(
         stats.learned, commands,
@@ -166,26 +164,6 @@ pub fn closed_loop_run(
     }
     let end = h.sim.now().ticks();
     finish("closed", batch, depth, commands, end, &h)
-}
-
-/// Runs in 5-tick slices until learner 0 holds `count` commands or
-/// `max_t`, returning the stop time — finer-grained than
-/// [`ClusterHarness::run_until_learned`] so short batched makespans are
-/// not rounded up to 25-tick boundaries.
-fn run_fine_until_learned(
-    h: &mut ClusterHarness<ThroughputHistory>,
-    count: usize,
-    max_t: u64,
-) -> u64 {
-    let mut t = h.sim.now().ticks();
-    while t < max_t {
-        if h.learned(0).total_len() as usize >= count {
-            break;
-        }
-        t = (t + 5).min(max_t);
-        h.run_until(t);
-    }
-    t
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ pub fn wal_run(group_commit: u64, n: u32) -> WalRunStats {
         h.propose_at(SimTime(100 + WAL_PACE * u64::from(i)), 0, i);
     }
     let inject_end = 100 + WAL_PACE * u64::from(n);
-    h.run_until_learned(0, n as usize, inject_end + 60_000);
+    h.run_until_learned(0, n as usize, 25, inject_end + 60_000);
 
     let learned = h.learned(0).count();
     let acc_syncs: u64 = h.acceptor_writes().iter().sum();

@@ -13,7 +13,7 @@ use mcpaxos_actor::{SimDuration, WalStore};
 use mcpaxos_bench::ShardedHarness;
 use mcpaxos_core::{Policy, WireConfig};
 use mcpaxos_cstruct::CStruct;
-use mcpaxos_simnet::NetConfig;
+use mcpaxos_simnet::{NetConfig, Sim};
 use mcpaxos_smr::{Bank, BankCmd, BankOp, CmdId, Workload};
 
 const ACCOUNTS: u16 = 16;
@@ -23,7 +23,8 @@ const WAVE: usize = 60;
 /// Runs the two-wave workload on `shards` consensus instances and returns
 /// the merged bank state.
 fn run_sharded(shards: u16) -> Bank {
-    let mut h = ShardedHarness::new(shards, Policy::MultiCoordinated, 11, NetConfig::lockstep());
+    let sim = Sim::new(11, NetConfig::lockstep());
+    let mut h = ShardedHarness::new(shards, Policy::MultiCoordinated, sim, |c| c);
 
     // Wave 1: seed every account, and let the cluster finish learning the
     // seeds before any guarded command is proposed.
@@ -107,17 +108,12 @@ fn sharded_runs_match_unsharded_differential() {
 /// advances only on shards with enough learned traffic.
 #[test]
 fn per_shard_wal_and_watermarks_are_independent() {
-    let mut h = ShardedHarness::with_config(
-        2,
-        Policy::MultiCoordinated,
-        17,
-        NetConfig::lockstep(),
-        |c| {
-            c.with_wire(WireConfig::bounded(8))
-                .with_group_commit(SimDuration(4))
-        },
-        Some(|_| Box::new(WalStore::new()) as Box<dyn mcpaxos_actor::StableStore>),
-    );
+    let mut sim = Sim::new(17, NetConfig::lockstep());
+    sim.set_storage_factory(|_| Box::new(WalStore::new()));
+    let mut h = ShardedHarness::new(2, Policy::MultiCoordinated, sim, |c| {
+        c.with_wire(WireConfig::bounded(8))
+            .with_group_commit(SimDuration(4))
+    });
 
     // Unbalanced single-account load: plenty of commands for shard 0,
     // fewer than one compaction segment for shard 1.

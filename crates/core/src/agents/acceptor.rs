@@ -67,7 +67,7 @@ pub struct Acceptor<C: CStruct> {
 impl<C: CStruct> Acceptor<C> {
     /// Creates an acceptor for the given deployment.
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
-        let comp = Compactor::new(cfg.wire.stable_keep);
+        let comp = Compactor::default();
         let out = Shipper::new(&cfg.wire, |round, val| Msg::P2b { round, val });
         Acceptor {
             cfg,

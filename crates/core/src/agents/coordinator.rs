@@ -100,7 +100,7 @@ impl<C: CStruct> Coordinator<C> {
             .iter()
             .position(|&c| c == me)
             .expect("process is not a coordinator in this deployment") as u16;
-        let comp = Compactor::new(cfg.wire.stable_keep);
+        let comp = Compactor::default();
         let out = Shipper::new(&cfg.wire, |round, val| Msg::P2a { round, val });
         Coordinator {
             cfg,

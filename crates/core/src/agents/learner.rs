@@ -20,7 +20,7 @@
 //! each other.
 
 use crate::agents::{metrics, TOK_STABLE_GOSSIP};
-use crate::compact::Compactor;
+use crate::compact::{Compactor, STABLE_KEEP};
 use crate::config::DeployConfig;
 use crate::msg::Msg;
 use crate::quorum::{combination_count, for_each_combination};
@@ -79,7 +79,7 @@ pub struct Learner<C: CStruct> {
 impl<C: CStruct> Learner<C> {
     /// Creates a learner for the given deployment.
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
-        let comp = Compactor::new(cfg.wire.stable_keep);
+        let comp = Compactor::default();
         Learner {
             cfg,
             learned: C::bottom(),
@@ -299,7 +299,7 @@ impl<C: CStruct> Learner<C> {
         self.prop_acks.clear();
         self.send_stable(w, seg.clone(), ctx);
         self.sent_segs.push_back((w, seg.clone()));
-        while self.sent_segs.len() > self.cfg.wire.stable_keep {
+        while self.sent_segs.len() > STABLE_KEEP {
             self.sent_segs.pop_front();
         }
         // Our own truncation applies at the next upcall (compact_tick).
@@ -407,7 +407,7 @@ impl<C: CStruct> Actor for Learner<C> {
                 if self.cfg.wire.compact_every > 0 && s >= self.comp.watermark() =>
             {
                 self.pending_props.insert(s, (from, cmds));
-                while self.pending_props.len() > 2 * self.cfg.wire.stable_keep {
+                while self.pending_props.len() > 2 * STABLE_KEEP {
                     let last = *self.pending_props.keys().next_back().expect("non-empty");
                     self.pending_props.remove(&last);
                 }

@@ -17,6 +17,46 @@ pub use proposer::Proposer;
 
 use mcpaxos_actor::TimerToken;
 
+/// The fresh agent for the role `p` holds in `cfg`, boxed for whichever
+/// host the call site names: `agent!(C, cfg, p)` over c-struct `C`, with
+/// `cfg` an `Arc<DeployConfig>` (or a reference to one).
+///
+/// Standing a cluster up is one loop over `cfg.roles.all()`, which for
+/// every `RoleMap::disjoint*` deployment lists proposers, coordinators,
+/// acceptors and learners in that order. A process holding several roles
+/// gets the first of them in that order — every host runs one actor per
+/// process. An optional fourth argument is applied to the agent before
+/// boxing (`|a| Sharded::new(s, a)`).
+///
+/// A macro rather than a function because `Sim`, `ExploreNet` and
+/// `TcpNode` box different trait objects: each arm is a `Box::new(..)`
+/// the call site's expected type coerces.
+///
+/// # Panics
+///
+/// Panics if `p` holds no role in `cfg`.
+#[macro_export]
+macro_rules! agent {
+    ($C:ty, $cfg:expr, $p:expr) => {
+        $crate::agent!($C, $cfg, $p, ::std::convert::identity)
+    };
+    ($C:ty, $cfg:expr, $p:expr, $wrap:expr) => {{
+        let cfg: &::std::sync::Arc<$crate::DeployConfig> = &$cfg;
+        let p = $p;
+        if cfg.roles.is_proposer(p) {
+            Box::new(($wrap)($crate::Proposer::<$C>::new(cfg.clone())))
+        } else if cfg.roles.is_coordinator(p) {
+            Box::new(($wrap)($crate::Coordinator::<$C>::new(cfg.clone(), p)))
+        } else if cfg.roles.is_acceptor(p) {
+            Box::new(($wrap)($crate::Acceptor::<$C>::new(cfg.clone())))
+        } else if cfg.roles.is_learner(p) {
+            Box::new(($wrap)($crate::Learner::<$C>::new(cfg.clone())))
+        } else {
+            panic!("{p} holds no role in this deployment")
+        }
+    }};
+}
+
 /// Coordinator heartbeat / leadership tick.
 pub const TOK_TICK: TimerToken = TimerToken(1);
 /// Proposer retransmission tick.

@@ -43,6 +43,11 @@ pub enum Resolved<C: CStruct> {
     Unaligned(Payload<C>),
 }
 
+/// Applied stable segments each agent keeps for normalizing values from
+/// peers that have not yet truncated as far (and, doubled, the bound on
+/// buffered not-yet-applied segments).
+pub(crate) const STABLE_KEEP: usize = 8;
+
 /// Per-agent compaction state: watermark, pending and recent segments.
 #[derive(Debug)]
 pub struct Compactor<C: CStruct> {
@@ -53,20 +58,20 @@ pub struct Compactor<C: CStruct> {
     /// Applied segments kept for normalizing lagging peers' values,
     /// oldest first.
     recent: VecDeque<(u64, Vec<C::Cmd>)>,
-    keep: usize,
 }
 
-impl<C: CStruct> Compactor<C> {
-    /// A compactor retaining `keep` applied segments for normalization.
-    pub fn new(keep: usize) -> Self {
+impl<C: CStruct> Default for Compactor<C> {
+    /// A compactor at watermark 0 with nothing pending or retained.
+    fn default() -> Self {
         Compactor {
             watermark: 0,
             pending: BTreeMap::new(),
             recent: VecDeque::new(),
-            keep: keep.max(1),
         }
     }
+}
 
+impl<C: CStruct> Compactor<C> {
     /// The agreed prefix length truncated so far.
     pub fn watermark(&self) -> u64 {
         self.watermark
@@ -89,7 +94,7 @@ impl<C: CStruct> Compactor<C> {
             on_applied(&cmds);
             self.watermark = from + cmds.len() as u64;
             self.recent.push_back((from, cmds));
-            while self.recent.len() > self.keep {
+            while self.recent.len() > STABLE_KEEP {
                 self.recent.pop_front();
             }
             applied += 1;
@@ -106,7 +111,7 @@ impl<C: CStruct> Compactor<C> {
         self.pending.insert(from, cmds);
         // Bound the buffer: a malicious or wildly ahead stream of segments
         // must not grow memory; keep the nearest few.
-        while self.pending.len() > 2 * self.keep {
+        while self.pending.len() > 2 * STABLE_KEEP {
             let last = *self.pending.keys().next_back().expect("non-empty");
             self.pending.remove(&last);
         }
@@ -128,7 +133,7 @@ impl<C: CStruct> Compactor<C> {
             on_applied(&cmds);
             self.watermark = from + cmds.len() as u64;
             self.recent.push_back((from, cmds));
-            while self.recent.len() > self.keep {
+            while self.recent.len() > STABLE_KEEP {
                 self.recent.pop_front();
             }
             applied += 1;
@@ -293,7 +298,7 @@ mod tests {
 
     #[test]
     fn advance_waits_for_primary_coverage() {
-        let mut c: Compactor<H> = Compactor::new(4);
+        let mut c: Compactor<H> = Compactor::default();
         let seg: Vec<K> = (0..4).map(|i| K(i % 4, i)).collect();
         c.offer(0, seg);
         let mut small = h(2); // does not contain K(2,2), K(3,3) yet
@@ -308,7 +313,7 @@ mod tests {
 
     #[test]
     fn normalize_strips_recent_segments() {
-        let mut c: Compactor<H> = Compactor::new(4);
+        let mut c: Compactor<H> = Compactor::default();
         c.offer(0, (0..4).map(|i| K(i % 4, i)).collect());
         let mut primary = h(8);
         c.advance(&mut primary, |_| {});
@@ -318,7 +323,7 @@ mod tests {
         assert_eq!(lagging.watermark(), 4);
         assert_eq!(lagging, primary);
         // A value ahead of us cannot be normalized.
-        let c2: Compactor<H> = Compactor::new(4);
+        let c2: Compactor<H> = Compactor::default();
         let mut ahead = h(8);
         c.normalize(&mut ahead);
         assert!(!c2.normalize(&mut ahead));
@@ -326,7 +331,7 @@ mod tests {
 
     #[test]
     fn resolve_applies_deltas_and_flags_gaps() {
-        let c: Compactor<H> = Compactor::new(4);
+        let c: Compactor<H> = Compactor::default();
         let base = Arc::new(h(4));
         // Suffix extending the base, digested as the sender would.
         let suffix: Vec<K> = (4..6).map(|i| K(i % 4, i)).collect();
@@ -372,7 +377,7 @@ mod tests {
 
     #[test]
     fn resolve_rejects_equal_length_divergent_base() {
-        let c: Compactor<H> = Compactor::new(4);
+        let c: Compactor<H> = Compactor::default();
         // The sender extends ITS history 0..4 by 4..6 and digests the
         // result; the receiver's stored base has the same LENGTH but a
         // divergent command at position 3 (the post-crash rollback

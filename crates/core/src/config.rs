@@ -40,7 +40,7 @@ pub enum CollisionPolicy {
 /// Everything here defaults to *off*, reproducing the paper's
 /// whole-c-struct message semantics exactly; deployments that need bounded
 /// wire bytes and memory under long command streams switch the pieces on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireConfig {
     /// Ship `2a`/`2b` c-structs as suffix deltas against each peer's last
     /// shipped value, falling back to full values on gaps (`NeedFull`).
@@ -48,29 +48,13 @@ pub struct WireConfig {
     /// Stable-prefix compaction: once the designated learner has this many
     /// commands above the current watermark and a learner quorum acks
     /// them, broadcast a `Stable` segment and truncate. 0 disables.
+    /// Replicas persist a state-machine checkpoint at the same cadence: a
+    /// restarted replica resumes from it, because the history below the
+    /// watermark no longer exists anywhere to replay.
     pub compact_every: u64,
-    /// Applied stable segments each agent keeps for normalizing values
-    /// from peers that have not yet truncated as far.
-    pub stable_keep: usize,
-    /// Replicas persist a state-machine checkpoint every this many applied
-    /// commands (0 disables); a restarted replica resumes from it instead
-    /// of replaying a full history.
-    pub checkpoint_every: u64,
     /// Emit per-send `bytes_sent` metrics from the agents (costs one
     /// serialization per send; off for the latency experiments).
     pub account_bytes: bool,
-}
-
-impl Default for WireConfig {
-    fn default() -> Self {
-        WireConfig {
-            delta_ship: false,
-            compact_every: 0,
-            stable_keep: 8,
-            checkpoint_every: 0,
-            account_bytes: false,
-        }
-    }
 }
 
 impl WireConfig {
@@ -81,8 +65,6 @@ impl WireConfig {
         WireConfig {
             delta_ship: true,
             compact_every: segment,
-            stable_keep: 8,
-            checkpoint_every: segment,
             account_bytes: true,
         }
     }
@@ -398,9 +380,6 @@ impl DeployConfig {
         }
         if self.schedule.all_coordinators() != self.roles.coordinators() {
             return Err("schedule coordinators differ from role map".into());
-        }
-        if self.wire.compact_every > 0 && self.wire.stable_keep == 0 {
-            return Err("compaction requires stable_keep >= 1 (normalization window)".into());
         }
         if self.batch.enabled() {
             if self.batch.pipeline_depth == 0 {

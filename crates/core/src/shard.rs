@@ -144,11 +144,6 @@ impl<A> Sharded<A> {
     pub fn inner(&self) -> &A {
         &self.inner
     }
-
-    /// The wrapped agent, mutably.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
 }
 
 impl<C: CStruct, A: Actor<Msg = Msg<C>>> Actor for Sharded<A> {

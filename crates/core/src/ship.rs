@@ -460,7 +460,7 @@ mod tests {
     impl Peer {
         fn new() -> Self {
             Peer {
-                comp: Compactor::new(4),
+                comp: Compactor::default(),
                 last: None,
             }
         }

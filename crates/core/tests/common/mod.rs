@@ -6,7 +6,7 @@
 #![allow(dead_code)]
 
 use mcpaxos_actor::ProcessId;
-use mcpaxos_core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Proposer};
+use mcpaxos_core::{agent, DeployConfig, Learner, Msg};
 use mcpaxos_cstruct::CStruct;
 use mcpaxos_simnet::Sim;
 use std::sync::Arc;
@@ -16,21 +16,9 @@ pub const CLIENT: ProcessId = ProcessId(9_999);
 
 /// Deploys every role of `cfg` into `sim`.
 pub fn deploy<C: CStruct>(sim: &mut Sim<Msg<C>>, cfg: &Arc<DeployConfig>) {
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<C>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<C>::new(cfg.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<C>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Learner::<C>::new(cfg.clone())));
+        sim.add_process(p, move || agent!(C, cfg, p));
     }
 }
 

@@ -5,8 +5,10 @@
 mod common;
 
 use common::{assert_safety, deploy, learn_history, learned, propose_at};
-use mcpaxos_actor::SimTime;
-use mcpaxos_core::{CollisionPolicy, DeployConfig, Msg, Policy};
+use mcpaxos_actor::{Actor, ProcessId, SimTime};
+use mcpaxos_core::{
+    agent, Acceptor, CollisionPolicy, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer,
+};
 use mcpaxos_cstruct::{CStruct, CmdSet, SingleDecree};
 use mcpaxos_simnet::{NetConfig, Sim};
 use std::sync::Arc;
@@ -25,6 +27,40 @@ fn run_happy_path(policy: Policy) -> (Arc<DeployConfig>, Sim<Msg<Set>>) {
     propose_at(&mut sim, &cfg, SimTime(140), 0, 3);
     sim.run_until(SimTime(400));
     (cfg, sim)
+}
+
+/// The one role→agent mapping every deployment goes through.
+#[test]
+fn every_process_gets_the_agent_of_its_role_and_strangers_none() {
+    let cfg = Arc::new(DeployConfig::simple(2, 3, 5, 2, Policy::MultiCoordinated));
+    let roles = &cfg.roles;
+    let ids = roles.all();
+    // Registration order is role order, which the simulator's event and
+    // RNG order depend on.
+    let by_role = [
+        roles.proposers(),
+        roles.coordinators(),
+        roles.acceptors(),
+        roles.learners(),
+    ];
+    assert_eq!(ids, by_role.concat());
+    let mut sim: Sim<Msg<Set>> = Sim::new(1, NetConfig::lockstep());
+    deploy(&mut sim, &cfg);
+    for &p in &ids {
+        let hosted = [
+            sim.actor::<Proposer<Set>>(p).is_some(),
+            sim.actor::<Coordinator<Set>>(p).is_some(),
+            sim.actor::<Acceptor<Set>>(p).is_some(),
+            sim.actor::<Learner<Set>>(p).is_some(),
+        ];
+        assert_eq!(hosted, by_role.map(|r| r.contains(&p)), "{p}");
+    }
+    // An id outside the role map is refused, not quietly made a learner.
+    let stranger = ProcessId(ids.len() as u32);
+    let refused = std::panic::catch_unwind(|| -> Box<dyn Actor<Msg = Msg<Set>>> {
+        agent!(Set, cfg, stranger)
+    });
+    assert!(refused.is_err());
 }
 
 #[test]

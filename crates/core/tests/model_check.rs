@@ -29,8 +29,8 @@ use mcpaxos_actor::wire::from_bytes;
 use mcpaxos_actor::{ProcessId, SimDuration, WalStore};
 use mcpaxos_core::agents::TOK_TICK;
 use mcpaxos_core::{
-    pick, proved_safe, Acceptor, Coordinator, DeployConfig, Durability, Learner, Msg, OneB, Policy,
-    Proposer, Round, Timing,
+    agent, pick, proved_safe, Acceptor, Coordinator, DeployConfig, Durability, Learner, Msg, OneB,
+    Policy, Round, Timing,
 };
 use mcpaxos_cstruct::{CStruct, CmdSeq};
 use mcpaxos_simnet::{explore, Choice, ExploreConfig, ExploreNet};
@@ -76,21 +76,9 @@ fn prime(net: &mut ExploreNet<Msg<C>>, cfg: &Arc<DeployConfig>) {
             Box::new(WalStore::synchronous())
         }
     });
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let cfg = cfg.clone();
-        net.add_process(p, move || Box::new(Proposer::<C>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let cfg = cfg.clone();
-        net.add_process(p, move || Box::new(Coordinator::<C>::new(cfg.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let cfg = cfg.clone();
-        net.add_process(p, move || Box::new(Acceptor::<C>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let cfg = cfg.clone();
-        net.add_process(p, move || Box::new(Learner::<C>::new(cfg.clone())));
+        net.add_process(p, move || agent!(C, cfg, p));
     }
     let leader = cfg.roles.coordinators()[0];
     net.apply(&Choice::Fire(leader, TOK_TICK));

@@ -47,34 +47,8 @@ mod delivery;
 
 pub use delivery::Delivery;
 
-use mcpaxos_core::{DeployConfig, Msg};
-use mcpaxos_cstruct::{Command, CommandHistory, Conflict};
+use mcpaxos_core::Msg;
+use mcpaxos_cstruct::CommandHistory;
 
 /// Message type of a generic-broadcast deployment over command type `C`.
 pub type GbMsg<C> = Msg<CommandHistory<C>>;
-
-/// Acceptor agent specialised to command histories.
-pub type GbAcceptor<C> = mcpaxos_core::Acceptor<CommandHistory<C>>;
-/// Coordinator agent specialised to command histories.
-pub type GbCoordinator<C> = mcpaxos_core::Coordinator<CommandHistory<C>>;
-/// Learner agent specialised to command histories.
-pub type GbLearner<C> = mcpaxos_core::Learner<CommandHistory<C>>;
-/// Proposer agent specialised to command histories.
-pub type GbProposer<C> = mcpaxos_core::Proposer<CommandHistory<C>>;
-
-/// Builds the `Propose` message a client sends to a proposer.
-pub fn propose_msg<C: Command + Conflict>(cmd: C) -> GbMsg<C> {
-    Msg::Propose {
-        cmd,
-        acc_quorum: None,
-    }
-}
-
-/// Convenience: validates that `cfg` is sane for generic broadcast.
-///
-/// # Errors
-///
-/// Propagates [`DeployConfig::validate`] failures.
-pub fn validate_config(cfg: &DeployConfig) -> Result<(), String> {
-    cfg.validate()
-}

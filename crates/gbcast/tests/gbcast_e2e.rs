@@ -5,7 +5,7 @@
 
 use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::{ProcessId, SimTime};
-use mcpaxos_core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
+use mcpaxos_core::{agent, DeployConfig, Learner, Msg, Policy};
 use mcpaxos_cstruct::{CommandHistory, Conflict};
 use mcpaxos_gbcast::{checks, Delivery};
 use mcpaxos_simnet::{DelayDist, NetConfig, Sim};
@@ -42,21 +42,9 @@ type H = CommandHistory<Op>;
 const CLIENT: ProcessId = ProcessId(9_999);
 
 fn deploy(sim: &mut Sim<Msg<H>>, cfg: &Arc<DeployConfig>) {
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<H>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<H>::new(cfg.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<H>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Learner::<H>::new(cfg.clone())));
+        sim.add_process(p, move || agent!(H, cfg, p));
     }
 }
 

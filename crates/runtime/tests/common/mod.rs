@@ -1,14 +1,12 @@
 //! Shared scaffolding for the TCP backend integration tests: a keyed
-//! command type, a delta-shipping deployment config, the agent for a
-//! role, and metric/settle helpers over a set of [`TcpNode`]s.
+//! command type, a delta-shipping deployment config, and metric/settle
+//! helpers over a set of [`TcpNode`]s.
 
 use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::ProcessId;
-use mcpaxos_core::{
-    Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer, WireConfig,
-};
+use mcpaxos_core::{DeployConfig, Msg, Policy, WireConfig};
 use mcpaxos_cstruct::{CommandHistory, Conflict, ConflictKeys};
-use mcpaxos_runtime::{SendActor, TcpNode};
+use mcpaxos_runtime::TcpNode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,19 +51,6 @@ pub fn delta_cfg(n_prop: usize, n_coord: usize, n_acc: usize, n_learn: usize) ->
             },
         ),
     )
-}
-
-/// A fresh agent for the role `p` holds in `cfg`.
-pub fn agent(cfg: &Arc<DeployConfig>, p: ProcessId) -> SendActor<M> {
-    if cfg.roles.is_proposer(p) {
-        Box::new(Proposer::<H>::new(cfg.clone()))
-    } else if cfg.roles.is_coordinator(p) {
-        Box::new(Coordinator::<H>::new(cfg.clone(), p))
-    } else if cfg.roles.is_acceptor(p) {
-        Box::new(Acceptor::<H>::new(cfg.clone()))
-    } else {
-        Box::new(Learner::<H>::new(cfg.clone()))
-    }
 }
 
 /// Sums `name` across every node's metrics.

@@ -2,7 +2,7 @@
 //! the simulator, every role on one `TcpNode`, wall-clock timers.
 
 use mcpaxos_actor::ProcessId;
-use mcpaxos_core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
+use mcpaxos_core::{agent, DeployConfig, Learner, Msg, Policy};
 use mcpaxos_cstruct::{CStruct, CmdSet};
 use mcpaxos_runtime::{PeerTable, TcpConfig, TcpNode};
 use std::sync::Arc;
@@ -16,17 +16,8 @@ fn live_multicoordinated_cluster_learns_commands() {
     cfg.validate().unwrap();
     let mut cluster: TcpNode<Msg<Set>> =
         TcpNode::bind(PeerTable::shared(), TcpConfig::default()).unwrap();
-    for &p in cfg.roles.proposers() {
-        cluster.spawn(p, Box::new(Proposer::<Set>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        cluster.spawn(p, Box::new(Coordinator::<Set>::new(cfg.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        cluster.spawn(p, Box::new(Acceptor::<Set>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        cluster.spawn(p, Box::new(Learner::<Set>::new(cfg.clone())));
+    for p in cfg.roles.all() {
+        cluster.spawn(p, agent!(Set, cfg, p));
     }
 
     let client = ProcessId(9_999);

@@ -13,10 +13,10 @@
 
 mod common;
 
-use common::{agent, cmd, delta_cfg, of, settle, total, H, K, M};
+use common::{cmd, delta_cfg, of, settle, total, H, K, M};
 use mcpaxos_actor::frame::FRAME_OVERHEAD;
 use mcpaxos_actor::{wire, FileWal, ProcessId};
-use mcpaxos_core::{Learner, Msg};
+use mcpaxos_core::{agent, Learner, Msg};
 use mcpaxos_cstruct::CStruct;
 use mcpaxos_runtime::{LiveByteMeter, PeerTable, TcpConfig, TcpNode, DATA_HEADER_BYTES};
 use std::collections::HashSet;
@@ -35,12 +35,12 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     let mut learn: TcpNode<M> = TcpNode::bind(peers.clone(), tcp.clone()).unwrap();
 
     let proposer = cfg.roles.proposers()[0];
-    front.spawn(proposer, agent(&cfg, proposer));
+    front.spawn(proposer, agent!(H, cfg, proposer));
     for &c in cfg.roles.coordinators() {
-        front.spawn(c, agent(&cfg, c));
+        front.spawn(c, agent!(H, cfg, c));
     }
     for &a in &cfg.roles.acceptors()[..2] {
-        accs.spawn(a, agent(&cfg, a));
+        accs.spawn(a, agent!(H, cfg, a));
     }
     // The kill target runs on its own node over a file-backed WAL, so
     // its durable acceptor state survives the node exactly as it would
@@ -51,11 +51,11 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     let _ = std::fs::remove_file(&wal);
     victim.spawn_with_storage(
         a_kill,
-        agent(&cfg, a_kill),
+        agent!(H, cfg, a_kill),
         Box::new(FileWal::open_synchronous(&wal).unwrap()),
     );
     for &l in cfg.roles.learners() {
-        learn.spawn(l, agent(&cfg, l));
+        learn.spawn(l, agent!(H, cfg, l));
     }
 
     let client = ProcessId(9_999);
@@ -90,7 +90,7 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     let mut revived: TcpNode<M> = TcpNode::bind(peers.clone(), tcp.clone()).unwrap();
     revived.spawn_recovered(
         a_kill,
-        agent(&cfg, a_kill),
+        agent!(H, cfg, a_kill),
         Box::new(FileWal::open_synchronous(&wal).unwrap()),
     );
 
@@ -183,7 +183,7 @@ fn wire_meter_and_frame_ledger_agree_per_agent() {
     for &p in &all {
         let mut n = TcpNode::bind(peers.clone(), TcpConfig::default()).unwrap();
         n.set_byte_meter(meter.clone());
-        n.spawn(p, agent(&cfg, p));
+        n.spawn(p, agent!(H, cfg, p));
         nodes.push(n);
     }
     // Inject at the proposer's own node, so the client's `Propose` never
@@ -251,7 +251,7 @@ fn all_roles_on_one_node_learn_everything_without_touching_a_socket() {
         (m.tag(), wire::to_bytes(m).len() as u64)
     }));
     for p in cfg.roles.all() {
-        node.spawn(p, agent(&cfg, p));
+        node.spawn(p, agent!(H, cfg, p));
     }
     for i in 0..N_CMDS {
         node.send(

@@ -10,9 +10,9 @@
 
 mod common;
 
-use common::{agent, cmd, delta_cfg, of, settle, total, H, K, M};
+use common::{cmd, delta_cfg, of, settle, total, H, K, M};
 use mcpaxos_actor::ProcessId;
-use mcpaxos_core::{Learner, Msg};
+use mcpaxos_core::{agent, Learner, Msg};
 use mcpaxos_cstruct::CStruct;
 use mcpaxos_runtime::{FaultConfig, PeerTable, TcpConfig, TcpNode};
 use std::collections::HashSet;
@@ -44,15 +44,15 @@ fn run_chaos(seed: u64) -> (i64, i64) {
     }
     let mut it = nodes.iter_mut();
     let proposer = cfg.roles.proposers()[0];
-    it.next().unwrap().spawn(proposer, agent(&cfg, proposer));
+    it.next().unwrap().spawn(proposer, agent!(H, cfg, proposer));
     for &c in cfg.roles.coordinators() {
-        it.next().unwrap().spawn(c, agent(&cfg, c));
+        it.next().unwrap().spawn(c, agent!(H, cfg, c));
     }
     for &a in cfg.roles.acceptors() {
-        it.next().unwrap().spawn(a, agent(&cfg, a));
+        it.next().unwrap().spawn(a, agent!(H, cfg, a));
     }
     for &l in cfg.roles.learners() {
-        it.next().unwrap().spawn(l, agent(&cfg, l));
+        it.next().unwrap().spawn(l, agent!(H, cfg, l));
     }
 
     let client = ProcessId(9_999);

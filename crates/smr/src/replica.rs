@@ -2,7 +2,8 @@
 
 use crate::machine::StateMachine;
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire, WireError};
-use mcpaxos_actor::{Actor, Context, ProcessId, TimerToken};
+use mcpaxos_actor::{Actor, Context, Metric, ProcessId, TimerToken};
+use mcpaxos_core::agents::metrics;
 use mcpaxos_core::{DeployConfig, Learner, Msg};
 use mcpaxos_cstruct::{CStruct, CommandHistory};
 use mcpaxos_gbcast::Delivery;
@@ -63,7 +64,7 @@ impl<SM: StateMachine + Wire> Wire for Checkpoint<SM> {
 /// Register a `Replica` at each process listed in the deployment's
 /// learner role; the embedded [`Learner`] handles the protocol, the
 /// [`Delivery`] cursor guarantees exactly-once, order-respecting
-/// application. When `WireConfig::checkpoint_every` is set, the replica
+/// application. When `WireConfig::compact_every` is set, the replica
 /// persists a [`Checkpoint`] every that-many applied commands (and stops
 /// retaining the applied-command log, bounding its memory); `on_recover`
 /// resumes from the latest checkpoint instead of replaying history.
@@ -80,7 +81,7 @@ impl<SM: StateMachine> Replica<SM> {
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
         let learner = Learner::new(cfg.clone());
         let mut delivery = Delivery::new();
-        if cfg.wire.checkpoint_every > 0 {
+        if cfg.wire.compact_every > 0 {
             delivery.disable_log();
         }
         Replica {
@@ -170,7 +171,7 @@ impl<SM: StateMachine> Replica<SM> {
         let learned = self.learner.learned();
         let machine = &mut self.machine;
         self.delivery.absorb_with(learned, |c| machine.apply(c));
-        let every = self.cfg.wire.checkpoint_every;
+        let every = self.cfg.wire.compact_every;
         if every > 0 && self.delivery.len() as u64 >= self.last_ckpt + every {
             self.last_ckpt = self.delivery.len() as u64;
             ctx.storage().write(KEY_CKPT, to_bytes(&self.checkpoint()));
@@ -186,14 +187,29 @@ impl<SM: StateMachine> Actor for Replica<SM> {
     }
 
     fn on_recover(&mut self, ctx: &mut dyn Context<Self::Msg>) {
-        if let Some(bytes) = ctx.storage().read(KEY_CKPT) {
-            let ckpt: Checkpoint<SM> = from_bytes(bytes).expect("corrupt replica checkpoint");
-            self.machine = ckpt.machine;
-            self.last_ckpt = ckpt.applied;
-            if ckpt.watermark > 0 {
-                self.learner.resume_at(ckpt.watermark);
+        let repaired = ctx.storage().corrupt_records();
+        if repaired > 0 {
+            ctx.metric(Metric::add(metrics::CORRUPT_RECORDS, repaired as i64));
+        }
+        let ckpt = ctx
+            .storage()
+            .read(KEY_CKPT)
+            .map(from_bytes::<Checkpoint<SM>>);
+        match ckpt {
+            Some(Ok(ckpt)) => {
+                self.machine = ckpt.machine;
+                self.last_ckpt = ckpt.applied;
+                if ckpt.watermark > 0 {
+                    self.learner.resume_at(ckpt.watermark);
+                }
+                self.delivery = Delivery::resume_skip(ckpt.watermark, ckpt.tail);
             }
-            self.delivery = Delivery::resume_skip(ckpt.watermark, ckpt.tail);
+            // An undecodable checkpoint is counted and ignored: the
+            // replica restarts as if none had been written and re-learns
+            // what its peers still hold, rather than crash-looping on the
+            // same bytes.
+            Some(Err(_)) => ctx.metric(Metric::incr(metrics::CORRUPT_RECORDS)),
+            None => {}
         }
         self.learner.on_start(ctx);
     }
@@ -281,6 +297,19 @@ mod tests {
         );
         assert_eq!(r.applied_count(), 8);
         assert_eq!(r.applied().len(), 8);
+    }
+
+    #[test]
+    fn garbage_checkpoint_is_counted_and_recovery_starts_empty() {
+        let cfg = Arc::new(DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated));
+        let mut r: Replica<KvStore> = Replica::new(cfg);
+        let mut ctx = Recorder::new(9);
+        ctx.store.write(KEY_CKPT, vec![0xff; 7]);
+        r.on_recover(&mut ctx);
+        assert_eq!(ctx.metric_total(metrics::CORRUPT_RECORDS), 1);
+        assert_eq!(r.machine(), &KvStore::default());
+        assert_eq!(r.applied_count(), 0);
+        assert_eq!(r.learner().watermark(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! anywhere in the deployment.
 
 use mcpaxos_actor::{ProcessId, SimTime};
-use mcpaxos_core::{Acceptor, Coordinator, DeployConfig, Msg, Policy, Proposer, WireConfig};
+use mcpaxos_core::{agent, DeployConfig, Msg, Policy, WireConfig};
 use mcpaxos_cstruct::CommandHistory;
 use mcpaxos_simnet::{NetConfig, Sim};
 use mcpaxos_smr::{CmdId, KvCmd, KvOp, KvStore, Replica};
@@ -15,21 +15,15 @@ const CLIENT: ProcessId = ProcessId(9_999);
 type H = CommandHistory<KvCmd>;
 
 fn deploy(sim: &mut Sim<Msg<H>>, cfg: &Arc<DeployConfig>) {
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<H>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<H>::new(cfg.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<H>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Replica::<KvStore>::new(cfg.clone())));
+        sim.add_process(p, move || {
+            if cfg.roles.is_learner(p) {
+                Box::new(Replica::<KvStore>::new(cfg.clone()))
+            } else {
+                agent!(H, cfg, p)
+            }
+        });
     }
 }
 

@@ -2,7 +2,7 @@
 //! conservation, replica agreement under faults and interference.
 
 use mcpaxos_actor::{ProcessId, SimTime};
-use mcpaxos_core::{Acceptor, Coordinator, DeployConfig, Msg, Policy, Proposer};
+use mcpaxos_core::{agent, DeployConfig, Msg, Policy};
 use mcpaxos_cstruct::CommandHistory;
 use mcpaxos_gbcast::checks;
 use mcpaxos_simnet::{DelayDist, NetConfig, Sim};
@@ -13,23 +13,15 @@ const CLIENT: ProcessId = ProcessId(9_999);
 
 fn deploy<SM: StateMachine>(sim: &mut Sim<Msg<CommandHistory<SM::Cmd>>>, cfg: &Arc<DeployConfig>) {
     type H<SM> = CommandHistory<<SM as StateMachine>::Cmd>;
-    for &p in cfg.roles.proposers() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<H<SM>>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
+    for p in cfg.roles.all() {
         let cfg = cfg.clone();
         sim.add_process(p, move || {
-            Box::new(Coordinator::<H<SM>>::new(cfg.clone(), p))
+            if cfg.roles.is_learner(p) {
+                Box::new(Replica::<SM>::new(cfg.clone()))
+            } else {
+                agent!(H<SM>, cfg, p)
+            }
         });
-    }
-    for &p in cfg.roles.acceptors() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<H<SM>>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let cfg = cfg.clone();
-        sim.add_process(p, move || Box::new(Replica::<SM>::new(cfg.clone())));
     }
 }
 

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example bank_generic_broadcast`.
 
 use mcpaxos_suite::actor::{ProcessId, SimTime};
-use mcpaxos_suite::core::{Acceptor, Coordinator, DeployConfig, Msg, Policy, Proposer};
+use mcpaxos_suite::core::{agent, DeployConfig, Msg, Policy};
 use mcpaxos_suite::cstruct::CommandHistory;
 use mcpaxos_suite::simnet::{DelayDist, NetConfig, Sim};
 use mcpaxos_suite::smr::{Bank, BankCmd, BankOp, CmdId, Replica};
@@ -19,21 +19,15 @@ fn main() {
     // flow collision-free.
     let net = NetConfig::lockstep().with_delay(DelayDist::Uniform(1, 4));
     let mut sim: Sim<Msg<H>> = Sim::new(99, net);
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<H>::new(c.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<H>::new(c.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<H>::new(c.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Replica::<Bank>::new(c.clone())));
+        sim.add_process(p, move || {
+            if c.roles.is_learner(p) {
+                Box::new(Replica::<Bank>::new(c.clone()))
+            } else {
+                agent!(H, c, p)
+            }
+        });
     }
 
     let client = ProcessId(999);

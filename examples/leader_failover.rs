@@ -6,7 +6,7 @@
 //! Run with `cargo run --example leader_failover`.
 
 use mcpaxos_suite::actor::{ProcessId, SimTime};
-use mcpaxos_suite::core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
+use mcpaxos_suite::core::{agent, DeployConfig, Learner, Msg, Policy};
 use mcpaxos_suite::cstruct::CmdSet;
 use mcpaxos_suite::simnet::{NetConfig, Sim};
 use std::sync::Arc;
@@ -16,21 +16,9 @@ type Set = CmdSet<u32>;
 fn run(policy: Policy) -> (Vec<Option<u64>>, i64) {
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 1, policy));
     let mut sim: Sim<Msg<Set>> = Sim::new(11, NetConfig::lockstep());
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<Set>::new(c.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<Set>::new(c.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<Set>::new(c.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Learner::<Set>::new(c.clone())));
+        sim.add_process(p, move || agent!(Set, c, p));
     }
     // Steady stream of commands; the leader dies at t=500.
     let client = ProcessId(999);

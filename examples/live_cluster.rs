@@ -6,7 +6,7 @@
 //! Run with `cargo run --example live_cluster`.
 
 use mcpaxos_suite::actor::ProcessId;
-use mcpaxos_suite::core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
+use mcpaxos_suite::core::{agent, DeployConfig, Learner, Msg, Policy};
 use mcpaxos_suite::cstruct::{CStruct, CmdSet};
 use mcpaxos_suite::runtime::{PeerTable, TcpConfig, TcpNode};
 use std::sync::Arc;
@@ -18,17 +18,8 @@ fn main() {
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated));
     let mut cluster: TcpNode<Msg<Set>> =
         TcpNode::bind(PeerTable::shared(), TcpConfig::default()).expect("bind loopback");
-    for &p in cfg.roles.proposers() {
-        cluster.spawn(p, Box::new(Proposer::<Set>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        cluster.spawn(p, Box::new(Coordinator::<Set>::new(cfg.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        cluster.spawn(p, Box::new(Acceptor::<Set>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        cluster.spawn(p, Box::new(Learner::<Set>::new(cfg.clone())));
+    for p in cfg.roles.all() {
+        cluster.spawn(p, agent!(Set, cfg, p));
     }
     println!(
         "spawned {} threads (1 proposer, 3 coordinators, 5 acceptors, 2 learners)",

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use mcpaxos_suite::actor::SimTime;
-use mcpaxos_suite::core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
+use mcpaxos_suite::core::{agent, DeployConfig, Learner, Msg, Policy};
 use mcpaxos_suite::cstruct::{CStruct, CmdSet};
 use mcpaxos_suite::simnet::{NetConfig, Sim};
 use std::sync::Arc;
@@ -32,21 +32,9 @@ fn main() {
     );
 
     let mut sim: Sim<Msg<Set>> = Sim::new(42, NetConfig::lockstep());
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<Set>::new(c.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<Set>::new(c.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<Set>::new(c.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Learner::<Set>::new(c.clone())));
+        sim.add_process(p, move || agent!(Set, c, p));
     }
 
     // Propose three commands once the first round is established.

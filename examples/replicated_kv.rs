@@ -8,7 +8,7 @@
 //! Run with `cargo run --example replicated_kv`.
 
 use mcpaxos_suite::actor::{ProcessId, SimTime};
-use mcpaxos_suite::core::{Acceptor, Coordinator, DeployConfig, Msg, Policy, Proposer};
+use mcpaxos_suite::core::{agent, DeployConfig, Msg, Policy};
 use mcpaxos_suite::cstruct::CommandHistory;
 use mcpaxos_suite::simnet::{NetConfig, Sim};
 use mcpaxos_suite::smr::{KvCmd, KvStore, Replica, Workload};
@@ -19,21 +19,15 @@ type H = CommandHistory<KvCmd>;
 fn main() {
     let cfg = Arc::new(DeployConfig::simple(2, 3, 5, 3, Policy::MultiCoordinated));
     let mut sim: Sim<Msg<H>> = Sim::new(7, NetConfig::lan());
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<H>::new(c.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<H>::new(c.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<H>::new(c.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Replica::<KvStore>::new(c.clone())));
+        sim.add_process(p, move || {
+            if c.roles.is_learner(p) {
+                Box::new(Replica::<KvStore>::new(c.clone()))
+            } else {
+                agent!(H, c, p)
+            }
+        });
     }
 
     // Two clients write a mixed workload (20% hot-key conflicts).

@@ -22,9 +22,7 @@
 
 use mcpaxos_suite::actor::wire::{Wire, WireError};
 use mcpaxos_suite::actor::{FileWal, ProcessId};
-use mcpaxos_suite::core::{
-    Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer, WireConfig,
-};
+use mcpaxos_suite::core::{agent, DeployConfig, Learner, Msg, Policy, WireConfig};
 use mcpaxos_suite::cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys};
 use mcpaxos_suite::runtime::{PeerTable, TcpConfig, TcpNode};
 use std::collections::{HashMap, HashSet};
@@ -104,42 +102,30 @@ fn run_child(role: &str, dir: &Path, recover: bool) -> i32 {
     let mut node: TcpNode<M> =
         TcpNode::bind(peers_of(dir), TcpConfig::default()).expect("bind child node");
 
-    match role {
-        "front" => {
-            node.spawn(
-                cfg.roles.proposers()[0],
-                Box::new(Proposer::<H>::new(cfg.clone())),
-            );
-            for &c in cfg.roles.coordinators() {
-                node.spawn(c, Box::new(Coordinator::<H>::new(cfg.clone(), c)));
-            }
-        }
-        "acc" => {
-            for &a in &cfg.roles.acceptors()[..2] {
-                node.spawn(a, Box::new(Acceptor::<H>::new(cfg.clone())));
-            }
-        }
-        "victim" => {
-            // The kill target persists its votes in a synchronous WAL:
-            // whatever it acknowledged before the SIGKILL survives into
-            // the `--recover` incarnation, exactly like a real crash.
-            let a = cfg.roles.acceptors()[2];
-            let wal = FileWal::open_synchronous(dir.join("victim.wal")).expect("open victim wal");
-            let actor = Box::new(Acceptor::<H>::new(cfg.clone()));
-            if recover {
-                node.spawn_recovered(a, actor, Box::new(wal));
-            } else {
-                node.spawn_with_storage(a, actor, Box::new(wal));
-            }
-        }
-        "learn" => {
-            for &l in cfg.roles.learners() {
-                node.spawn(l, Box::new(Learner::<H>::new(cfg.clone())));
-            }
-        }
+    let roles = &cfg.roles;
+    let hosted: Vec<ProcessId> = match role {
+        "front" => [roles.proposers(), roles.coordinators()].concat(),
+        "acc" => roles.acceptors()[..2].to_vec(),
+        "victim" => vec![roles.acceptors()[2]],
+        "learn" => roles.learners().to_vec(),
         other => {
             eprintln!("unknown child role {other:?}");
             return 2;
+        }
+    };
+    for p in hosted {
+        if role == "victim" {
+            // The kill target persists its votes in a synchronous WAL:
+            // whatever it acknowledged before the SIGKILL survives into
+            // the `--recover` incarnation, exactly like a real crash.
+            let wal = FileWal::open_synchronous(dir.join("victim.wal")).expect("open victim wal");
+            if recover {
+                node.spawn_recovered(p, agent!(H, cfg, p), Box::new(wal));
+            } else {
+                node.spawn_with_storage(p, agent!(H, cfg, p), Box::new(wal));
+            }
+        } else {
+            node.spawn(p, agent!(H, cfg, p));
         }
     }
 

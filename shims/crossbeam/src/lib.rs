@@ -16,10 +16,8 @@ pub mod channel {
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
         recv_ready: Condvar,
-        send_ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
-        capacity: Option<usize>,
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -40,18 +38,6 @@ pub mod channel {
 
     impl<T: Send> std::error::Error for SendError<T> {}
 
-    /// Error returned by [`Receiver::recv`].
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
     /// Error returned by [`Receiver::recv_timeout`].
     #[derive(PartialEq, Eq, Clone, Copy, Debug)]
     pub enum RecvTimeoutError {
@@ -71,55 +57,6 @@ pub mod channel {
     }
 
     impl std::error::Error for RecvTimeoutError {}
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub enum TryRecvError {
-        /// The queue is currently empty.
-        Empty,
-        /// All senders disconnected and the queue is drained.
-        Disconnected,
-    }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("channel is empty"),
-                TryRecvError::Disconnected => f.write_str("channel is empty and disconnected"),
-            }
-        }
-    }
-
-    impl std::error::Error for TryRecvError {}
-
-    /// Error returned by [`Sender::try_send`].
-    #[derive(PartialEq, Eq, Clone, Copy)]
-    pub enum TrySendError<T> {
-        /// The bounded channel is at capacity; the message is returned.
-        Full(T),
-        /// All receivers are gone; the message is returned.
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Debug for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("Full(..)"),
-                TrySendError::Disconnected(_) => f.write_str("Disconnected(..)"),
-            }
-        }
-    }
-
-    impl<T> fmt::Display for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("sending on a full channel"),
-                TrySendError::Disconnected(_) => f.write_str("sending on a disconnected channel"),
-            }
-        }
-    }
-
-    impl<T: Send> std::error::Error for TrySendError<T> {}
 
     /// The sending half of a channel.
     pub struct Sender<T> {
@@ -159,47 +96,18 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.shared.send_ready.notify_all();
-            }
+            self.shared.receivers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     impl<T> Sender<T> {
-        /// Sends `msg`, blocking while a bounded channel is full.
+        /// Sends `msg`; never blocks.
         ///
         /// Returns the message back if every receiver has been dropped.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
             let mut queue = self.shared.queue.lock().unwrap();
-            loop {
-                if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                    return Err(SendError(msg));
-                }
-                match self.shared.capacity {
-                    Some(cap) if queue.len() >= cap => {
-                        queue = self.shared.send_ready.wait(queue).unwrap();
-                    }
-                    _ => break,
-                }
-            }
-            queue.push_back(msg);
-            drop(queue);
-            self.shared.recv_ready.notify_one();
-            Ok(())
-        }
-
-        /// Sends `msg` without blocking: a full bounded channel returns
-        /// [`TrySendError::Full`] instead of waiting, so the caller can
-        /// shed load (and count the drop) rather than stall.
-        pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut queue = self.shared.queue.lock().unwrap();
             if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                return Err(TrySendError::Disconnected(msg));
-            }
-            if let Some(cap) = self.shared.capacity {
-                if queue.len() >= cap {
-                    return Err(TrySendError::Full(msg));
-                }
+                return Err(SendError(msg));
             }
             queue.push_back(msg);
             drop(queue);
@@ -209,34 +117,12 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
-        fn pop(&self, queue: &mut VecDeque<T>) -> Option<T> {
-            let msg = queue.pop_front();
-            if msg.is_some() {
-                self.shared.send_ready.notify_one();
-            }
-            msg
-        }
-
-        /// Receives a message, blocking until one is available.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.shared.queue.lock().unwrap();
-            loop {
-                if let Some(msg) = self.pop(&mut queue) {
-                    return Ok(msg);
-                }
-                if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                    return Err(RecvError);
-                }
-                queue = self.shared.recv_ready.wait(queue).unwrap();
-            }
-        }
-
         /// Receives a message, waiting at most `timeout`.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
             let mut queue = self.shared.queue.lock().unwrap();
             loop {
-                if let Some(msg) = self.pop(&mut queue) {
+                if let Some(msg) = queue.pop_front() {
                     return Ok(msg);
                 }
                 if self.shared.senders.load(Ordering::SeqCst) == 0 {
@@ -260,28 +146,15 @@ pub mod channel {
                 }
             }
         }
-
-        /// Receives a message if one is immediately available.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.shared.queue.lock().unwrap();
-            if let Some(msg) = self.pop(&mut queue) {
-                return Ok(msg);
-            }
-            if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
     }
 
-    fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// Creates a channel of unbounded capacity.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             recv_ready: Condvar::new(),
-            send_ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
-            capacity,
         });
         (
             Sender {
@@ -291,20 +164,12 @@ pub mod channel {
         )
     }
 
-    /// Creates a channel of unbounded capacity.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        channel(None)
-    }
-
-    /// Creates a channel holding at most `cap` in-flight messages.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        channel(Some(cap))
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
-        use std::time::Duration;
+
+        /// Generous bound for receives that must succeed.
+        const SOON: Duration = Duration::from_secs(5);
 
         #[test]
         fn fifo_per_sender() {
@@ -312,7 +177,7 @@ pub mod channel {
             for i in 0..10 {
                 tx.send(i).unwrap();
             }
-            let got: Vec<i32> = (0..10).map(|_| rx.recv().unwrap()).collect();
+            let got: Vec<i32> = (0..10).map(|_| rx.recv_timeout(SOON).unwrap()).collect();
             assert_eq!(got, (0..10).collect::<Vec<_>>());
         }
 
@@ -327,7 +192,7 @@ pub mod channel {
                 std::thread::sleep(Duration::from_millis(20));
                 tx.send(7).unwrap();
             });
-            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+            assert_eq!(rx.recv_timeout(SOON), Ok(7));
             t.join().unwrap();
         }
 
@@ -336,7 +201,7 @@ pub mod channel {
             let (tx, rx) = unbounded::<u32>();
             tx.send(1).unwrap();
             drop(tx);
-            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(rx.recv_timeout(SOON), Ok(1));
             assert_eq!(
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Disconnected)
@@ -351,40 +216,13 @@ pub mod channel {
         }
 
         #[test]
-        fn bounded_applies_backpressure() {
-            let (tx, rx) = bounded::<u32>(2);
-            tx.send(1).unwrap();
-            tx.send(2).unwrap();
-            let t = std::thread::spawn(move || {
-                tx.send(3).unwrap(); // blocks until one is consumed
-                "done"
-            });
-            std::thread::sleep(Duration::from_millis(10));
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(t.join().unwrap(), "done");
-            assert_eq!(rx.recv(), Ok(2));
-            assert_eq!(rx.recv(), Ok(3));
-        }
-
-        #[test]
-        fn try_send_reports_full_and_disconnected() {
-            let (tx, rx) = bounded::<u32>(1);
-            assert_eq!(tx.try_send(1), Ok(()));
-            assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(tx.try_send(3), Ok(()));
-            drop(rx);
-            assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-        }
-
-        #[test]
         fn cloned_receivers_share_stream() {
             let (tx, rx1) = unbounded::<u32>();
             let rx2 = rx1.clone();
             tx.send(1).unwrap();
             tx.send(2).unwrap();
-            let a = rx1.recv().unwrap();
-            let b = rx2.recv().unwrap();
+            let a = rx1.recv_timeout(SOON).unwrap();
+            let b = rx2.recv_timeout(SOON).unwrap();
             let mut got = vec![a, b];
             got.sort_unstable();
             assert_eq!(got, vec![1, 2]);

@@ -34,21 +34,10 @@
 //! // 1 proposer, 3 coordinators, 5 acceptors, 1 learner.
 //! let cfg = std::sync::Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated));
 //! let mut sim: Sim<Msg<CmdSet<u32>>> = Sim::new(42, NetConfig::lockstep());
-//! for &p in cfg.roles.proposers() {
+//! // Every process gets the agent of the role it holds in `cfg`.
+//! for p in cfg.roles.all() {
 //!     let c = cfg.clone();
-//!     sim.add_process(p, move || Box::new(mcpaxos_suite::core::Proposer::new(c.clone())));
-//! }
-//! for &p in cfg.roles.coordinators() {
-//!     let c = cfg.clone();
-//!     sim.add_process(p, move || Box::new(mcpaxos_suite::core::Coordinator::new(c.clone(), p)));
-//! }
-//! for &p in cfg.roles.acceptors() {
-//!     let c = cfg.clone();
-//!     sim.add_process(p, move || Box::new(mcpaxos_suite::core::Acceptor::new(c.clone())));
-//! }
-//! for &p in cfg.roles.learners() {
-//!     let c = cfg.clone();
-//!     sim.add_process(p, move || Box::new(mcpaxos_suite::core::Learner::new(c.clone())));
+//!     sim.add_process(p, move || mcpaxos_suite::core::agent!(CmdSet<u32>, c, p));
 //! }
 //! sim.inject_at(SimTime(100), cfg.roles.proposers()[0], ProcessId(999),
 //!     Msg::Propose { cmd: 7u32, acc_quorum: None });

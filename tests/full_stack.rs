@@ -3,7 +3,7 @@
 //! the simulator and the threaded runtime.
 
 use mcpaxos_suite::actor::{ProcessId, SimTime};
-use mcpaxos_suite::core::{Acceptor, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer};
+use mcpaxos_suite::core::{agent, DeployConfig, Learner, Msg, Policy};
 use mcpaxos_suite::cstruct::{CStruct, CmdSet, CommandHistory};
 use mcpaxos_suite::gbcast::checks;
 use mcpaxos_suite::simnet::{DelayDist, NetConfig, Sim};
@@ -15,21 +15,15 @@ const CLIENT: ProcessId = ProcessId(9_999);
 type H = CommandHistory<KvCmd>;
 
 fn deploy_kv(sim: &mut Sim<Msg<H>>, cfg: &Arc<DeployConfig>) {
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::<H>::new(c.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::<H>::new(c.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::<H>::new(c.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Replica::<KvStore>::new(c.clone())));
+        sim.add_process(p, move || {
+            if c.roles.is_learner(p) {
+                Box::new(Replica::<KvStore>::new(c.clone()))
+            } else {
+                agent!(H, c, p)
+            }
+        });
     }
 }
 
@@ -120,21 +114,9 @@ fn kitchen_sink_scenario() {
 fn facade_quickstart_compiles_and_runs() {
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated));
     let mut sim: Sim<Msg<CmdSet<u32>>> = Sim::new(1, NetConfig::lockstep());
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::new(c.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::new(c.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::new(c.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Learner::new(c.clone())));
+        sim.add_process(p, move || agent!(CmdSet<u32>, c, p));
     }
     sim.inject_at(
         SimTime(100),
@@ -162,21 +144,9 @@ fn sim_and_live_runtime_agree() {
 
     // Simulator run.
     let mut sim: Sim<Msg<CmdSet<u32>>> = Sim::new(5, NetConfig::lan());
-    for &p in cfg.roles.proposers() {
+    for p in cfg.roles.all() {
         let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Proposer::new(c.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Coordinator::new(c.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Acceptor::new(c.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        let c = cfg.clone();
-        sim.add_process(p, move || Box::new(Learner::new(c.clone())));
+        sim.add_process(p, move || agent!(CmdSet<u32>, c, p));
     }
     for (i, &cmd) in cmds.iter().enumerate() {
         sim.inject_at(
@@ -199,17 +169,8 @@ fn sim_and_live_runtime_agree() {
     // Live run.
     let mut cluster: TcpNode<Msg<CmdSet<u32>>> =
         TcpNode::bind(PeerTable::shared(), TcpConfig::default()).unwrap();
-    for &p in cfg.roles.proposers() {
-        cluster.spawn(p, Box::new(Proposer::<CmdSet<u32>>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.coordinators() {
-        cluster.spawn(p, Box::new(Coordinator::<CmdSet<u32>>::new(cfg.clone(), p)));
-    }
-    for &p in cfg.roles.acceptors() {
-        cluster.spawn(p, Box::new(Acceptor::<CmdSet<u32>>::new(cfg.clone())));
-    }
-    for &p in cfg.roles.learners() {
-        cluster.spawn(p, Box::new(Learner::<CmdSet<u32>>::new(cfg.clone())));
+    for p in cfg.roles.all() {
+        cluster.spawn(p, agent!(CmdSet<u32>, cfg, p));
     }
     for &cmd in &cmds {
         cluster.send(

@@ -4,9 +4,7 @@
 //! letting proptest explore the scenario space (and shrink failures).
 
 use mcpaxos_suite::actor::{ProcessId, SimTime};
-use mcpaxos_suite::core::{
-    Acceptor, CollisionPolicy, Coordinator, DeployConfig, Learner, Msg, Policy, Proposer,
-};
+use mcpaxos_suite::core::{agent, CollisionPolicy, DeployConfig, Learner, Msg, Policy};
 use mcpaxos_suite::cstruct::{CStruct, CmdSeq};
 use mcpaxos_suite::simnet::{DelayDist, NetConfig, Sim};
 use proptest::prelude::*;
@@ -72,21 +70,9 @@ proptest! {
             .with_delay(DelayDist::Uniform(1, s.jitter.max(1)))
             .with_loss(f64::from(s.loss_pct) / 100.0);
         let mut sim: Sim<Msg<Seq>> = Sim::new(s.seed, net);
-        for &p in cfg.roles.proposers() {
+        for p in cfg.roles.all() {
             let c = cfg.clone();
-            sim.add_process(p, move || Box::new(Proposer::<Seq>::new(c.clone())));
-        }
-        for &p in cfg.roles.coordinators() {
-            let c = cfg.clone();
-            sim.add_process(p, move || Box::new(Coordinator::<Seq>::new(c.clone(), p)));
-        }
-        for &p in cfg.roles.acceptors() {
-            let c = cfg.clone();
-            sim.add_process(p, move || Box::new(Acceptor::<Seq>::new(c.clone())));
-        }
-        for &p in cfg.roles.learners() {
-            let c = cfg.clone();
-            sim.add_process(p, move || Box::new(Learner::<Seq>::new(c.clone())));
+            sim.add_process(p, move || agent!(Seq, c, p));
         }
         let mut proposed = Vec::new();
         for (i, &(t, cmd)) in s.cmds.iter().enumerate() {
