@@ -131,8 +131,8 @@ pub struct Recorder<M> {
     pub now: SimTime,
     /// Messages sent, in order.
     pub sent: Vec<(ProcessId, M)>,
-    /// Tokens of the timers armed, in order.
-    pub timers: Vec<TimerToken>,
+    /// The timers armed, as `(after, token)`, in order.
+    pub timers: Vec<(SimDuration, TimerToken)>,
     /// Metrics emitted, in order.
     pub metrics: Vec<Metric>,
     /// The stable storage; a [`MemStore`] unless replaced.
@@ -180,8 +180,8 @@ impl<M> Context<M> for Recorder<M> {
     fn send(&mut self, to: ProcessId, msg: M) {
         self.sent.push((to, msg));
     }
-    fn set_timer(&mut self, _after: SimDuration, token: TimerToken) {
-        self.timers.push(token);
+    fn set_timer(&mut self, after: SimDuration, token: TimerToken) {
+        self.timers.push((after, token));
     }
     fn cancel_timer(&mut self, _token: TimerToken) {}
     fn storage(&mut self) -> &mut dyn StableStore {

@@ -705,9 +705,12 @@ pub fn e11_wal() -> Table {
     t.with_note(format!(
         "{} commands paced one per tick, 5 WAL-backed acceptors, Reduced durability. \
          The per-vote row syncs every accept (the E7 accounting); group commit \
-         amortizes the same logical writes into one flush per interval at the cost \
-         of up to one interval of extra learning latency (floor: ≥5x at gc={} \
-         with zero corrupt records, asserted before this table renders).",
+         amortizes the same logical writes into one flush per window: the first \
+         vote after a flush arms the next one gc ticks out, and every vote \
+         delivered up to its due instant shares it (one sync per gc + 1 ticks at \
+         this pace), at the cost of up to one window of extra learning latency \
+         (floor: ≥5x at gc={} with zero corrupt records, asserted before this \
+         table renders).",
         WAL_COMMANDS, WAL_GROUP_COMMIT
     ))
 }

@@ -21,7 +21,7 @@ use crate::round::Round;
 use crate::schedule::RoundKind;
 use crate::ship::{announce_restart, prune_rounds, Receiver, Shipper};
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire};
-use mcpaxos_actor::{Actor, Context, Metric, ProcessId, TimerToken};
+use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, TimerToken};
 use mcpaxos_cstruct::{glb_all_ref, CStruct};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -59,6 +59,9 @@ pub struct Acceptor<C: CStruct> {
     out: Shipper<C>,
     /// Group commit: whether a `TOK_FLUSH` tick is armed.
     flush_armed: bool,
+    /// Group commit: the armed flush is due and has yielded once, so the
+    /// deliveries queued for its instant share its sync.
+    flush_due: bool,
     /// Group commit: a "2b" broadcast is waiting for the next flush (a 2b
     /// must never announce a vote that is not yet durable).
     pending_2b: bool,
@@ -67,7 +70,7 @@ pub struct Acceptor<C: CStruct> {
 impl<C: CStruct> Acceptor<C> {
     /// Creates an acceptor for the given deployment.
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
-        let comp = Compactor::default();
+        let comp = Compactor::new(&cfg.wire);
         let out = Shipper::new(&cfg.wire, |round, val| Msg::P2b { round, val });
         Acceptor {
             cfg,
@@ -82,6 +85,7 @@ impl<C: CStruct> Acceptor<C> {
             comp,
             out,
             flush_armed: false,
+            flush_due: false,
             pending_2b: false,
         }
     }
@@ -699,7 +703,7 @@ impl<C: CStruct> Actor for Acceptor<C> {
                 cmds,
             } if self.cfg.wire.compact_every > 0 => self.on_stable(from, seg_from, cmds, ctx),
             Msg::NeedStable { from: want } => self.on_need_stable(from, want, ctx),
-            Msg::Hello => self.out.reset(from, ctx),
+            Msg::Hello => self.on_link_reset(from, ctx),
             _ => {}
         }
     }
@@ -713,8 +717,16 @@ impl<C: CStruct> Actor for Acceptor<C> {
             }
             self.arm_resend(ctx);
         } else if token == TOK_FLUSH {
-            // Group commit: sync every vote buffered since the last tick
-            // in one disk write, then release the deferred "2b".
+            // Group commit: a due flush first yields (a zero-tick re-arm),
+            // so the deliveries already queued for this instant — the next
+            // wave's "2a"s, typically — buffer their votes into this sync
+            // instead of paying their own. Then sync every buffered vote in
+            // one disk write and release the deferred "2b".
+            if !std::mem::replace(&mut self.flush_due, true) {
+                ctx.set_timer(SimDuration::ZERO, TOK_FLUSH);
+                return;
+            }
+            self.flush_due = false;
             ctx.storage().flush();
             self.flush_armed = false;
             if std::mem::take(&mut self.pending_2b) {
@@ -723,8 +735,11 @@ impl<C: CStruct> Actor for Acceptor<C> {
         }
     }
 
+    /// The peer restarted or its link was reset: both halves drop what
+    /// they hold of it.
     fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         self.out.reset(peer, ctx);
+        self.comp.forget(peer);
     }
 }
 
@@ -734,6 +749,7 @@ mod tests {
     use crate::schedule::{Policy, RTYPE_MULTI, RTYPE_SINGLE};
     use crate::testctx::{cfg, mk};
     use mcpaxos_actor::host::Recorder;
+    use mcpaxos_actor::{SimTime, WalStore};
     use mcpaxos_cstruct::CmdSet;
 
     type C = CmdSet<u32>;
@@ -1026,5 +1042,87 @@ mod tests {
             &mut c,
         );
         assert_eq!(a.vval(), &mk(&[9, 11]));
+    }
+
+    /// The group-commit window of the tests below.
+    const GC: SimDuration = SimDuration(2);
+
+    /// A started acceptor over a buffering WAL with group commit `GC`, and
+    /// its store's sync count once the start-up write is synced (its timer
+    /// list starts empty).
+    fn group_committing() -> (Acceptor<C>, Ctx, u64) {
+        let cfg = Arc::new(
+            DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated).with_group_commit(GC),
+        );
+        let mut a = Acceptor::new(cfg);
+        let mut c = ctx();
+        c.store = Box::new(WalStore::new());
+        a.on_start(&mut c);
+        c.store.flush();
+        c.timers.clear(); // the resend timer
+        let synced = c.store.write_count();
+        (a, c, synced)
+    }
+
+    /// A single-coordinated "2a" of `cmds`, which one coordinator makes
+    /// acceptable.
+    fn p2a(cmds: &[u32]) -> Msg<C> {
+        let round = Round::new(0, 1, 0, RTYPE_SINGLE);
+        Msg::P2a {
+            round,
+            val: mk(cmds).into(),
+        }
+    }
+
+    /// The values of the "2b"s sent so far.
+    fn twobs(c: &Ctx) -> Vec<C> {
+        c.sent
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Msg::P2b { val, .. } => Some((**val.as_full().expect("full")).clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_due_flush_lets_same_instant_deliveries_share_its_sync() {
+        let (mut a, mut c, synced) = group_committing();
+        c.now = SimTime(10);
+        a.on_message(ProcessId(1), p2a(&[1]), &mut c);
+        assert_eq!(c.timers, [(GC, TOK_FLUSH)]);
+        // Due at 12, the flush first yields for zero ticks ...
+        c.now = SimTime(12);
+        a.on_timer(TOK_FLUSH, &mut c);
+        assert_eq!(c.timers[1..], [(SimDuration::ZERO, TOK_FLUSH)]);
+        // ... so the "2a" delivered at the same instant buffers its vote
+        // into the same sync instead of arming one of its own.
+        a.on_message(ProcessId(1), p2a(&[1, 2]), &mut c);
+        assert_eq!(c.timers.len(), 2);
+        assert_eq!(c.store.write_count(), synced);
+        assert!(twobs(&c).is_empty(), "no 2b before its flush");
+        a.on_timer(TOK_FLUSH, &mut c);
+        assert_eq!(c.store.write_count(), synced + 1, "one sync for both");
+        // One "2b" wave (learner and three coordinators) covers both.
+        assert_eq!(twobs(&c), vec![mk(&[1, 2]); 4]);
+        let flushed = c.store.flushed_read(KEY_VOTE).expect("vote synced");
+        let (_, vval): (Round, C) = from_bytes(flushed).expect("decodes");
+        assert_eq!(vval, mk(&[1, 2]));
+    }
+
+    #[test]
+    fn a_lone_vote_is_synced_within_the_window_and_before_its_2b() {
+        let (mut a, mut c, synced) = group_committing();
+        c.now = SimTime(10);
+        a.on_message(ProcessId(1), p2a(&[7]), &mut c);
+        for _ in 0..2 {
+            assert_eq!(c.store.write_count(), synced);
+            assert!(twobs(&c).is_empty(), "no 2b before its flush");
+            a.on_timer(TOK_FLUSH, &mut c);
+        }
+        assert_eq!(c.store.write_count(), synced + 1);
+        let waited: u64 = c.timers.iter().map(|(after, _)| after.ticks()).sum();
+        assert_eq!(waited, GC.ticks(), "the yield adds no ticks");
+        assert_eq!(twobs(&c), vec![mk(&[7]); 4]);
     }
 }

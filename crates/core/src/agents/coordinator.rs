@@ -100,7 +100,7 @@ impl<C: CStruct> Coordinator<C> {
             .iter()
             .position(|&c| c == me)
             .expect("process is not a coordinator in this deployment") as u16;
-        let comp = Compactor::default();
+        let comp = Compactor::new(&cfg.wire);
         let out = Shipper::new(&cfg.wire, |round, val| Msg::P2a { round, val });
         Coordinator {
             cfg,
@@ -799,7 +799,7 @@ impl<C: CStruct> Actor for Coordinator<C> {
                 self.fd_hear(from, ctx);
                 self.alive.insert(from, ctx.now());
             }
-            Msg::Hello => self.out.reset(from, ctx),
+            Msg::Hello => self.on_link_reset(from, ctx),
             _ => {}
         }
     }
@@ -814,8 +814,11 @@ impl<C: CStruct> Actor for Coordinator<C> {
         }
     }
 
+    /// The peer restarted or its link was reset: both halves drop what
+    /// they hold of it.
     fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         self.out.reset(peer, ctx);
+        self.comp.forget(peer);
     }
 }
 

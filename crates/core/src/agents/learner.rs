@@ -79,7 +79,7 @@ pub struct Learner<C: CStruct> {
 impl<C: CStruct> Learner<C> {
     /// Creates a learner for the given deployment.
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
-        let comp = Compactor::default();
+        let comp = Compactor::new(&cfg.wire);
         Learner {
             cfg,
             learned: C::bottom(),
@@ -446,6 +446,10 @@ impl<C: CStruct> Actor for Learner<C> {
             self.regossip_stable(ctx);
             self.arm_stable_gossip(ctx);
         }
+    }
+
+    fn on_link_reset(&mut self, peer: ProcessId, _ctx: &mut dyn Context<Msg<C>>) {
+        self.comp.forget(peer);
     }
 }
 

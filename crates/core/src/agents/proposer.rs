@@ -348,7 +348,7 @@ mod tests {
         );
         // Partial batch lingers: nothing on the wire, TOK_BATCH armed.
         assert!(c.sent.is_empty());
-        assert_eq!(c.timers, vec![TOK_BATCH]);
+        assert_eq!(c.timers, vec![(cfg.batch.batch_ticks, TOK_BATCH)]);
         p.on_message(
             ProcessId(99),
             Msg::Propose {
@@ -408,10 +408,10 @@ mod tests {
     #[test]
     fn learned_clears_pending_and_resend_repeats() {
         let cfg = Arc::new(DeployConfig::simple(1, 1, 3, 1, Policy::SingleCoordinated));
-        let mut p: Proposer<C> = Proposer::new(cfg);
+        let mut p: Proposer<C> = Proposer::new(cfg.clone());
         let mut c = ctx();
         p.on_start(&mut c);
-        assert_eq!(c.timers, vec![TOK_RESEND]);
+        assert_eq!(c.timers, vec![(cfg.timing.proposer_resend, TOK_RESEND)]);
         for cmd in [1u32, 2, 3] {
             p.on_message(
                 ProcessId(99),

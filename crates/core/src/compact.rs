@@ -18,9 +18,16 @@
 //!   normalized (their basement contents are unknown); callers drop such
 //!   messages and rely on retransmission after the local watermark
 //!   catches up. A quorum of up-to-date processes keeps the deployment
-//!   live while a straggler catches up.
+//!   live while a straggler catches up;
+//! * per sender, the last value resolved from it is kept *in the sender's
+//!   frame* (at its watermark, not ours), so a delta it shipped before
+//!   truncating still resolves after we truncated
+//!   ([`Compactor::resolve_in_frame`]).
 
+use crate::config::WireConfig;
+use crate::round::Round;
 use crate::ship::{value_digest, Payload};
+use mcpaxos_actor::ProcessId;
 use mcpaxos_cstruct::CStruct;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -58,20 +65,35 @@ pub struct Compactor<C: CStruct> {
     /// Applied segments kept for normalizing lagging peers' values,
     /// oldest first.
     recent: VecDeque<(u64, Vec<C::Cmd>)>,
+    /// Per sender: the round and value of the last payload resolved from
+    /// it, in the sender's frame. `None` unless compaction is on, the only
+    /// case in which the two frames can differ.
+    frames: Option<BTreeMap<ProcessId, (Round, Arc<C>)>>,
 }
 
 impl<C: CStruct> Default for Compactor<C> {
-    /// A compactor at watermark 0 with nothing pending or retained.
+    /// A compactor at watermark 0 with nothing pending or retained, keeping
+    /// no senders' frames.
     fn default() -> Self {
         Compactor {
             watermark: 0,
             pending: BTreeMap::new(),
             recent: VecDeque::new(),
+            frames: None,
         }
     }
 }
 
 impl<C: CStruct> Compactor<C> {
+    /// The compactor of an agent deployed under `wire`: the default one,
+    /// keeping senders' frames when compaction is on.
+    pub fn new(wire: &WireConfig) -> Self {
+        Compactor {
+            frames: (wire.compact_every > 0).then(BTreeMap::new),
+            ..Self::default()
+        }
+    }
+
     /// The agreed prefix length truncated so far.
     pub fn watermark(&self) -> u64 {
         self.watermark
@@ -201,15 +223,20 @@ impl<C: CStruct> Compactor<C> {
     /// strip fails.
     pub fn normalize(&self, v: &mut C) -> bool {
         while v.watermark() < self.watermark {
-            let seg = match self.recent.iter().find(|(from, _)| *from == v.watermark()) {
-                Some((_, cmds)) => cmds,
-                None => return false, // fell out of the window
-            };
-            if !v.truncate_stable(seg) {
+            if !self.strip_next(v) {
                 return false;
             }
         }
         v.watermark() == self.watermark
+    }
+
+    /// Strips the retained segment starting at `v`'s watermark out of `v`;
+    /// `false` when it fell out of the window or the strip fails.
+    fn strip_next(&self, v: &mut C) -> bool {
+        match self.recent.iter().find(|(from, _)| *from == v.watermark()) {
+            Some((_, cmds)) => v.truncate_stable(cmds),
+            None => false,
+        }
     }
 
     /// Resolves an ingested payload against `base` (the last value this
@@ -269,6 +296,63 @@ impl<C: CStruct> Compactor<C> {
                     Err(_) => Resolved::Gap,
                 }
             }
+        }
+    }
+
+    /// Resolves `from`'s delta for `round` in the sender's frame, when our
+    /// watermark has passed the last value remembered from it: the delta
+    /// left the sender before it truncated as far as we did. The suffix
+    /// applies to that value, and the *unchanged* [`value_digest`]
+    /// authenticates the result in the first frame it matches — the
+    /// remembered one, or one the sender truncated to since, stripped with
+    /// the retained segments — which then normalize it to ours. Returns
+    /// the result in the sender's frame (to remember), at the local
+    /// watermark, and whether commands were appended; `None` when this
+    /// does not apply or fails (the caller resolves as usual).
+    pub fn resolve_in_frame(
+        &self,
+        from: ProcessId,
+        round: Round,
+        payload: &Payload<C>,
+    ) -> Option<(Arc<C>, Arc<C>, bool)> {
+        let Payload::Delta {
+            base_len,
+            digest,
+            suffix,
+        } = payload
+        else {
+            return None;
+        };
+        let (r, frame) = self.frames.as_ref()?.get(&from)?;
+        if *r != round || frame.watermark() >= self.watermark {
+            return None;
+        }
+        let mut theirs = (**frame).clone();
+        let appended = theirs.apply_suffix(*base_len, suffix).ok()?;
+        while value_digest(&theirs) != *digest {
+            if !self.strip_next(&mut theirs) || theirs.watermark() >= self.watermark {
+                return None;
+            }
+        }
+        let theirs = Arc::new(theirs);
+        let mut ours = theirs.clone();
+        self.normalize_arc(&mut ours)
+            .then_some((theirs, ours, appended > 0))
+    }
+
+    /// Remembers `theirs`, in its sender's frame, as `from`'s last value
+    /// for `round` (a no-op unless compaction is on).
+    pub fn remember(&mut self, from: ProcessId, round: Round, theirs: &Arc<C>) {
+        if let Some(frames) = &mut self.frames {
+            frames.insert(from, (round, theirs.clone()));
+        }
+    }
+
+    /// Forgets `from`'s frame: it restarted (`Hello`) or its link was
+    /// reset. A restarted agent starts with none.
+    pub fn forget(&mut self, from: ProcessId) {
+        if let Some(frames) = &mut self.frames {
+            frames.remove(&from);
         }
     }
 

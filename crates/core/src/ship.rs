@@ -14,6 +14,17 @@
 //!   base, retry once after compaction, reply `NeedFull` / `NeedStable`,
 //!   and the [`Msg::Stable`] / [`Msg::NeedStable`] catch-up handlers.
 //!
+//! **Sender-frame rule.** A delta is checked in the frame of the sender
+//! that shipped it: its digest covers the sender's watermark. Sender and
+//! receiver cross a compaction boundary at different instants, so under
+//! compaction the receiver half mirrors the sender half's per-peer
+//! `(round, len)`: per sender, it keeps the last value resolved from it
+//! *as the sender held it* (see [`Compactor::resolve_in_frame`]). A delta
+//! the sender shipped before truncating, arriving after the receiver
+//! truncated, applies to that copy and is normalized afterwards instead of
+//! costing a `NeedFull` and a full payload. The copy is dropped on
+//! [`Msg::Hello`] and link reset, and a restarted agent starts without.
+//!
 //! Agents keep only what is theirs: which value is primary, which side
 //! state follows a truncation ([`Receiver::realign`]), and what to do with
 //! a resolved value.
@@ -46,8 +57,11 @@ use std::sync::Arc;
 /// receiver can hold an equal-length-but-divergent value (e.g. a vote
 /// rolled back to an older history of the same length), and appending the
 /// suffix to it would silently corrupt the reconstruction. `digest` is
-/// [`value_digest`] of the *result* the sender intends; receivers verify
-/// it after applying the suffix and treat a mismatch exactly like a gap.
+/// [`value_digest`] of the *result* the sender intends, in the sender's
+/// frame (at its watermark); receivers verify it after applying the suffix
+/// to their copy of the sender's value in that frame — normalizing to
+/// their own watermark only afterwards — and treat a mismatch exactly like
+/// a gap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Payload<C: CStruct> {
     /// The whole c-struct, shared across the fan-out.
@@ -81,12 +95,14 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// the watermark and the wire encoding of every live command, in
 /// representation order).
 ///
-/// Two equal values always digest equally. The watermark is included so a
-/// receiver whose compaction frontier diverges from the sender's digests
-/// differently and conservatively resyncs. C-structs without a sequence
-/// representation ([`CStruct::suffix_from`] returns `None`) digest their
-/// logical length only — they never ship deltas, so the digest is never
-/// compared.
+/// Identical representations always digest equally; equal values need not
+/// (a `CommandHistory` may order commuting commands differently). The
+/// watermark is included, so a delta checks only in its sender's frame:
+/// receivers apply it to their copy of the sender's value at the sender's
+/// watermark, not to one normalized to their own. C-structs without a
+/// sequence representation ([`CStruct::suffix_from`] returns `None`)
+/// digest their logical length only — they never ship deltas, so the
+/// digest is never compared.
 pub fn value_digest<C: CStruct>(v: &C) -> u64 {
     let wm = v.watermark();
     let mut h = fnv1a(FNV_OFFSET, &wm.to_le_bytes());
@@ -354,11 +370,13 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
     }
 
     /// Resolves `from`'s payload for `round` against `base` (its last
-    /// value for that round), retrying once after compaction when the
-    /// watermarks disagree. Returns the value at the local watermark and
-    /// whether it differs from the base; `None` means the message is
-    /// dropped — after asking the sender for its full value on a delta
-    /// gap, or for the missing stable segments when it is ahead of us.
+    /// value for that round) — or, for a delta shipped before the sender
+    /// truncated, against its value in the sender's frame — retrying once
+    /// after compaction when the watermarks disagree. Returns the value at
+    /// the local watermark and whether it differs from the base; `None`
+    /// means the message is dropped — after asking the sender for its full
+    /// value on a delta gap, or for the missing stable segments when it is
+    /// ahead of us.
     fn ingest(
         &mut self,
         from: ProcessId,
@@ -367,6 +385,15 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
         base: impl Fn(&Self) -> Option<Arc<C>>,
         ctx: &mut dyn Context<Msg<C>>,
     ) -> Option<(Arc<C>, bool)> {
+        let comp = self.compactor();
+        if let Some((theirs, v, changed)) = comp.resolve_in_frame(from, round, &payload) {
+            comp.remember(from, round, &theirs);
+            return Some((v, changed));
+        }
+        // A resolved delta is in our frame, which its digest proved is the
+        // sender's too; so is a full value, unless normalizing strips it.
+        let w = comp.watermark();
+        let behind = payload.as_full().filter(|v| v.watermark() < w).cloned();
         let b = base(self);
         let mut resolved = self.compactor().resolve(payload, b.as_ref());
         if let Resolved::Unaligned(p) = resolved {
@@ -379,7 +406,11 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
             };
         }
         match resolved {
-            Resolved::Value(v, changed) => return Some((v, changed)),
+            Resolved::Value(v, changed) => {
+                let theirs = behind.as_ref().unwrap_or(&v);
+                self.compactor().remember(from, round, theirs);
+                return Some((v, changed));
+            }
             Resolved::Gap => ctx.send(from, Msg::NeedFull { round }),
             Resolved::Unaligned(p) => {
                 let w = self.compactor().watermark();
@@ -423,7 +454,7 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
 mod tests {
     //! The two halves wired back to back, no agents involved.
     use super::*;
-    use crate::testctx::{h, H};
+    use crate::testctx::{h, H, K};
     use mcpaxos_actor::host::Recorder;
 
     type Ctx = Recorder<Msg<H>>;
@@ -460,9 +491,17 @@ mod tests {
     impl Peer {
         fn new() -> Self {
             Peer {
-                comp: Compactor::default(),
+                comp: Compactor::new(&WireConfig::bounded(64)),
                 last: None,
             }
+        }
+
+        /// Applies the stable segment at our watermark, normalizing the
+        /// sender's last value as an agent's `realign` does.
+        fn truncate(&mut self, seg: Vec<K>) {
+            self.comp.offer(self.comp.watermark(), seg);
+            let last = Arc::make_mut(self.last.as_mut().expect("a value to truncate"));
+            assert_eq!(self.comp.advance(last, |_| {}), 1);
         }
 
         /// Ingests the "2b" in `cx.sent` (clearing it); returns the replies.
@@ -484,6 +523,61 @@ mod tests {
 
     fn sent_delta(cx: &Ctx) -> bool {
         matches!(&cx.sent[..], [(_, Msg::P2b { val, .. })] if val.is_delta())
+    }
+
+    /// The commands of `h` at positions `from..to`.
+    fn seg(from: u16, to: u16) -> Vec<K> {
+        (from..to).map(|i| K(i % 4, i)).collect()
+    }
+
+    /// `h(n)` with the stable prefix `0..w` truncated.
+    fn h_at(n: u16, w: u16) -> H {
+        let mut v = h(n);
+        assert!(v.truncate_stable(&seg(0, w)));
+        v
+    }
+
+    #[test]
+    fn deltas_shipped_before_the_sender_truncated_resolve_in_its_frame() {
+        let (mut out, mut peer, mut cx) = pair();
+        out.ship(&[PEER], R, &Arc::new(h(8)), &mut cx);
+        assert!(peer.receive(&mut cx).is_empty());
+        // The sender, still at watermark 0, ships 8→10; the peer truncates
+        // the stable segment 0..4 before it lands.
+        out.ship(&[PEER], R, &Arc::new(h(10)), &mut cx);
+        assert!(sent_delta(&cx));
+        peer.truncate(seg(0, 4));
+        assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
+        assert_eq!(peer.last.as_deref(), Some(&h_at(10, 4)));
+        // The sender truncates to 4 and ships 10→12; the peer, which
+        // remembers 10 in frame 0, has reached 8 before it lands.
+        out.ship(&[PEER], R, &Arc::new(h_at(12, 4)), &mut cx);
+        assert!(sent_delta(&cx));
+        peer.truncate(seg(4, 8));
+        assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
+        assert_eq!(peer.last.as_deref(), Some(&h_at(12, 8)));
+        // Both at 8: the next delta resolves as usual.
+        out.ship(&[PEER], R, &Arc::new(h_at(13, 8)), &mut cx);
+        assert!(peer.receive(&mut cx).is_empty());
+        assert_eq!(peer.last.as_deref(), Some(&h_at(13, 8)));
+        assert_eq!(cx.metric_count(metrics::FULL_RESYNCS), 0);
+    }
+
+    #[test]
+    fn a_divergent_equal_length_sender_frame_copy_still_gaps() {
+        let (mut out, mut peer, mut cx) = pair();
+        // The peer's copy has the sender's length but diverges at
+        // position 7 (the post-crash rollback shape).
+        let mut divergent = h(7);
+        divergent.append(K(0, 99));
+        out.ship(&[PEER], R, &Arc::new(divergent), &mut cx);
+        assert!(peer.receive(&mut cx).is_empty());
+        // The sender's delta 8→10 extends h(8); the peer truncates 0..4
+        // while it is in flight. Neither frame authenticates the base.
+        out.ship(&[PEER], R, &Arc::new(h(10)), &mut cx);
+        assert!(sent_delta(&cx));
+        peer.truncate(seg(0, 4));
+        assert_eq!(peer.receive(&mut cx), vec![Msg::NeedFull { round: R }]);
     }
 
     #[test]

@@ -6,8 +6,8 @@ mod common;
 
 use common::{deploy, learned, propose_at};
 use mcpaxos_actor::wire::{Wire, WireError};
-use mcpaxos_actor::{ProcessId, SimTime};
-use mcpaxos_core::{Acceptor, DeployConfig, Learner, Msg, Policy, WireConfig};
+use mcpaxos_actor::{SimDuration, SimTime, WalStore};
+use mcpaxos_core::{Acceptor, BatchConfig, DeployConfig, Msg, Policy, WireConfig};
 use mcpaxos_cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys};
 use mcpaxos_simnet::{NetConfig, Sim};
 use std::sync::Arc;
@@ -158,10 +158,54 @@ fn bounded_mode_matches_default_mode_outcome() {
         let acc = sim.actor::<Acceptor<H>>(a).expect("acceptor");
         assert_eq!(acc.vval().watermark(), 0);
     }
-    // Learner-side proposer notifications reached the proposer in both
-    // runs (retransmission stopped), so counts agree.
-    let _ = sim.metrics().total("learned");
-    let _ = sim_b.metrics().total("learned");
-    // Silence unused-import-style warnings for Learner in this test file.
-    let _: Option<&Learner<H>> = sim.actor::<Learner<H>>(ProcessId(9));
+    // On a lockstep net the bounded run paid no full resync: every delta
+    // resolved, across every compaction boundary.
+    assert!(sim_b.metrics().total("truncations") > 0);
+    assert_eq!(sim_b.metrics().total("full_resyncs"), 0);
+}
+
+#[test]
+fn pipelined_group_commit_crosses_compaction_boundaries_without_resyncs() {
+    // The production shape on a lockstep net: waves of 16, eight in
+    // flight, votes group-committed, a segment every 16 commands. Agents
+    // cross each boundary at different instants, so deltas shipped before
+    // their sender truncated keep landing after their receiver did; each
+    // must resolve in the sender's frame instead of costing a NeedFull.
+    let cfg = Arc::new(
+        DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated)
+            .with_wire(WireConfig::bounded(16))
+            .with_batching(BatchConfig::pipelined(16, 8))
+            .with_group_commit(SimDuration(2)),
+    );
+    cfg.validate().expect("valid config");
+    let mut sim: Sim<Msg<H>> = Sim::new(1, NetConfig::lockstep());
+    sim.enable_trace(1_000_000);
+    sim.set_storage_factory(|_| Box::new(WalStore::new()));
+    deploy(&mut sim, &cfg);
+    let n = 320u32;
+    for i in 0..n {
+        propose_at(&mut sim, &cfg, SimTime(100 + u64::from(i / 8)), 0, cmd(i));
+    }
+    sim.run_until(SimTime(5_000));
+
+    for i in 0..cfg.roles.learners().len() {
+        let l: H = learned(&sim, &cfg, i);
+        assert_eq!(l.total_len(), u64::from(n), "learner {i}");
+        let w = l.watermark();
+        assert!(w >= 10 * 16, "learner {i} crossed too few boundaries: {w}");
+    }
+    let roles = &cfg.roles;
+    let agents = roles.acceptors().iter().chain(roles.coordinators());
+    for &p in agents.chain(roles.learners()) {
+        let truncations = sim.metrics().of(p, "truncations");
+        assert!(truncations > 0, "{p} never truncated");
+    }
+    let need_full = sim
+        .trace()
+        .iter()
+        .filter(|e| e.detail.contains("NeedFull"))
+        .count();
+    assert_eq!(need_full, 0, "a delta gapped at a compaction boundary");
+    assert_eq!(sim.metrics().total("full_resyncs"), 0);
+    assert!(sim.metrics().total("delta_sends") > 0, "deltas flowed");
 }

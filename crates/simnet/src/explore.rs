@@ -268,10 +268,21 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
         }
         // Timer *durations* are irrelevant here: firing order is a
         // scheduling choice, which is exactly what the explorer branches
-        // over.
-        timers.extend(fx.timer_sets.into_iter().map(|(_after, t)| t));
+        // over. A zero-tick timer is the exception: it is a yield, letting
+        // whatever else is due at this instant run first. Every such
+        // delivery the explorer already schedules before this step, so the
+        // yield fires within it instead of costing a choice. (An actor
+        // yielding from every yield would never finish this step.)
+        let (yields, armed): (Vec<_>, Vec<_>) = fx
+            .timer_sets
+            .into_iter()
+            .partition(|(after, _)| *after == SimDuration::ZERO);
+        timers.extend(armed.into_iter().map(|(_after, t)| t));
         let sends = fx.sends.into_iter();
         self.pending.extend(sends.map(|(to, msg)| (to, pid, msg)));
+        for (_, t) in yields {
+            self.upcall(pid, Upcall::Timer(t));
+        }
     }
 }
 
@@ -509,6 +520,39 @@ mod tests {
         )
         .expect("no violations");
         assert!(stats.paths >= 2, "crash/recover branches expected");
+    }
+
+    /// Arms `T_WAIT` at start; firing it yields once before writing.
+    struct Yielder {
+        yielded: bool,
+    }
+
+    const T_WAIT: TimerToken = TimerToken(1);
+
+    impl Actor for Yielder {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut dyn Context<u32>) {
+            ctx.set_timer(SimDuration(5), T_WAIT);
+        }
+        fn on_message(&mut self, _from: ProcessId, _msg: u32, _ctx: &mut dyn Context<u32>) {}
+        fn on_timer(&mut self, _t: TimerToken, ctx: &mut dyn Context<u32>) {
+            if !std::mem::replace(&mut self.yielded, true) {
+                ctx.set_timer(SimDuration::ZERO, T_WAIT);
+                return;
+            }
+            ctx.storage().write("done", vec![1]);
+        }
+    }
+
+    #[test]
+    fn a_zero_tick_timer_fires_within_the_step_that_set_it() {
+        let cfg = ExploreConfig::default();
+        let mut net: ExploreNet<u32> = ExploreNet::new();
+        net.add_process(P0, || Box::new(Yielder { yielded: false }));
+        assert_eq!(net.choices(&cfg), [Choice::Fire(P0, T_WAIT)]);
+        net.apply(&Choice::Fire(P0, T_WAIT));
+        assert!(net.storage(P0).unwrap().read("done").is_some());
+        assert!(net.choices(&cfg).is_empty(), "the yield is no choice");
     }
 
     #[test]
