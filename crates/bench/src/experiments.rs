@@ -178,9 +178,9 @@ pub fn e4_load_balance() -> Table {
         }
         h.run_until(6_000);
         // Share of commands each process participated in, via the accepts
-        // (acceptors) and phase-2a forwards (coordinators) it performed.
+        // (acceptors) and one-command "2a" waves (coordinators) it performed.
         let acc = h.metric_per("accepts", h.cfg.roles.acceptors());
-        let coord = h.metric_per("phase2a", h.cfg.roles.coordinators());
+        let coord = h.metric_per("batches", h.cfg.roles.coordinators());
         let norm = |v: Vec<i64>| -> Vec<f64> {
             v.into_iter()
                 .map(|x| (x as f64 / f64::from(n_cmds)).min(1.0))
@@ -887,7 +887,7 @@ pub fn e14_throughput() -> Table {
         t.row(&[
             s.mode.to_string(),
             if s.batch == 0 {
-                "off".to_string()
+                "1/∞ (default)".to_string()
             } else {
                 format!("{}/{}", s.batch, s.depth)
             },

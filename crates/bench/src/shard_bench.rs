@@ -307,7 +307,7 @@ pub fn shard_wire_run(
     }
 }
 
-/// One batched-vs-unbatched sharded measurement: the same workload with
+/// One batched-vs-default sharded measurement: the same workload with
 /// the batching knobs wired through [`ShardedHarness::new`]'s `tune`.
 #[derive(Clone, Debug)]
 pub struct ShardBatchedStats {
@@ -318,8 +318,9 @@ pub struct ShardBatchedStats {
 }
 
 /// Runs the sharded workload with every shard's coordinator/proposer
-/// batching dialed to `batch`/`depth` (`batch = 0` leaves the knobs off)
-/// and returns deterministic completion statistics.
+/// batching dialed to `batch`/`depth` (`batch = 0` keeps the default
+/// configuration: one command per wave, an unbounded pipeline) and
+/// returns deterministic completion statistics.
 ///
 /// # Panics
 ///

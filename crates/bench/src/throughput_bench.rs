@@ -18,7 +18,8 @@
 //! path in the deterministic simulator (1 tick = 1 ms for the
 //! commands-per-second conversion) over a `CommandHistory<KvCmd>`
 //! workload, with batching/pipelining dialed by [`mcpaxos_core::BatchConfig`].
-//! `batch = 0` means knobs off: the unbatched per-command path.
+//! `batch = 0` means the default configuration: one command per wave,
+//! no linger, an unbounded pipeline.
 
 use crate::harness::ClusterHarness;
 use mcpaxos_actor::SimTime;
@@ -33,8 +34,8 @@ use mcpaxos_smr::{open_loop_arrivals, KvCmd, Workload};
 pub type ThroughputHistory = CommandHistory<KvCmd>;
 
 /// Open-loop offered load, commands per tick. High enough to saturate
-/// the unbatched lockstep path (which retires well under one command
-/// per tick), so batching headroom is what the sweep measures.
+/// the lockstep batch=1/depth=1 path (which retires well under one
+/// command per tick), so batching headroom is what the sweep measures.
 pub const THROUGHPUT_RATE: f64 = 4.0;
 
 /// Tick at which the first command is injected (lets the cluster elect
@@ -46,7 +47,7 @@ const WARMUP_T: u64 = 100;
 pub struct ThroughputStats {
     /// `"open"` or `"closed"`.
     pub mode: &'static str,
-    /// Coordinator/proposer batch size (0 = batching off).
+    /// Coordinator/proposer batch size (0 = the default configuration).
     pub batch: usize,
     /// Pipeline depth (in-flight 2a waves).
     pub depth: usize,

@@ -22,7 +22,7 @@ use crate::schedule::RoundKind;
 use crate::ship::{announce_restart, prune_rounds, Receiver, Shipper};
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, TimerToken};
-use mcpaxos_cstruct::{glb_all_ref, CStruct};
+use mcpaxos_cstruct::{compatible_all, glb_all_ref, CStruct};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -408,17 +408,7 @@ impl<C: CStruct> Acceptor<C> {
             Some(r) => r,
             None => return,
         };
-        let vals: Vec<&C> = reports.values().map(|v| v.as_ref()).collect();
-        let mut collided = false;
-        'outer: for (i, a) in vals.iter().enumerate() {
-            for b in &vals[i + 1..] {
-                if !a.compatible(b) {
-                    collided = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !collided {
+        if compatible_all(reports.values().map(|v| v.as_ref())) {
             return;
         }
         let next = self.cfg.schedule.next(round);
@@ -642,12 +632,10 @@ impl<C: CStruct> Actor for Acceptor<C> {
                 }
                 self.try_accept_classic(round, ctx);
             }
-            Msg::Propose { cmd, .. } => {
-                self.try_accept_fast(cmd, ctx);
-            }
+            // A batch is k consecutive proposals; in a fast round the
+            // group-commit buffer (§4.4) amortizes the vote writes.
+            Msg::Propose { cmd, .. } => self.try_accept_fast(cmd, ctx),
             Msg::ProposeBatch { cmds, .. } => {
-                // Identical to k consecutive proposals; in a fast round the
-                // group-commit buffer (§4.4) amortizes the vote writes.
                 for cmd in cmds {
                     self.try_accept_fast(cmd, ctx);
                 }

@@ -14,7 +14,7 @@
 //! "recovered coordinator is a new coordinator" (incarnation) argument
 //! while keeping `Phase2Start` once-per-round.
 
-use crate::agents::{metrics, TOK_BATCH, TOK_TICK};
+use crate::agents::{metrics, Linger, TOK_BATCH, TOK_TICK};
 use crate::compact::Compactor;
 use crate::config::{CollisionPolicy, DeployConfig};
 use crate::msg::Msg;
@@ -23,13 +23,25 @@ use crate::round::Round;
 use crate::schedule::RoundKind;
 use crate::ship::{announce_restart, prune_rounds, Receiver, Shipper, ROUND_WINDOW};
 use mcpaxos_actor::wire::{from_bytes, to_bytes};
-use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimTime, TimerToken};
-use mcpaxos_cstruct::{glb_all_ref, CStruct};
+use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, SimTime, TimerToken};
+use mcpaxos_cstruct::{compatible_all, glb_all_ref, CStruct};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Storage key for the round floor (see module docs).
 const KEY_FLOOR: &str = "crnd";
+/// Interval between heartbeats (and leadership ticks).
+const HEARTBEAT_EVERY: SimDuration = SimDuration(50);
+/// After a collision, leaders keep starting *single-coordinated* rounds
+/// for this long before returning to the policy's fresh round type (§4.2:
+/// "after some time of normal execution ... start a multicoordinated
+/// round again").
+const COLLISION_BACKOFF: SimDuration = SimDuration(600);
+/// Failure-detector backoff cap: each suspicion that proves wrong (the
+/// suspect is heard from again) doubles that peer's suspicion timeout, up
+/// to `fd_suspect_after << FD_BACKOFF_MAX`, so slow WAN links stop
+/// flapping.
+const FD_BACKOFF_MAX: u32 = 3;
 
 /// The coordinator role.
 pub struct Coordinator<C: CStruct> {
@@ -65,7 +77,7 @@ pub struct Coordinator<C: CStruct> {
     suspected: BTreeSet<ProcessId>,
     /// Per-peer suspicion backoff level: each *false* suspicion (the
     /// suspect is heard from again) doubles that peer's suspicion
-    /// timeout, capped at `Timing::fd_backoff_max` doublings.
+    /// timeout, capped at [`FD_BACKOFF_MAX`] doublings.
     suspect_level: BTreeMap<ProcessId, u32>,
     max_heard: Round,
     last_progress: SimTime,
@@ -73,18 +85,16 @@ pub struct Coordinator<C: CStruct> {
     comp: Compactor<C>,
     /// Ships `cval` as "2a"s, full or delta per acceptor.
     out: Shipper<C>,
-    /// Batching mode: commands admitted to the current classic round but
-    /// not yet shipped in a `2a` wave.
-    batch_queue: Vec<C::Cmd>,
-    /// Batching mode: in-flight `2a` waves, each recorded as the
-    /// `total_len` of `cval` when the wave went out. A wave retires once
-    /// an acceptor quorum's `2b` values all reach its target length;
-    /// retirement frees a pipeline slot and pumps the next wave.
+    /// Commands admitted to the current classic round but not yet shipped
+    /// in a `2a` wave, each with its proposal's §4.1 acceptor pin.
+    batch_queue: Vec<(C::Cmd, Option<Vec<ProcessId>>)>,
+    /// In-flight `2a` waves, each recorded as the `total_len` of `cval`
+    /// when the wave went out. A wave retires once an acceptor quorum's
+    /// `2b` values all reach its target length; retirement frees a
+    /// pipeline slot and pumps the next wave.
     waves: VecDeque<u64>,
-    /// Whether a `TOK_BATCH` linger flush is currently armed (avoids
-    /// re-arming — and thereby pushing back — the timer on every
-    /// admission while a partial batch waits).
-    linger_armed: bool,
+    /// When a partial wave leaves the queue.
+    linger: Linger,
 }
 
 impl<C: CStruct> Coordinator<C> {
@@ -125,40 +135,18 @@ impl<C: CStruct> Coordinator<C> {
             out,
             batch_queue: Vec::new(),
             waves: VecDeque::new(),
-            linger_armed: false,
+            linger: Linger::default(),
         }
     }
 
-    fn batching(&self) -> bool {
-        self.cfg.batch.enabled()
-    }
-
-    /// Batching-mode admission: queue `cmd` for the next `2a` wave of the
-    /// current classic round, shedding (counted) past `queue_cap`.
-    /// Commands already queued or already shipped in `cval` are
-    /// retransmissions of in-flight work and are dropped — loss recovery
-    /// runs through the stall detector's round change, which re-seeds
-    /// `outstanding`.
-    fn enqueue_batched(&mut self, cmd: C::Cmd, ctx: &mut dyn Context<Msg<C>>) {
-        let dup =
-            self.batch_queue.contains(&cmd) || self.cval.as_ref().is_some_and(|v| v.contains(&cmd));
-        if dup {
-            return;
-        }
-        let cap = self.cfg.batch.queue_cap;
-        if cap > 0 && self.batch_queue.len() >= cap {
-            ctx.metric(Metric::incr(metrics::BACKPRESSURE_SHEDS));
-            return;
-        }
-        self.batch_queue.push(cmd);
-    }
-
-    /// Drains the batch queue into `2a` waves: up to `batch_size`
-    /// commands per wave, up to `pipeline_depth` waves in flight. A
-    /// partial batch lingers for `batch_ticks` (armed once per wait)
-    /// unless `linger_expired` — or a zero linger — flushes it as-is.
-    fn pump_batches(&mut self, linger_expired: bool, ctx: &mut dyn Context<Msg<C>>) {
-        if !self.batching() || self.batch_queue.is_empty() {
+    /// `Phase2aClassic` (§3.2), a wave at a time: cuts the queue into `2a`
+    /// waves while the pipeline has room. A wave is a run of up to
+    /// `batch_size` commands with the same acceptor pin; it extends `cval`
+    /// and ships to that pin (every acceptor when unpinned). A run that a
+    /// differently pinned command follows cannot grow, so it counts as
+    /// full; when a partial one leaves is [`Linger::ready`]'s rule.
+    fn pump_batches(&mut self, mut expired: bool, ctx: &mut dyn Context<Msg<C>>) {
+        if self.batch_queue.is_empty() {
             return;
         }
         let mut val = match self.cval.take() {
@@ -170,46 +158,40 @@ impl<C: CStruct> Coordinator<C> {
             return;
         }
         let b = self.cfg.batch;
-        let mut allow_partial = linger_expired || b.batch_ticks.ticks() == 0;
-        while !self.batch_queue.is_empty() && self.waves.len() < b.pipeline_depth {
-            if self.batch_queue.len() < b.batch_size && !allow_partial {
-                if !self.linger_armed {
-                    self.linger_armed = true;
-                    ctx.set_timer(b.batch_ticks, TOK_BATCH);
-                }
+        // `max(1)`: an unvalidated zero batch size still drains.
+        let size = b.batch_size.max(1);
+        while self.waves.len() < b.pipeline_depth {
+            let Some((_, pin)) = self.batch_queue.first() else {
+                break;
+            };
+            let run = self.batch_queue.iter().take(size);
+            let run = run.take_while(|(_, p)| p == pin).count();
+            let full = run == size || run < self.batch_queue.len();
+            if !self.linger.ready(full, &mut expired, &b, ctx) {
                 break;
             }
-            // One linger expiry flushes one partial wave; full waves keep
-            // draining.
-            allow_partial = b.batch_ticks.ticks() == 0;
-            let take = self.batch_queue.len().min(b.batch_size);
+            let pin = self.batch_queue[0].1.take();
             let target = {
                 let v = Arc::make_mut(&mut val);
-                v.append_all(self.batch_queue.drain(..take));
+                v.append_all(self.batch_queue.drain(..run).map(|(cmd, _)| cmd));
                 v.total_len()
             };
-            ctx.metric(Metric::incr(metrics::PHASE2A));
             ctx.metric(Metric::incr(metrics::BATCHES));
-            ctx.metric(Metric::add(metrics::BATCHED_CMDS, take as i64));
-            self.out
-                .ship(self.cfg.roles.acceptors(), self.crnd, &val, ctx);
+            ctx.metric(Metric::add(metrics::BATCHED_CMDS, run as i64));
+            let targets = pin.as_deref().unwrap_or(self.cfg.roles.acceptors());
+            self.out.ship(targets, self.crnd, &val, ctx);
             self.waves.push_back(target);
         }
         self.cval = Some(val);
     }
 
-    /// Clears the batch scheduler on a round change: queued commands
+    /// Clears the wave scheduler on a round change: queued commands
     /// survive in `outstanding` (the next `Phase2Start` re-seeds them),
     /// in-flight waves belong to the abandoned round.
     fn reset_batches(&mut self, ctx: &mut dyn Context<Msg<C>>) {
-        if !self.batching() {
-            return;
-        }
         self.batch_queue.clear();
         self.waves.clear();
-        if std::mem::take(&mut self.linger_armed) {
-            ctx.cancel_timer(TOK_BATCH);
-        }
+        self.linger.cancel(ctx);
     }
 
     /// The coordinator's current round.
@@ -266,15 +248,10 @@ impl<C: CStruct> Coordinator<C> {
     }
 
     /// Current suspicion timeout for `peer`: the base timeout doubled
-    /// once per past false suspicion, capped at `fd_backoff_max`.
-    fn fd_timeout(&self, peer: ProcessId) -> mcpaxos_actor::SimDuration {
-        let level = self
-            .suspect_level
-            .get(&peer)
-            .copied()
-            .unwrap_or(0)
-            .min(self.cfg.timing.fd_backoff_max);
-        mcpaxos_actor::SimDuration(self.cfg.timing.fd_suspect_after.ticks() << level)
+    /// once per past false suspicion, capped at [`FD_BACKOFF_MAX`].
+    fn fd_timeout(&self, peer: ProcessId) -> SimDuration {
+        let level = self.suspect_level.get(&peer).copied().unwrap_or(0);
+        SimDuration(self.cfg.timing.fd_suspect_after.ticks() << level.min(FD_BACKOFF_MAX))
     }
 
     /// Whether round `r` keeps serving despite the currently suspected
@@ -337,7 +314,7 @@ impl<C: CStruct> Coordinator<C> {
     fn fd_hear(&mut self, from: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         if self.suspected.remove(&from) {
             let lvl = self.suspect_level.entry(from).or_insert(0);
-            *lvl = (*lvl + 1).min(self.cfg.timing.fd_backoff_max);
+            *lvl = (*lvl + 1).min(FD_BACKOFF_MAX);
             ctx.metric(Metric::incr(metrics::FALSE_SUSPICIONS));
         }
     }
@@ -347,7 +324,7 @@ impl<C: CStruct> Coordinator<C> {
     fn fresh_round(&self, heard: Round, now: SimTime) -> Round {
         let backing_off = self
             .last_collision
-            .map(|t| now.since(t) <= self.cfg.timing.collision_backoff)
+            .map(|t| now.since(t) <= COLLISION_BACKOFF)
             .unwrap_or(false);
         let r = self.cfg.schedule.preempt(heard, self.me_idx);
         if backing_off {
@@ -456,34 +433,13 @@ impl<C: CStruct> Coordinator<C> {
         self.last_progress = ctx.now();
         ctx.metric(Metric::incr(metrics::PHASE2_STARTS));
         self.out.ship(self.cfg.roles.acceptors(), round, &val, ctx);
-        if self.batching() {
-            // The Phase2Start "2a" (carrying the re-seeded backlog and
-            // outstanding commands) is itself the round's first wave; the
-            // old round's scheduler state is void.
-            self.reset_batches(ctx);
-            if self.cfg.schedule.kind(round) == RoundKind::Classic {
-                self.waves.push_back(val.total_len());
-            }
+        // The Phase2Start "2a" (carrying the re-seeded backlog and
+        // outstanding commands) is itself the round's first wave; the old
+        // round's scheduler state is void.
+        self.reset_batches(ctx);
+        if self.cfg.schedule.kind(round) == RoundKind::Classic {
+            self.waves.push_back(val.total_len());
         }
-        self.cval = Some(val);
-    }
-
-    /// `Phase2aClassic`: extend the current value with a proposal and
-    /// forward it.
-    fn phase2a_classic(
-        &mut self,
-        cmd: C::Cmd,
-        acc_quorum: Option<Vec<ProcessId>>,
-        ctx: &mut dyn Context<Msg<C>>,
-    ) {
-        let mut val = match self.cval.take() {
-            Some(v) => v,
-            None => return,
-        };
-        Arc::make_mut(&mut val).append(cmd);
-        ctx.metric(Metric::incr(metrics::PHASE2A));
-        let targets = acc_quorum.as_deref().unwrap_or(self.cfg.roles.acceptors());
-        self.out.ship(targets, self.crnd, &val, ctx);
         self.cval = Some(val);
     }
 
@@ -520,41 +476,26 @@ impl<C: CStruct> Coordinator<C> {
         }
         // Wave retirement: a pipelined `2a` wave is acknowledged once a
         // quorum of acceptors report `2b` values covering its target
-        // length (the quorum'th-largest reported length, so one straggler
-        // cannot hold the pipeline). Each retirement frees a slot and
-        // pumps the next wave.
-        if self.batching() && round == self.crnd && !self.waves.is_empty() {
+        // length, so one straggler cannot hold the pipeline. Each
+        // retirement frees a slot and pumps the next wave.
+        if round == self.crnd && !self.waves.is_empty() {
             let entry = self.round_2b.get(&round).expect("just inserted");
             let quorum = self.cfg.quorums.size_for(kind);
-            if entry.len() >= quorum {
-                let mut lens: Vec<u64> = entry.values().map(|v| v.total_len()).collect();
-                lens.sort_unstable_by(|a, b| b.cmp(a));
-                let acked = lens[quorum - 1];
-                let mut retired = false;
-                while self.waves.front().is_some_and(|&t| t <= acked) {
-                    self.waves.pop_front();
-                    retired = true;
-                }
-                if retired {
-                    self.pump_batches(false, ctx);
-                }
+            let acked = |t: u64| entry.values().filter(|v| v.total_len() >= t).count() >= quorum;
+            let mut retired = false;
+            while self.waves.front().is_some_and(|&t| acked(t)) {
+                self.waves.pop_front();
+                retired = true;
+            }
+            if retired {
+                self.pump_batches(false, ctx);
             }
         }
         // Fast-round collision detection.
         if kind == RoundKind::Fast {
             if !self.collided.contains(&round) {
                 let entry = self.round_2b.get(&round).expect("just inserted");
-                let vals: Vec<&C> = entry.values().map(|v| v.as_ref()).collect();
-                let mut incompatible = false;
-                'outer: for (i, a) in vals.iter().enumerate() {
-                    for b in &vals[i + 1..] {
-                        if !a.compatible(b) {
-                            incompatible = true;
-                            break 'outer;
-                        }
-                    }
-                }
-                if incompatible {
+                if !compatible_all(entry.values().map(|v| v.as_ref())) {
                     self.collided.insert(round);
                     self.last_collision = Some(ctx.now());
                     ctx.metric(Metric::incr(metrics::COLLISION_FAST));
@@ -591,14 +532,31 @@ impl<C: CStruct> Coordinator<C> {
         }
     }
 
-    /// Handles one proposed command; `pump` is deferred by the batch
-    /// handler so a whole [`Msg::ProposeBatch`] is admitted before waves
-    /// form (otherwise the first admissions would ship as fragments).
-    fn handle_propose(
+    /// Admits the commands of one [`Msg::Propose`] or [`Msg::ProposeBatch`]
+    /// and then pumps waves, so a whole batch is queued before waves form
+    /// (otherwise its first admissions would ship as fragments).
+    fn admit(
+        &mut self,
+        cmds: impl IntoIterator<Item = C::Cmd>,
+        pin: Option<Vec<ProcessId>>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) {
+        for cmd in cmds {
+            self.admit_one(cmd, &pin, ctx);
+        }
+        self.pump_batches(false, ctx);
+    }
+
+    /// Queues `cmd` for the next wave of the current classic round, or
+    /// backlogs it while none is active. A command already queued or
+    /// already shipped in `cval` is a retransmission of work in flight and
+    /// is dropped: loss recovery runs through the stall detector's round
+    /// change, which re-seeds `outstanding`. Past `queue_cap` a command is
+    /// shed (counted) for the proposer's resend to re-offer.
+    fn admit_one(
         &mut self,
         cmd: C::Cmd,
-        acc_quorum: Option<Vec<ProcessId>>,
-        pump: bool,
+        pin: &Option<Vec<ProcessId>>,
         ctx: &mut dyn Context<Msg<C>>,
     ) {
         // A retransmission of an already-stabilized command (its
@@ -615,20 +573,23 @@ impl<C: CStruct> Coordinator<C> {
         }
         let classic_active =
             self.cval.is_some() && self.cfg.schedule.kind(self.crnd) == RoundKind::Classic;
-        if classic_active {
-            if self.batching() {
-                // Per-command acceptor pins are ignored in batching mode:
-                // a wave amortizes one multicast over the whole batch.
-                self.enqueue_batched(cmd, ctx);
-                if pump {
-                    self.pump_batches(false, ctx);
-                }
-            } else {
-                self.phase2a_classic(cmd, acc_quorum, ctx);
+        if !classic_active {
+            if !self.backlog.contains(&cmd) {
+                self.backlog.push(cmd);
             }
-        } else if !self.backlog.contains(&cmd) {
-            self.backlog.push(cmd);
+            return;
         }
+        let dup = self.batch_queue.iter().any(|(c, _)| *c == cmd)
+            || self.cval.as_ref().is_some_and(|v| v.contains(&cmd));
+        if dup {
+            return;
+        }
+        let cap = self.cfg.batch.queue_cap;
+        if cap > 0 && self.batch_queue.len() >= cap {
+            ctx.metric(Metric::incr(metrics::BACKPRESSURE_SHEDS));
+            return;
+        }
+        self.batch_queue.push((cmd, pin.clone()));
     }
 
     fn tick(&mut self, ctx: &mut dyn Context<Msg<C>>) {
@@ -695,7 +656,7 @@ impl<C: CStruct> Actor for Coordinator<C> {
             self.alive.insert(c, now);
         }
         self.last_progress = now;
-        ctx.set_timer(self.cfg.timing.heartbeat_every, TOK_TICK);
+        ctx.set_timer(HEARTBEAT_EVERY, TOK_TICK);
     }
 
     fn on_recover(&mut self, ctx: &mut dyn Context<Msg<C>>) {
@@ -728,15 +689,8 @@ impl<C: CStruct> Actor for Coordinator<C> {
 
     fn on_message(&mut self, from: ProcessId, msg: Msg<C>, ctx: &mut dyn Context<Msg<C>>) {
         match msg {
-            Msg::Propose { cmd, acc_quorum } => {
-                self.handle_propose(cmd, acc_quorum, true, ctx);
-            }
-            Msg::ProposeBatch { cmds, acc_quorum } => {
-                for cmd in cmds {
-                    self.handle_propose(cmd, acc_quorum.clone(), false, ctx);
-                }
-                self.pump_batches(false, ctx);
-            }
+            Msg::Propose { cmd, acc_quorum } => self.admit([cmd], acc_quorum, ctx),
+            Msg::ProposeBatch { cmds, acc_quorum } => self.admit(cmds, acc_quorum, ctx),
             Msg::P1b { round, vrnd, vval } => {
                 self.note_heard(round);
                 // 1b values are shipped full; normalize to our watermark
@@ -807,9 +761,9 @@ impl<C: CStruct> Actor for Coordinator<C> {
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn Context<Msg<C>>) {
         if token == TOK_TICK {
             self.tick(ctx);
-            ctx.set_timer(self.cfg.timing.heartbeat_every, TOK_TICK);
+            ctx.set_timer(HEARTBEAT_EVERY, TOK_TICK);
         } else if token == TOK_BATCH {
-            self.linger_armed = false;
+            self.linger.fired();
             self.pump_batches(true, ctx);
         }
     }
@@ -1190,8 +1144,8 @@ mod tests {
 
     #[test]
     fn propose_batch_is_admitted_as_one_wave() {
-        // Without batching knobs, ProposeBatch degenerates to k sequential
-        // proposals (one 2a each); with them, one wave.
+        // At the default batch size of one, ProposeBatch is k sequential
+        // proposals (one 2a each); with larger batches, one wave.
         let cfg = cfg();
         let mut c1: Coordinator<C> = Coordinator::new(cfg, ProcessId(1));
         let mut cx = ctx_for(1);
@@ -1212,7 +1166,7 @@ mod tests {
         assert_eq!(
             p2as_of(&cx).len(),
             10,
-            "knobs off: one 2a multicast per command"
+            "batch size 1: one 2a multicast per command"
         );
 
         let mut cb: Coordinator<C> = Coordinator::new(batch_cfg(4, 2, 0), ProcessId(1));
@@ -1234,6 +1188,83 @@ mod tests {
         let p2as = p2as_of(&cxb);
         assert_eq!(p2as.len(), 5, "batching on: the whole batch is one wave");
         assert_eq!(p2as[0].count(), 3);
+    }
+
+    /// Coordinator 1 in a fresh multicoordinated round under `batch`,
+    /// with the round's initial wave retired and the recorder cleared.
+    fn in_phase2(batch: crate::config::BatchConfig) -> (Coordinator<C>, Ctx) {
+        let cfg = DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated).with_batching(batch);
+        let mut c1: Coordinator<C> = Coordinator::new(Arc::new(cfg), ProcessId(1));
+        let mut cx = ctx_for(1);
+        c1.on_start(&mut cx);
+        let r = Round::new(0, 1, 0, RTYPE_MULTI);
+        for a in 4..=6 {
+            c1.on_message(ProcessId(a), onb_msg(r), &mut cx);
+        }
+        quorum_2b(&mut c1, r, &C::bottom(), &mut cx);
+        cx.sent.clear();
+        (c1, cx)
+    }
+
+    /// Each "2a" wave as (acceptors it went to, commands it carried).
+    fn waves_of(cx: &Ctx) -> Vec<(Vec<ProcessId>, usize)> {
+        let mut out: Vec<(Vec<ProcessId>, usize)> = vec![];
+        for (to, m) in &cx.sent {
+            let Msg::P2a { val, .. } = m else { continue };
+            let n = val.as_full().expect("full payloads").count();
+            match out.last_mut() {
+                Some((tos, k)) if *k == n => tos.push(*to),
+                _ => out.push((vec![*to], n)),
+            }
+        }
+        out
+    }
+
+    fn pinned(cmds: Vec<u32>, pin: &[u32]) -> Msg<C> {
+        Msg::ProposeBatch {
+            cmds,
+            acc_quorum: Some(pin.iter().map(|&a| ProcessId(a)).collect()),
+        }
+    }
+
+    #[test]
+    fn pinned_waves_ship_to_their_pin_and_a_pin_change_cuts_the_run() {
+        let (mut c1, mut cx) = in_phase2(crate::config::BatchConfig::pipelined(4, 2));
+        let ids = |accs: [u32; 3]| accs.map(ProcessId).to_vec();
+        // A full pinned batch: one wave, to the pinned acceptors only.
+        c1.on_message(ProcessId(0), pinned(vec![1, 2, 3, 4], &[4, 5, 6]), &mut cx);
+        assert_eq!(waves_of(&cx), vec![(ids([4, 5, 6]), 4)]);
+        // A partial run lingers ...
+        cx.sent.clear();
+        c1.on_message(ProcessId(0), pinned(vec![5, 6], &[4, 5, 6]), &mut cx);
+        assert!(cx.sent.is_empty());
+        // ... until a differently pinned command follows it: it can no
+        // longer grow, so it leaves at once as its own wave, and the new
+        // run lingers in turn.
+        c1.on_message(ProcessId(0), pinned(vec![7], &[6, 7, 8]), &mut cx);
+        assert_eq!(waves_of(&cx), vec![(ids([4, 5, 6]), 6)]);
+        // Both waves retire; the linger expiry ships the last run to its
+        // own pin.
+        let val = p2as_of(&cx)[0].clone();
+        quorum_2b(&mut c1, Round::new(0, 1, 0, RTYPE_MULTI), &val, &mut cx);
+        c1.on_timer(TOK_BATCH, &mut cx);
+        assert_eq!(waves_of(&cx)[1..], [(ids([6, 7, 8]), 7)]);
+    }
+
+    #[test]
+    fn a_proposal_cval_already_holds_ships_nothing() {
+        let (mut c1, mut cx) = in_phase2(crate::config::BatchConfig::default());
+        let propose = |cmd| Msg::Propose {
+            cmd,
+            acc_quorum: None,
+        };
+        c1.on_message(ProcessId(0), propose(7), &mut cx);
+        assert_eq!(p2as_of(&cx).len(), 5, "one wave to every acceptor");
+        cx.sent.clear();
+        // The proposer's retransmission of 7 (say): already in `cval`.
+        c1.on_message(ProcessId(0), propose(7), &mut cx);
+        assert!(cx.sent.is_empty(), "a duplicate re-ships no 2a");
+        assert_eq!(c1.cval().map(|v| v.count()), Some(1));
     }
 
     #[test]

@@ -176,18 +176,17 @@ impl<C: CStruct> Learner<C> {
             let count = self.learned.total_len() as usize;
             self.history.push((ctx.now(), count));
             ctx.metric(Metric::add(metrics::LEARNED, count as i64));
-            if self.cfg.notify_learned {
-                let new: Vec<C::Cmd> = self
-                    .learned
-                    .commands()
-                    .into_iter()
-                    .filter(|c| !self.notified.contains(c))
-                    .collect();
-                if !new.is_empty() {
-                    self.notified.extend(new.iter().cloned());
-                    let proposers = self.cfg.roles.proposers().to_vec();
-                    ctx.multicast(&proposers, Msg::Learned { cmds: new });
-                }
+            // Tell the proposers, so their retransmission stops.
+            let new: Vec<C::Cmd> = self
+                .learned
+                .commands()
+                .into_iter()
+                .filter(|c| !self.notified.contains(c))
+                .collect();
+            if !new.is_empty() {
+                self.notified.extend(new.iter().cloned());
+                let proposers = self.cfg.roles.proposers().to_vec();
+                ctx.multicast(&proposers, Msg::Learned { cmds: new });
             }
             self.try_ack_pending(ctx);
             self.maybe_propose(ctx);

@@ -15,7 +15,8 @@ pub use coordinator::Coordinator;
 pub use learner::Learner;
 pub use proposer::Proposer;
 
-use mcpaxos_actor::TimerToken;
+use crate::config::BatchConfig;
+use mcpaxos_actor::{Context, TimerToken};
 
 /// The fresh agent for the role `p` holds in `cfg`, boxed for whichever
 /// host the call site names: `agent!(C, cfg, p)` over c-struct `C`, with
@@ -73,6 +74,54 @@ pub const TOK_FLUSH: TimerToken = TimerToken(5);
 /// batch queue) has waited `batch_ticks` and is flushed as-is.
 pub const TOK_BATCH: TimerToken = TimerToken(6);
 
+/// When a batch leaves: the linger rule the proposer's outbox and the
+/// coordinator's wave queue share. A full batch goes at once. A partial
+/// batch waits up to `batch_ticks` for more commands, with the
+/// [`TOK_BATCH`] timer armed once per wait (so admissions do not push it
+/// back); with `batch_ticks == 0` every partial batch goes at once.
+#[derive(Debug, Default)]
+pub(crate) struct Linger {
+    /// Whether the [`TOK_BATCH`] timer is armed.
+    armed: bool,
+}
+
+impl Linger {
+    /// Whether the next batch leaves now; `full` says it cannot grow. One
+    /// flush of a queue calls this per batch, with `expired` set when the
+    /// timer fired: that allowance lets one partial batch go, and the
+    /// first batch to leave spends it. A partial batch that must wait arms
+    /// the timer.
+    pub(crate) fn ready<M>(
+        &mut self,
+        full: bool,
+        expired: &mut bool,
+        b: &BatchConfig,
+        ctx: &mut dyn Context<M>,
+    ) -> bool {
+        if full || *expired || b.batch_ticks.ticks() == 0 {
+            *expired = false;
+            return true;
+        }
+        if !self.armed {
+            self.armed = true;
+            ctx.set_timer(b.batch_ticks, TOK_BATCH);
+        }
+        false
+    }
+
+    /// The [`TOK_BATCH`] timer fired.
+    pub(crate) fn fired(&mut self) {
+        self.armed = false;
+    }
+
+    /// Abandons the wait in progress, cancelling its timer.
+    pub(crate) fn cancel<M>(&mut self, ctx: &mut dyn Context<M>) {
+        if std::mem::take(&mut self.armed) {
+            ctx.cancel_timer(TOK_BATCH);
+        }
+    }
+}
+
 /// Metric names emitted by the agents (collected by the host runtime).
 pub mod metrics {
     /// Commands submitted to a proposer.
@@ -83,8 +132,6 @@ pub mod metrics {
     pub const ROUNDS_STARTED: &str = "rounds_started";
     /// `Phase2Start` executions (value picked from a 1b quorum).
     pub const PHASE2_STARTS: &str = "phase2_starts";
-    /// Phase "2a" value extensions sent by coordinators.
-    pub const PHASE2A: &str = "phase2a";
     /// Genuine accepts (the acceptor's value changed).
     pub const ACCEPTS: &str = "accepts";
     /// Multicoordinated collisions detected by acceptors (§4.2).
@@ -131,8 +178,9 @@ pub mod metrics {
     /// Per-peer delta bases dropped proactively (peer recovery `Hello` or
     /// a link reset) — each one is a `NeedFull` round-trip saved.
     pub const BASE_RESETS: &str = "base_resets";
-    /// Batched `2a` waves issued by coordinators (each amortizes one
-    /// 2a/2b/WAL cycle over up to `batch_size` commands).
+    /// `2a` waves issued by coordinators: the `Phase2aClassic` value
+    /// extensions, each carrying up to `batch_size` commands over one
+    /// 2a/2b/WAL cycle.
     pub const BATCHES: &str = "batches";
     /// Commands carried inside batched `2a` waves (`BATCHED_CMDS /
     /// BATCHES` = achieved batch occupancy).

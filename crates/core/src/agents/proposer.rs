@@ -6,13 +6,18 @@
 //! acceptor (§2.2: "proposers should send their propose messages to both
 //! coordinators and acceptors"). Under §4.1 load balancing the proposer
 //! instead picks one coordinator quorum and one acceptor quorum per
-//! command and pins the acceptor choice in the message.
+//! batch and pins the acceptor choice in the message. Commands travel in
+//! batches of up to `BatchConfig::batch_size`: a lone command as
+//! [`Msg::Propose`], more as one [`Msg::ProposeBatch`].
 //!
 //! Proposers retransmit pending commands until a learner reports them
-//! learned, which (together with coordinators re-sending their "2a" on
-//! duplicate proposals) makes the protocol live under fair-lossy links.
+//! learned. Coordinators drop a proposal already in flight, so what
+//! recovers a lost "2a" or "2b" under fair-lossy links is the leader's
+//! stall detector (its round change re-seeds every outstanding command),
+//! the acceptors' periodic "2b" rebroadcast and `NeedFull` for a lost
+//! delta base.
 
-use crate::agents::{metrics, TOK_BATCH, TOK_RESEND};
+use crate::agents::{metrics, Linger, TOK_BATCH, TOK_RESEND};
 use crate::config::DeployConfig;
 use crate::msg::Msg;
 use mcpaxos_actor::{Actor, Backoff, Context, Metric, ProcessId, TimerToken};
@@ -28,11 +33,10 @@ pub struct Proposer<C: CStruct> {
     /// with each attempt (capped there) so a partitioned or failing-over
     /// cluster is not hammered at the base rate; any progress resets it.
     attempts: u32,
-    /// Batching mode: admitted commands awaiting the next
-    /// [`Msg::ProposeBatch`] flush (a subset of `pending`).
+    /// Admitted commands awaiting their batch (a subset of `pending`).
     outbox: Vec<C::Cmd>,
-    /// Whether a `TOK_BATCH` linger flush is armed.
-    linger_armed: bool,
+    /// When a partial batch leaves the outbox.
+    linger: Linger,
 }
 
 impl<C: CStruct> Proposer<C> {
@@ -43,17 +47,13 @@ impl<C: CStruct> Proposer<C> {
             pending: Vec::new(),
             attempts: 0,
             outbox: Vec::new(),
-            linger_armed: false,
+            linger: Linger::default(),
         }
     }
 
     /// Commands proposed but not yet reported learned.
     pub fn pending(&self) -> &[C::Cmd] {
         &self.pending
-    }
-
-    fn batching(&self) -> bool {
-        self.cfg.batch.enabled()
     }
 
     fn pick_subset(
@@ -106,39 +106,30 @@ impl<C: CStruct> Proposer<C> {
         }
     }
 
-    fn forward(&self, cmd: &C::Cmd, ctx: &mut dyn Context<Msg<C>>) {
-        let cmd = cmd.clone();
-        self.send_proposal(|acc_quorum| Msg::Propose { cmd, acc_quorum }, ctx);
-    }
-
-    /// Ships one `ProposeBatch` to the same targets `forward` would use,
-    /// amortizing the fan-out over the whole chunk (one quorum pick per
-    /// batch under §4.1 load balancing).
-    fn forward_batch(&self, cmds: Vec<C::Cmd>, ctx: &mut dyn Context<Msg<C>>) {
-        if !cmds.is_empty() {
+    /// Ships one batch to this proposal's targets: a lone command as
+    /// `Propose`, more as one `ProposeBatch` (one quorum pick per batch
+    /// under §4.1 load balancing).
+    fn forward(&self, mut cmds: Vec<C::Cmd>, ctx: &mut dyn Context<Msg<C>>) {
+        if cmds.len() > 1 {
             self.send_proposal(|acc_quorum| Msg::ProposeBatch { cmds, acc_quorum }, ctx);
+        } else if let Some(cmd) = cmds.pop() {
+            self.send_proposal(|acc_quorum| Msg::Propose { cmd, acc_quorum }, ctx);
         }
     }
 
-    /// Flushes the outbox as `ProposeBatch` chunks. A partial chunk only
-    /// goes out when the linger expired (or no linger is configured);
-    /// otherwise the `TOK_BATCH` timer is armed to bound its wait.
-    fn flush_outbox(&mut self, linger_expired: bool, ctx: &mut dyn Context<Msg<C>>) {
+    /// Flushes the outbox in batches of up to `batch_size`; when a partial
+    /// one leaves is [`Linger::ready`]'s rule.
+    fn flush_outbox(&mut self, mut expired: bool, ctx: &mut dyn Context<Msg<C>>) {
         let b = self.cfg.batch;
-        let mut allow_partial = linger_expired || b.batch_ticks.ticks() == 0;
+        // `max(1)`: an unvalidated zero batch size still drains.
+        let size = b.batch_size.max(1);
         while !self.outbox.is_empty() {
-            if self.outbox.len() < b.batch_size && !allow_partial {
-                if !self.linger_armed {
-                    self.linger_armed = true;
-                    ctx.set_timer(b.batch_ticks, TOK_BATCH);
-                }
+            let full = self.outbox.len() >= size;
+            if !self.linger.ready(full, &mut expired, &b, ctx) {
                 return;
             }
-            // One linger expiry flushes exactly one partial chunk.
-            allow_partial = b.batch_ticks.ticks() == 0;
-            let take = self.outbox.len().min(b.batch_size);
-            let chunk: Vec<C::Cmd> = self.outbox.drain(..take).collect();
-            self.forward_batch(chunk, ctx);
+            let chunk: Vec<C::Cmd> = self.outbox.drain(..self.outbox.len().min(size)).collect();
+            self.forward(chunk, ctx);
         }
     }
 
@@ -172,18 +163,9 @@ impl<C: CStruct> Actor for Proposer<C> {
     fn on_message(&mut self, _from: ProcessId, msg: Msg<C>, ctx: &mut dyn Context<Msg<C>>) {
         match msg {
             Msg::Propose { cmd, .. } => {
-                if !self.batching() {
-                    if !self.pending.contains(&cmd) {
-                        self.pending.push(cmd.clone());
-                        ctx.metric(Metric::incr(metrics::PROPOSED));
-                    }
-                    self.forward(&cmd, ctx);
-                    return;
-                }
-                // Batching mode: admit once, then let the outbox/linger
-                // machinery decide when the command reaches the wire.
-                // Duplicate submissions are covered by the resend timer
-                // instead of an immediate re-forward.
+                // Admit once, then let the outbox decide when the command
+                // reaches the wire. A repeated submission is ignored: the
+                // resend timer owns retransmission.
                 if self.pending.contains(&cmd) {
                     return;
                 }
@@ -209,22 +191,13 @@ impl<C: CStruct> Actor for Proposer<C> {
         if token == TOK_RESEND {
             if !self.pending.is_empty() {
                 ctx.metric(Metric::incr(metrics::RESENDS));
-                if self.batching() {
-                    // Re-forward everything pending in batch-sized
-                    // chunks; the outbox rides along, so clear it — its
-                    // contents are on the wire after this.
-                    self.outbox.clear();
-                    if std::mem::take(&mut self.linger_armed) {
-                        ctx.cancel_timer(TOK_BATCH);
-                    }
-                    let chunk = self.cfg.batch.batch_size.max(1);
-                    for part in self.pending.chunks(chunk) {
-                        self.forward_batch(part.to_vec(), ctx);
-                    }
-                } else {
-                    for cmd in &self.pending {
-                        self.forward(cmd, ctx);
-                    }
+                // Re-forward everything pending in batch-sized chunks; the
+                // outbox rides along, so clear it — its contents are on
+                // the wire after this.
+                self.outbox.clear();
+                self.linger.cancel(ctx);
+                for part in self.pending.chunks(self.cfg.batch.batch_size.max(1)) {
+                    self.forward(part.to_vec(), ctx);
                 }
                 self.attempts = self.attempts.saturating_add(1);
             } else {
@@ -232,7 +205,7 @@ impl<C: CStruct> Actor for Proposer<C> {
             }
             self.arm_resend(ctx);
         } else if token == TOK_BATCH {
-            self.linger_armed = false;
+            self.linger.fired();
             self.flush_outbox(true, ctx);
         }
     }
@@ -243,7 +216,6 @@ mod tests {
     use super::*;
     use crate::schedule::Policy;
     use mcpaxos_actor::host::Recorder;
-    use mcpaxos_actor::SimDuration;
     use mcpaxos_cstruct::SingleDecree;
 
     type C = SingleDecree<u32>;
@@ -269,7 +241,8 @@ mod tests {
         // 3 coordinators + 5 acceptors.
         assert_eq!(c.sent.len(), 8);
         assert_eq!(p.pending(), &[7]);
-        // Duplicate submission does not duplicate pending but re-forwards.
+        // A repeated submission is ignored: the resend timer owns
+        // retransmission.
         p.on_message(
             ProcessId(99),
             Msg::Propose {
@@ -279,7 +252,7 @@ mod tests {
             &mut c,
         );
         assert_eq!(p.pending(), &[7]);
-        assert_eq!(c.sent.len(), 16);
+        assert_eq!(c.sent.len(), 8);
     }
 
     #[test]
@@ -310,27 +283,54 @@ mod tests {
         }
     }
 
+    /// `pipelined(batch, 4)`: a 2-tick linger.
     fn batch_cfg(batch: usize) -> Arc<DeployConfig> {
-        let b = crate::config::BatchConfig {
-            batch_size: batch,
-            batch_ticks: SimDuration(2),
-            pipeline_depth: 4,
-            queue_cap: 0,
-        };
+        let b = crate::config::BatchConfig::pipelined(batch, 4);
         Arc::new(DeployConfig::simple(1, 1, 3, 1, Policy::SingleCoordinated).with_batching(b))
     }
 
     /// Batches as seen by one process (the first coordinator), so each
-    /// multicast counts once.
+    /// multicast counts once: a `Propose` is a batch of one.
     fn batches_of(c: &Ctx, cfg: &DeployConfig) -> Vec<Vec<u32>> {
         let coord = cfg.roles.coordinators()[0];
         let mut out = vec![];
-        for (to, m) in &c.sent {
-            if let (true, Msg::ProposeBatch { cmds, .. }) = (*to == coord, m) {
-                out.push(cmds.clone());
+        for (_, m) in c.sent.iter().filter(|(to, _)| *to == coord) {
+            match m {
+                Msg::Propose { cmd, .. } => out.push(vec![*cmd]),
+                Msg::ProposeBatch { cmds, .. } => out.push(cmds.clone()),
+                other => panic!("unexpected {other:?}"),
             }
         }
         out
+    }
+
+    #[test]
+    fn a_lone_command_whose_linger_expired_travels_as_propose() {
+        let cfg = batch_cfg(2);
+        let mut p: Proposer<C> = Proposer::new(cfg.clone());
+        let mut c = ctx();
+        p.on_message(
+            ProcessId(99),
+            Msg::Propose {
+                cmd: 5,
+                acc_quorum: None,
+            },
+            &mut c,
+        );
+        assert!(c.sent.is_empty(), "a partial batch lingers");
+        p.on_timer(TOK_BATCH, &mut c);
+        // 1 coordinator + 3 acceptors, each sent the bare command: no
+        // `ProposeBatch` length prefix for a batch of one.
+        assert_eq!(c.sent.len(), 4);
+        for (_, m) in &c.sent {
+            assert_eq!(
+                m,
+                &Msg::Propose {
+                    cmd: 5,
+                    acc_quorum: None
+                }
+            );
+        }
     }
 
     #[test]

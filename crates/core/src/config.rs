@@ -73,8 +73,6 @@ impl WireConfig {
 /// Protocol timing constants, in ticks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Timing {
-    /// Interval between coordinator heartbeats.
-    pub heartbeat_every: SimDuration,
     /// Silence after which a coordinator is suspected (leader election).
     pub leader_timeout: SimDuration,
     /// Progress silence after which the leader starts a higher round.
@@ -85,23 +83,15 @@ pub struct Timing {
     /// or freshly recovered learners catch up (§A: agents keep re-sending
     /// their last message).
     pub acceptor_resend: SimDuration,
-    /// After a collision, leaders keep starting *single-coordinated*
-    /// rounds for this long before returning to the policy's fresh round
-    /// type (§4.2: "after some time of normal execution ... start a
-    /// multicoordinated round again").
-    pub collision_backoff: SimDuration,
     /// Failure detector: heartbeat silence after which a coordinator
     /// actively *suspects* a peer coordinator, demotes it from its leader
     /// view and — if that makes this coordinator the leader — immediately
     /// starts a higher round instead of waiting for `stall_timeout`.
     /// 0 (the default) disables the detector: liveness then rests on
-    /// `leader_timeout`/`stall_timeout` exactly as before.
+    /// `leader_timeout`/`stall_timeout` exactly as before. Each suspicion
+    /// that proves wrong doubles that peer's timeout, a bounded number of
+    /// times.
     pub fd_suspect_after: SimDuration,
-    /// Exponential backoff cap for the failure detector: each time a
-    /// suspicion proves wrong (the suspect is heard from again) the
-    /// suspicion timeout for that peer doubles, up to `fd_suspect_after
-    /// << fd_backoff_max`. Guards against flapping on slow WAN links.
-    pub fd_backoff_max: u32,
     /// Proposer retransmission backoff cap: when nonzero, consecutive
     /// resends of the same pending set back off exponentially from
     /// `proposer_resend` up to this cap (reset when the pending set
@@ -116,14 +106,11 @@ pub struct Timing {
 impl Default for Timing {
     fn default() -> Self {
         Timing {
-            heartbeat_every: SimDuration(50),
             leader_timeout: SimDuration(160),
             stall_timeout: SimDuration(120),
             proposer_resend: SimDuration(200),
             acceptor_resend: SimDuration(170),
-            collision_backoff: SimDuration(600),
             fd_suspect_after: SimDuration(0),
-            fd_backoff_max: 3,
             proposer_backoff_max: SimDuration(0),
             proposer_jitter: SimDuration(0),
         }
@@ -133,7 +120,8 @@ impl Default for Timing {
 impl Timing {
     /// Returns `self` with the failure detector enabled at the given
     /// suspicion timeout (size it above the worst heartbeat RTT plus one
-    /// `heartbeat_every`, or every slow link becomes a false suspicion).
+    /// 50-tick heartbeat interval, or every slow link becomes a false
+    /// suspicion).
     pub fn with_failure_detector(mut self, suspect_after: SimDuration) -> Self {
         self.fd_suspect_after = suspect_after;
         self
@@ -148,28 +136,28 @@ impl Timing {
     }
 }
 
-/// Proposal batching and phase-2 pipelining knobs (the hot-path
-/// scheduler).
+/// Proposal batching and phase-2 pipelining: how proposals become `2a`
+/// waves.
 ///
-/// Defaults to *off* (`batch_size == 0`): proposers forward each command
-/// the instant it arrives and coordinators issue one `2a` per proposal,
-/// reproducing the paper's per-command message semantics exactly. With
-/// batching on, coordinators accumulate up to `batch_size` proposals (or
-/// whatever has arrived after `batch_ticks` of linger) and amortize one
-/// 2a/2b/WAL-group-commit cycle over the whole batch, while keeping up to
-/// `pipeline_depth` such waves in flight instead of waiting for each
-/// wave's quorum before issuing the next.
+/// Proposers send commands in batches of up to `batch_size`, and
+/// coordinators fold up to `batch_size` queued proposals into one `2a`
+/// wave, keeping up to `pipeline_depth` waves in flight instead of waiting
+/// for each wave's quorum before issuing the next. A partial batch waits
+/// up to `batch_ticks` for more commands. The default — one command per
+/// wave, no linger, an unbounded pipeline and an uncapped queue — is the
+/// paper's `Phase2aClassic` (§3.2): each proposal extends `cval` and goes
+/// out at once in its own "2a". Larger batches amortize one
+/// 2a/2b/WAL-group-commit cycle over the whole batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Maximum commands amortized into one `2a` (0 disables batching and
-    /// pipelining entirely; 1 is a lockstep wave-per-command baseline).
+    /// Maximum commands amortized into one `2a` (≥ 1; 1 is one "2a" per
+    /// proposal).
     pub batch_size: usize,
     /// How long a partial batch lingers waiting for more commands before
     /// being flushed anyway (0 = flush immediately, never linger).
     pub batch_ticks: SimDuration,
-    /// Maximum unacknowledged `2a` waves in flight per coordinator (and
-    /// un-learned commands, in batches, per proposer). Must be ≥ 1 when
-    /// batching is on.
+    /// Maximum unacknowledged `2a` waves in flight per coordinator (≥ 1;
+    /// `usize::MAX`, the default, never holds a wave back).
     pub pipeline_depth: usize,
     /// Bound on the coordinator's queue of not-yet-sent commands
     /// (0 = unbounded). A command past it is dropped and counted
@@ -182,20 +170,15 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            batch_size: 0,
+            batch_size: 1,
             batch_ticks: SimDuration(0),
-            pipeline_depth: 1,
+            pipeline_depth: usize::MAX,
             queue_cap: 0,
         }
     }
 }
 
 impl BatchConfig {
-    /// Whether the batching/pipelining scheduler is active at all.
-    pub fn enabled(&self) -> bool {
-        self.batch_size > 0
-    }
-
     /// The throughput preset: waves of up to `batch` commands, `depth`
     /// in flight, a 2-tick linger for partial batches, and a shed-on-
     /// overflow queue sized to hold one full pipeline of batches.
@@ -227,9 +210,6 @@ pub struct DeployConfig {
     /// §4.1 load balancing: proposers pick one coordinator quorum and one
     /// acceptor quorum per command instead of broadcasting.
     pub load_balance: bool,
-    /// Learners notify proposers of learned commands (enables proposer
-    /// retransmission to stop; required for liveness under message loss).
-    pub notify_learned: bool,
     /// Timers.
     pub timing: Timing,
     /// Delta shipping, compaction and checkpoint policy.
@@ -240,7 +220,8 @@ pub struct DeployConfig {
     /// (§4.4's per-accept write is the `SimDuration(0)` default, which
     /// flushes synchronously and changes nothing).
     pub group_commit: SimDuration,
-    /// Proposal batching and phase-2 pipelining (off by default).
+    /// Proposal batching and phase-2 pipelining (one command per wave by
+    /// default).
     pub batch: BatchConfig,
 }
 
@@ -287,7 +268,6 @@ impl DeployConfig {
             durability: Durability::Reduced,
             collision: CollisionPolicy::Coordinated,
             load_balance: false,
-            notify_learned: true,
             timing: Timing::default(),
             wire: WireConfig::default(),
             group_commit: SimDuration(0),
@@ -329,12 +309,6 @@ impl DeployConfig {
     /// Returns `self` with the given timing constants.
     pub fn with_timing(mut self, timing: Timing) -> Self {
         self.timing = timing;
-        self
-    }
-
-    /// Returns `self` with learner→proposer notifications on or off.
-    pub fn with_notify_learned(mut self, on: bool) -> Self {
-        self.notify_learned = on;
         self
     }
 
@@ -381,13 +355,12 @@ impl DeployConfig {
         if self.schedule.all_coordinators() != self.roles.coordinators() {
             return Err("schedule coordinators differ from role map".into());
         }
-        if self.batch.enabled() {
-            if self.batch.pipeline_depth == 0 {
-                return Err("batching requires pipeline_depth >= 1".into());
-            }
-            if self.batch.queue_cap > 0 && self.batch.queue_cap < self.batch.batch_size {
-                return Err("batch queue_cap smaller than one batch can never fill a batch".into());
-            }
+        let b = &self.batch;
+        if b.batch_size == 0 || b.pipeline_depth == 0 {
+            return Err("batching requires batch_size >= 1 and pipeline_depth >= 1".into());
+        }
+        if b.queue_cap > 0 && b.queue_cap < b.batch_size {
+            return Err("batch queue_cap smaller than one batch can never fill a batch".into());
         }
         if self.collision == CollisionPolicy::Uncoordinated
             && self.schedule.policy() != Policy::FastForever
@@ -439,48 +412,54 @@ mod tests {
         let cfg = DeployConfig::simple(1, 1, 3, 1, Policy::SingleCoordinated)
             .with_durability(Durability::Naive)
             .with_load_balance(true)
-            .with_notify_learned(false)
             .with_timing(Timing {
-                heartbeat_every: SimDuration(5),
                 leader_timeout: SimDuration(20),
                 stall_timeout: SimDuration(30),
                 proposer_resend: SimDuration(40),
                 acceptor_resend: SimDuration(0),
-                collision_backoff: SimDuration(0),
                 ..Timing::default()
             });
         assert_eq!(cfg.durability, Durability::Naive);
         assert!(cfg.load_balance);
-        assert!(!cfg.notify_learned);
-        assert_eq!(cfg.timing.heartbeat_every, SimDuration(5));
+        assert_eq!(cfg.timing.leader_timeout, SimDuration(20));
     }
 
     #[test]
-    fn batching_defaults_off_and_builder_applies() {
+    fn batching_defaults_to_one_command_per_wave_and_builder_applies() {
         let cfg = DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated);
-        assert!(!cfg.batch.enabled(), "batching must default off");
-        assert_eq!(cfg.batch, BatchConfig::default());
+        let paper = BatchConfig {
+            batch_size: 1,
+            batch_ticks: SimDuration(0),
+            pipeline_depth: usize::MAX,
+            queue_cap: 0,
+        };
+        assert_eq!(BatchConfig::default(), paper);
+        assert_eq!(cfg.batch, paper);
         cfg.validate().unwrap();
 
         let cfg = cfg.with_batching(BatchConfig::pipelined(16, 8));
-        assert!(cfg.batch.enabled());
         assert_eq!(cfg.batch.batch_size, 16);
         assert_eq!(cfg.batch.pipeline_depth, 8);
         cfg.validate().unwrap();
 
-        let bad =
-            DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated).with_batching(BatchConfig {
-                batch_size: 4,
-                pipeline_depth: 0,
-                ..BatchConfig::default()
-            });
-        assert!(bad.validate().is_err(), "depth 0 with batching on");
-        let bad =
-            DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated).with_batching(BatchConfig {
-                batch_size: 8,
-                queue_cap: 4,
-                ..BatchConfig::default()
-            });
+        let with =
+            |batch| DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated).with_batching(batch);
+        let bad = with(BatchConfig {
+            batch_size: 0,
+            ..BatchConfig::default()
+        });
+        assert!(bad.validate().is_err(), "batch size 0");
+        let bad = with(BatchConfig {
+            batch_size: 4,
+            pipeline_depth: 0,
+            ..BatchConfig::default()
+        });
+        assert!(bad.validate().is_err(), "depth 0");
+        let bad = with(BatchConfig {
+            batch_size: 8,
+            queue_cap: 4,
+            ..BatchConfig::default()
+        });
         assert!(bad.validate().is_err(), "cap below one batch");
     }
 

@@ -124,8 +124,9 @@ pub enum Msg<C: CStruct> {
     /// in one message, amortizing the per-message envelope over k
     /// proposals. Semantically identical to k consecutive
     /// [`Msg::Propose`]s with the same `acc_quorum`; receivers process
-    /// the commands in order. Only emitted when
-    /// [`crate::BatchConfig::enabled`] is on.
+    /// the commands in order. Proposers emit it for batches of two or
+    /// more ([`crate::BatchConfig::batch_size`] > 1); a lone command
+    /// travels as [`Msg::Propose`].
     ProposeBatch {
         /// The proposed commands, in submission order.
         cmds: Vec<C::Cmd>,

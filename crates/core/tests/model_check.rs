@@ -24,6 +24,10 @@
 //! * **ProvedSafe compatibility** — with all acceptors up, the value a
 //!   recovering coordinator would pick from their binding reports is
 //!   compatible with everything already learned (Definition 1, §3.3.2).
+//!
+//! Each scenario also pins the size of the tree it explored (paths and
+//! states, never truncated), so a change that alters what the agents do
+//! on these schedules shows up here rather than only in a printout.
 
 use mcpaxos_actor::wire::from_bytes;
 use mcpaxos_actor::{ProcessId, SimDuration, WalStore};
@@ -33,7 +37,7 @@ use mcpaxos_core::{
     Policy, Round, Timing,
 };
 use mcpaxos_cstruct::{CStruct, CmdSeq};
-use mcpaxos_simnet::{explore, Choice, ExploreConfig, ExploreNet};
+use mcpaxos_simnet::{explore, Choice, ExploreConfig, ExploreNet, ExploreStats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -221,7 +225,18 @@ fn check(
     Ok(())
 }
 
-fn run(durability: Durability, group_commit: u64, depth: usize) -> mcpaxos_simnet::ExploreStats {
+/// Asserts the explored tree: `paths` leaves and `states` nodes, with no
+/// truncation by the path cap.
+fn assert_tree(what: &str, stats: &ExploreStats, paths: u64, states: u64) {
+    println!("{what}: {stats:?}");
+    assert_eq!(
+        (stats.paths, stats.states, stats.truncated),
+        (paths, states, false),
+        "{what}: explored tree changed: {stats:?}"
+    );
+}
+
+fn run(durability: Durability, group_commit: u64, depth: usize) -> ExploreStats {
     let cfg = cluster(durability, group_commit);
     let crash_target = cfg.roles.acceptors()[0];
     let ecfg = ExploreConfig {
@@ -232,15 +247,12 @@ fn run(durability: Durability, group_commit: u64, depth: usize) -> mcpaxos_simne
         ..ExploreConfig::default()
     };
     let build_cfg = cfg.clone();
-    let stats = explore(
+    explore(
         &ecfg,
         move |net: &mut ExploreNet<Msg<C>>| prime(net, &build_cfg),
         move |net: &ExploreNet<Msg<C>>, grown: &mut Grown| check(net, &cfg, grown),
     )
-    .unwrap_or_else(|v| panic!("{v}"));
-    assert!(!stats.truncated, "exploration hit max_paths: {stats:?}");
-    assert!(stats.paths > 1, "degenerate exploration: {stats:?}");
-    stats
+    .unwrap_or_else(|v| panic!("{v}"))
 }
 
 /// Failure-detector churn invariants, checked on top of [`check`] at
@@ -331,9 +343,7 @@ fn exhaustive_coordinator_crash_during_round_change() {
         move |net: &ExploreNet<Msg<C>>, grown: &mut Grown| check_churn(net, &cfg, grown),
     )
     .unwrap_or_else(|v| panic!("{v}"));
-    assert!(!stats.truncated, "exploration hit max_paths: {stats:?}");
-    assert!(stats.paths > 1, "degenerate exploration: {stats:?}");
-    println!("coordinator churn: {stats:?}");
+    assert_tree("coordinator churn", &stats, 24_626, 27_801);
 }
 
 #[test]
@@ -342,7 +352,7 @@ fn exhaustive_reduced_group_commit() {
     // votes buffer, "2b"s defer to the flush tick, a crash can land
     // between them, and the recovery epoch bump must still dominate.
     let stats = run(Durability::Reduced, 3, 5);
-    println!("reduced+gc: {stats:?}");
+    assert_tree("reduced+gc", &stats, 52_343, 58_274);
 }
 
 #[test]
@@ -351,7 +361,7 @@ fn exhaustive_reduced_per_vote_flush() {
     // durable, so the durable-quorum invariant must hold trivially at
     // every depth.
     let stats = run(Durability::Reduced, 0, 5);
-    println!("reduced+sync: {stats:?}");
+    assert_tree("reduced+sync", &stats, 8_350, 9_501);
 }
 
 #[test]
@@ -359,7 +369,7 @@ fn exhaustive_naive_group_commit() {
     // Naive durability persists `rnd` on every join: more buffered
     // records in flight around a crash, same invariants.
     let stats = run(Durability::Naive, 3, 5);
-    println!("naive+gc: {stats:?}");
+    assert_tree("naive+gc", &stats, 52_343, 58_274);
 }
 
 #[test]
@@ -368,5 +378,5 @@ fn exhaustive_reduced_group_commit_deep() {
     // Depth 6 is the deepest bound that stays under the path cap with
     // this scenario's branching factor (depth 7 exceeds 2M paths).
     let stats = run(Durability::Reduced, 3, 6);
-    println!("reduced+gc deep: {stats:?}");
+    assert_tree("reduced+gc deep", &stats, 542_126, 600_400);
 }

@@ -222,6 +222,29 @@ pub fn glb_all_ref<'a, C: CStruct>(items: impl IntoIterator<Item = &'a C>) -> C 
     acc.unwrap_or_else(|| first.clone())
 }
 
+/// Whether every pair in `items` is compatible, by reference and without
+/// allocating: the agents' collision scans over the values they hold per
+/// round. Pairs are tried in order, and the first incompatible one ends
+/// the scan.
+///
+/// For general c-struct sets pairwise compatibility of a set is implied
+/// by CS3 to give a lub for the whole set; this helper checks the
+/// pairwise condition directly.
+pub fn compatible_all<'a, C, I>(items: I) -> bool
+where
+    C: CStruct + 'a,
+    I: IntoIterator<Item = &'a C>,
+    I::IntoIter: Clone,
+{
+    let mut rest = items.into_iter();
+    while let Some(a) = rest.next() {
+        if !rest.clone().all(|b| a.compatible(b)) {
+            return false;
+        }
+    }
+    true
+}
+
 /// Least upper bound of a non-empty collection of c-structs, or `None` if
 /// the collection is not compatible.
 ///
@@ -233,22 +256,6 @@ pub fn lub_all<C: CStruct>(items: impl IntoIterator<Item = C>) -> Option<C> {
     let mut it = items.into_iter();
     let first = it.next().expect("lub_all requires a non-empty collection");
     it.try_fold(first, |acc, x| acc.lub(&x))
-}
-
-/// Whether every pair in `items` is compatible.
-///
-/// Note that for general c-struct sets pairwise compatibility of a set is
-/// implied by CS3 to give a lub for the whole set; this helper checks the
-/// pairwise condition directly.
-pub fn compatible_all<C: CStruct>(items: &[C]) -> bool {
-    for (i, a) in items.iter().enumerate() {
-        for b in &items[i + 1..] {
-            if !a.compatible(b) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -273,6 +280,9 @@ mod tests {
         let l = lub_all(vec![mk(&[1]), mk(&[2])]).unwrap();
         assert_eq!(l, mk(&[1, 2]));
         assert!(compatible_all(&[mk(&[1]), mk(&[2]), mk(&[3])]));
+        let d = crate::SingleDecree::<u32>::decided;
+        assert!(compatible_all(&[d(1), CStruct::bottom(), d(1)]));
+        assert!(!compatible_all(&[d(1), d(1), d(2)]));
     }
 
     #[test]
