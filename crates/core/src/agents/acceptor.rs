@@ -287,16 +287,38 @@ impl<C: CStruct> Acceptor<C> {
     }
 
     /// `Phase2bClassic` (§3.2): accept once a full coordinator quorum has
-    /// forwarded compatible values.
-    fn try_accept_classic(&mut self, round: Round, ctx: &mut dyn Context<Msg<C>>) {
+    /// forwarded compatible values, `report` (the "2a" value just stored)
+    /// among them.
+    ///
+    /// A *covered* report skips the quorum fold: the round is classic, the
+    /// vote is this round's, and `report` ⊑ `vval` at the same watermark.
+    /// Within a round the vote only grows (it is a lub), so every quorum
+    /// glb containing the sender is ⊑ `report` ⊑ `vval`, and every quorum
+    /// without it was folded in when its last member reported — unless
+    /// that report was itself covered (the same argument), or collided,
+    /// which moved `rnd` past the round. `NewRound` is the exception: its
+    /// collisions leave `rnd` and the incompatible report in place, so a
+    /// covered report still folds there. A skipped fold would have changed
+    /// nothing: the vote is re-broadcast, with no write and no `ACCEPTS`.
+    fn try_accept_classic(&mut self, round: Round, report: &C, ctx: &mut dyn Context<Msg<C>>) {
         if round < self.rnd {
             return;
         }
         let quorum = self.cfg.schedule.coord_quorum(round);
-        let vals: Vec<&C> = match self.round_2a.get(&round) {
-            Some(m) if quorum.is_quorum(m.len()) => m.values().map(|v| v.as_ref()).collect(),
+        let m = match self.round_2a.get(&round) {
+            Some(m) if quorum.is_quorum(m.len()) => m,
             _ => return,
         };
+        let covered = self.vrnd == round
+            && self.cfg.schedule.kind(round) != RoundKind::Fast
+            && self.cfg.collision != CollisionPolicy::NewRound
+            && report.watermark() == self.vval.watermark()
+            && report.le(&self.vval);
+        if covered {
+            self.broadcast_2b(ctx);
+            return;
+        }
+        let vals: Vec<&C> = m.values().map(|v| v.as_ref()).collect();
         // Each coordinator quorum L among the reporters yields a valid
         // lower bound u_L = ⊓ L2aVals; accepting several in sequence is
         // just repeated Phase2bClassic, so fold their lub. Quorum glbs are
@@ -630,7 +652,7 @@ impl<C: CStruct> Actor for Acceptor<C> {
                     self.handle_mc_collision(round, ctx);
                     return;
                 }
-                self.try_accept_classic(round, ctx);
+                self.try_accept_classic(round, &val, ctx);
             }
             // A batch is k consecutive proposals; in a fast round the
             // group-commit buffer (§4.4) amortizes the vote writes.
@@ -1112,5 +1134,86 @@ mod tests {
         let waited: u64 = c.timers.iter().map(|(after, _)| after.ticks()).sum();
         assert_eq!(waited, GC.ticks(), "the yield adds no ticks");
         assert_eq!(twobs(&c), vec![mk(&[7]); 4]);
+    }
+
+    /// A "2a" of `cmds` for a multicoordinated round (two of the three
+    /// coordinators are a quorum).
+    fn p2a_mc(cmds: &[u32]) -> Msg<C> {
+        Msg::P2a {
+            round: Round::new(0, 1, 0, RTYPE_MULTI),
+            val: mk(cmds).into(),
+        }
+    }
+
+    #[test]
+    fn a_covered_2a_defers_a_2b_with_no_write_and_no_accept() {
+        let (mut a, mut c, synced) = group_committing();
+        a.on_message(ProcessId(1), p2a_mc(&[1, 2]), &mut c);
+        a.on_message(ProcessId(2), p2a_mc(&[1, 2, 3]), &mut c);
+        assert_eq!(a.vval(), &mk(&[1, 2]));
+        for _ in 0..2 {
+            a.on_timer(TOK_FLUSH, &mut c); // the yield, then the sync
+        }
+        assert_eq!(c.store.write_count(), synced + 1);
+        let accepts = c.metric_count(metrics::ACCEPTS);
+        c.sent.clear();
+        c.timers.clear();
+        // The vote {1, 2} covers c3's {2} and c1's re-sent {1, 2}.
+        a.on_message(ProcessId(3), p2a_mc(&[2]), &mut c);
+        a.on_message(ProcessId(1), p2a_mc(&[1, 2]), &mut c);
+        assert!(twobs(&c).is_empty(), "no 2b before its flush");
+        assert_eq!(c.timers, [(GC, TOK_FLUSH)]);
+        for _ in 0..2 {
+            a.on_timer(TOK_FLUSH, &mut c);
+        }
+        assert_eq!(c.store.write_count(), synced + 1, "nothing to sync");
+        assert_eq!(c.metric_count(metrics::ACCEPTS), accepts);
+        assert_eq!(twobs(&c), vec![mk(&[1, 2]); 4]);
+    }
+
+    #[test]
+    fn a_fast_round_takes_the_full_path() {
+        let cfg = Arc::new(DeployConfig::simple(1, 1, 5, 1, Policy::FastForever));
+        let mut a: Acceptor<C> = Acceptor::new(cfg.clone());
+        let mut c = ctx();
+        a.on_start(&mut c);
+        let r = cfg.schedule.initial(0, 0);
+        let prime = || Msg::P2a {
+            round: r,
+            val: C::bottom().into(),
+        };
+        a.on_message(ProcessId(1), prime(), &mut c);
+        assert_eq!(a.vrnd(), r);
+        // A buffered proposal: the full path folds whatever is buffered,
+        // so it shows which path a covered "2a" took.
+        a.fast_buf.push(9);
+        a.on_message(ProcessId(1), prime(), &mut c);
+        assert_eq!(a.vval(), &mk(&[9]));
+    }
+
+    #[test]
+    fn a_colliding_2a_is_detected_even_when_the_vote_covers_it() {
+        use mcpaxos_cstruct::SingleDecree;
+        type S = SingleDecree<u32>;
+        let cfg = cfg();
+        let mut a: Acceptor<S> = Acceptor::new(cfg.clone());
+        let mut c: Recorder<Msg<S>> = Recorder::new(4);
+        a.on_start(&mut c);
+        let r = Round::new(0, 1, 0, RTYPE_MULTI);
+        let decided = |v| Msg::P2a {
+            round: r,
+            val: S::decided(v).into(),
+        };
+        a.on_message(ProcessId(1), decided(1), &mut c);
+        a.on_message(ProcessId(2), decided(1), &mut c);
+        assert_eq!(a.vval(), &S::decided(1));
+        // c3's incompatible report beside the vote, as a collision under
+        // `NewRound` leaves one.
+        let m = a.round_2a.get_mut(&r).expect("the round's reports");
+        m.insert(ProcessId(3), Arc::new(S::decided(2)));
+        // c1's re-sent value is covered, and collides with c3's.
+        a.on_message(ProcessId(1), decided(1), &mut c);
+        assert_eq!(c.metric_count(metrics::COLLISION_MC), 1);
+        assert_eq!(a.rnd(), cfg.schedule.next(r));
     }
 }

@@ -471,8 +471,7 @@ impl<C: CStruct> Coordinator<C> {
             // *absorbs* it (appending changes nothing): with consensus
             // c-structs a losing proposal can never be added once a value
             // is decided, so it must not keep the stall detector armed.
-            self.outstanding
-                .retain(|c| !g.contains(c) && g.appended(c) != g);
+            self.outstanding.retain(|c| !g.absorbs(c));
         }
         // Wave retirement: a pipelined `2a` wave is acknowledged once a
         // quorum of acceptors report `2b` values covering its target

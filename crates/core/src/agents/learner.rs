@@ -18,6 +18,12 @@
 //! `learned`. This replaces the seed's recompute-every-subset-from-full-
 //! clones on every message; `tests/learner_diff.rs` pins the two against
 //! each other.
+//!
+//! A *covered* report — one `learned` already extends — skips the sweep
+//! altogether: every glb it joins is ⊑ the report ⊑ `learned`, so no fold
+//! could grow `learned`. The cached glbs it leaves stale are only ever
+//! compared for equality before an idempotent lub, so a stale entry costs
+//! at most one no-op fold later.
 
 use crate::agents::{metrics, TOK_STABLE_GOSSIP};
 use crate::compact::{Compactor, STABLE_KEEP};
@@ -395,10 +401,14 @@ impl<C: CStruct> Actor for Learner<C> {
                 let Some((val, changed)) = self.ingest(from, round, val, base, ctx) else {
                     return;
                 };
+                // A report `learned` covers cannot grow it: every glb it
+                // joins is below it. Its subsets keep their cached glbs.
+                let covered =
+                    changed && val.watermark() == self.learned.watermark() && val.le(&self.learned);
                 let st = self.rounds.entry(round).or_default();
                 st.reports.insert(from, val);
                 prune_rounds(&mut self.rounds);
-                if changed {
+                if changed && !covered {
                     self.try_learn(round, from, ctx);
                 }
             }

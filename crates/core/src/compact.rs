@@ -28,9 +28,10 @@ use crate::config::WireConfig;
 use crate::round::Round;
 use crate::ship::{value_digest, Payload};
 use mcpaxos_actor::ProcessId;
-use mcpaxos_cstruct::CStruct;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use mcpaxos_cstruct::{CStruct, DetHasher};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// Outcome of resolving an ingested [`Payload`] against local state.
@@ -65,6 +66,9 @@ pub struct Compactor<C: CStruct> {
     /// Applied segments kept for normalizing lagging peers' values,
     /// oldest first.
     recent: VecDeque<(u64, Vec<C::Cmd>)>,
+    /// The commands of `recent`, each with the number of retained segments
+    /// holding it: membership without scanning the window.
+    recent_cmds: HashMap<C::Cmd, u32, BuildHasherDefault<DetHasher>>,
     /// Per sender: the round and value of the last payload resolved from
     /// it, in the sender's frame. `None` unless compaction is on, the only
     /// case in which the two frames can differ.
@@ -79,6 +83,7 @@ impl<C: CStruct> Default for Compactor<C> {
             watermark: 0,
             pending: BTreeMap::new(),
             recent: VecDeque::new(),
+            recent_cmds: HashMap::default(),
             frames: None,
         }
     }
@@ -114,14 +119,31 @@ impl<C: CStruct> Compactor<C> {
         let mut applied = 0;
         while let Some((from, cmds)) = self.pending.remove_entry(&self.watermark) {
             on_applied(&cmds);
-            self.watermark = from + cmds.len() as u64;
-            self.recent.push_back((from, cmds));
-            while self.recent.len() > STABLE_KEEP {
-                self.recent.pop_front();
-            }
+            self.retain_applied(from, cmds);
             applied += 1;
         }
         applied
+    }
+
+    /// Moves the watermark past the applied segment `cmds` at `from` and
+    /// keeps it in `recent`, evicting the oldest beyond [`STABLE_KEEP`];
+    /// `recent_cmds` follows both.
+    fn retain_applied(&mut self, from: u64, cmds: Vec<C::Cmd>) {
+        self.watermark = from + cmds.len() as u64;
+        for c in &cmds {
+            *self.recent_cmds.entry(c.clone()).or_default() += 1;
+        }
+        self.recent.push_back((from, cmds));
+        while self.recent.len() > STABLE_KEEP {
+            let (_, old) = self.recent.pop_front().expect("over capacity");
+            for c in &old {
+                let n = self.recent_cmds.get_mut(c).expect("counted on entry");
+                *n -= 1;
+                if *n == 0 {
+                    self.recent_cmds.remove(c);
+                }
+            }
+        }
     }
 
     /// Buffers a stable segment starting at `from` (idempotent; segments
@@ -153,11 +175,7 @@ impl<C: CStruct> Compactor<C> {
                 .remove_entry(&self.watermark)
                 .expect("just probed");
             on_applied(&cmds);
-            self.watermark = from + cmds.len() as u64;
-            self.recent.push_back((from, cmds));
-            while self.recent.len() > STABLE_KEEP {
-                self.recent.pop_front();
-            }
+            self.retain_applied(from, cmds);
             applied += 1;
         }
         // Anything below the watermark can never apply again.
@@ -211,9 +229,10 @@ impl<C: CStruct> Compactor<C> {
     /// Whether `c` was truncated by one of the retained recent segments.
     /// Used to drop re-deliveries and re-proposals of already-stable
     /// commands, which would otherwise re-enter live windows (their
-    /// membership entries are gone after truncation).
+    /// membership entries are gone after truncation). One probe of a
+    /// hashed multiset kept beside the segments, not a scan of them.
     pub fn contains_recent(&self, c: &C::Cmd) -> bool {
-        self.recent.iter().any(|(_, seg)| seg.contains(c))
+        self.recent_cmds.contains_key(c)
     }
 
     /// Strips applied segments out of `v` until it reaches the local
@@ -262,41 +281,47 @@ impl<C: CStruct> Compactor<C> {
             Payload::Delta {
                 base_len,
                 digest,
-                mut suffix,
-            } => {
-                let b = match base {
-                    Some(b) if b.watermark() == self.watermark => b,
-                    _ => return Resolved::Gap,
-                };
-                // A re-delivered stale delta may carry commands that were
-                // truncated (as stable) since: they must not re-enter the
-                // live window.
-                suffix.retain(|c| !self.contains_recent(c));
-                if suffix.is_empty() && base_len <= b.total_len() {
-                    // Pure keep-alive: the sender claims our base IS its
-                    // value. A digest mismatch means the base diverged
-                    // (e.g. rolled back by a crash) — resync.
-                    if value_digest(&**b) != digest {
-                        return Resolved::Gap;
-                    }
-                    return Resolved::Value(b.clone(), false);
-                }
-                let mut owned = (**b).clone();
-                match owned.apply_suffix(base_len, &suffix) {
-                    Ok(appended) => {
-                        // The suffix applied positionally, but `base_len`
-                        // alone cannot authenticate the base: verify the
-                        // reconstruction against the sender's digest and
-                        // treat divergence exactly like a gap.
-                        if value_digest(&owned) != digest {
-                            return Resolved::Gap;
-                        }
-                        Resolved::Value(Arc::new(owned), appended > 0)
-                    }
-                    Err(_) => Resolved::Gap,
-                }
-            }
+                suffix,
+            } => match self.apply_delta(base_len, digest, &suffix, base) {
+                Some((v, changed)) => Resolved::Value(v, changed),
+                None => Resolved::Gap,
+            },
         }
+    }
+
+    /// Applies a delta to `base` in the local frame: the value it yields
+    /// and whether commands were appended, or `None` for a gap — no base
+    /// at the local watermark, a base the suffix does not reach, or a
+    /// reconstruction the digest rejects.
+    pub(crate) fn apply_delta(
+        &self,
+        base_len: u64,
+        digest: u64,
+        suffix: &[C::Cmd],
+        base: Option<&Arc<C>>,
+    ) -> Option<(Arc<C>, bool)> {
+        let b = base.filter(|b| b.watermark() == self.watermark)?;
+        // A re-delivered stale delta may carry commands that were
+        // truncated (as stable) since: they must not re-enter the live
+        // window.
+        let suffix: Cow<[C::Cmd]> = if suffix.iter().any(|c| self.contains_recent(c)) {
+            let fresh = suffix.iter().filter(|c| !self.contains_recent(c));
+            Cow::Owned(fresh.cloned().collect())
+        } else {
+            Cow::Borrowed(suffix)
+        };
+        if suffix.is_empty() && base_len <= b.total_len() {
+            // Pure keep-alive: the sender claims our base IS its value. A
+            // digest mismatch means the base diverged (e.g. rolled back by
+            // a crash) — resync.
+            return (value_digest(&**b) == digest).then(|| (b.clone(), false));
+        }
+        let mut owned = (**b).clone();
+        let appended = owned.apply_suffix(base_len, &suffix).ok()?;
+        // The suffix applied positionally, but `base_len` alone cannot
+        // authenticate the base: verify the reconstruction against the
+        // sender's digest and treat divergence exactly like a gap.
+        (value_digest(&owned) == digest).then(|| (Arc::new(owned), appended > 0))
     }
 
     /// Resolves `from`'s delta for `round` in the sender's frame, when our
@@ -308,7 +333,8 @@ impl<C: CStruct> Compactor<C> {
     /// the retained segments — which then normalize it to ours. Returns
     /// the result in the sender's frame (to remember), at the local
     /// watermark, and whether commands were appended; `None` when this
-    /// does not apply or fails (the caller resolves as usual).
+    /// does not apply or fails. Receivers try it only for a delta that
+    /// gapped against their local base.
     pub fn resolve_in_frame(
         &self,
         from: ProcessId,
@@ -393,6 +419,28 @@ mod tests {
         assert_eq!(c.watermark(), 4);
         assert_eq!(big.watermark(), 4);
         assert_eq!(big.live_len(), 2);
+    }
+
+    #[test]
+    fn contains_recent_matches_a_scan_of_the_retained_segments() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut c: Compactor<H> = Compactor::default();
+        // Commands drawn from a small pool, so retained segments share
+        // commands and evicting one must keep what another still holds.
+        let pool: Vec<K> = (0..40).map(|i| K(i % 4, i)).collect();
+        for _ in 0..4 * STABLE_KEEP {
+            let len = rng.gen_range(1..6);
+            let seg = (0..len).map(|_| pool[rng.gen_range(0..pool.len())].clone());
+            c.offer(c.watermark(), seg.collect());
+            assert_eq!(c.advance_free(|_| {}), 1);
+            for k in &pool {
+                let scan = c.recent.iter().any(|(_, seg)| seg.contains(k));
+                assert_eq!(c.contains_recent(k), scan, "{k:?}");
+            }
+        }
+        assert_eq!(c.recent.len(), STABLE_KEEP);
     }
 
     #[test]

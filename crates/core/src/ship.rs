@@ -20,10 +20,12 @@
 //! compaction the receiver half mirrors the sender half's per-peer
 //! `(round, len)`: per sender, it keeps the last value resolved from it
 //! *as the sender held it* (see [`Compactor::resolve_in_frame`]). A delta
-//! the sender shipped before truncating, arriving after the receiver
-//! truncated, applies to that copy and is normalized afterwards instead of
-//! costing a `NeedFull` and a full payload. The copy is dropped on
-//! [`Msg::Hello`] and link reset, and a restarted agent starts without.
+//! resolves against the local base first, since the sender has usually
+//! truncated as far as the receiver. One the sender shipped before
+//! truncating, arriving after the receiver truncated, gaps there; it then
+//! applies to that copy and is normalized afterwards instead of costing a
+//! `NeedFull` and a full payload. The copy is dropped on [`Msg::Hello`] and
+//! link reset, and a restarted agent starts without.
 //!
 //! Agents keep only what is theirs: which value is primary, which side
 //! state follows a truncation ([`Receiver::realign`]), and what to do with
@@ -36,8 +38,9 @@ use crate::msg::Msg;
 use crate::round::Round;
 use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::{Context, Metric, ProcessId};
-use mcpaxos_cstruct::CStruct;
+use mcpaxos_cstruct::{CStruct, DetHasher};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// A c-struct carried by `1b`/`2a`/`2b` messages: either the whole value
@@ -81,19 +84,13 @@ pub enum Payload<C: CStruct> {
     },
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Content digest of a c-struct, for delta-base validation (FNV-1a over
-/// the watermark and the wire encoding of every live command, in
-/// representation order).
+/// Content digest of a c-struct, for delta-base validation. It covers the
+/// watermark and the wire encoding of every live command, in
+/// representation order: all of it is encoded once into one buffer, which
+/// is hashed eight bytes at a time by [`DetHasher`]'s multiply-rotate
+/// step. Every step is a bijection of the running state, so two
+/// equal-length encodings that differ in one word always digest
+/// differently.
 ///
 /// Identical representations always digest equally; equal values need not
 /// (a `CommandHistory` may order commuting commands differently). The
@@ -105,19 +102,15 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// digest is never compared.
 pub fn value_digest<C: CStruct>(v: &C) -> u64 {
     let wm = v.watermark();
-    let mut h = fnv1a(FNV_OFFSET, &wm.to_le_bytes());
+    let mut buf = Vec::new();
+    wm.encode(&mut buf);
     match v.suffix_from(wm) {
-        Some(cmds) => {
-            let mut buf = Vec::new();
-            for c in &cmds {
-                buf.clear();
-                c.encode(&mut buf);
-                h = fnv1a(h, &buf);
-            }
-        }
-        None => h = fnv1a(h, &v.total_len().to_le_bytes()),
+        Some(cmds) => cmds.iter().for_each(|c| c.encode(&mut buf)),
+        None => v.total_len().encode(&mut buf),
     }
-    h
+    let mut h = DetHasher::default();
+    h.write(&buf);
+    h.finish()
 }
 
 impl<C: CStruct> Payload<C> {
@@ -370,13 +363,14 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
     }
 
     /// Resolves `from`'s payload for `round` against `base` (its last
-    /// value for that round) — or, for a delta shipped before the sender
-    /// truncated, against its value in the sender's frame — retrying once
-    /// after compaction when the watermarks disagree. Returns the value at
-    /// the local watermark and whether it differs from the base; `None`
-    /// means the message is dropped — after asking the sender for its full
-    /// value on a delta gap, or for the missing stable segments when it is
-    /// ahead of us.
+    /// value for that round), retrying a full value once after compaction
+    /// when the watermarks disagree. A delta resolves in the local frame
+    /// first — the sender has usually truncated as far as we have — and
+    /// only when that gaps, in the sender's frame (a delta shipped before
+    /// the sender truncated). Returns the value at the local watermark and
+    /// whether it differs from the base; `None` means the message is
+    /// dropped — after asking the sender for its full value on a delta
+    /// gap, or for the missing stable segments when it is ahead of us.
     fn ingest(
         &mut self,
         from: ProcessId,
@@ -385,17 +379,32 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
         base: impl Fn(&Self) -> Option<Arc<C>>,
         ctx: &mut dyn Context<Msg<C>>,
     ) -> Option<(Arc<C>, bool)> {
+        let b = base(self);
         let comp = self.compactor();
-        if let Some((theirs, v, changed)) = comp.resolve_in_frame(from, round, &payload) {
+        if let Payload::Delta {
+            base_len,
+            digest,
+            suffix,
+        } = &payload
+        {
+            // Resolved locally, the delta is in our frame, which its digest
+            // proved is the sender's too.
+            let resolved = comp
+                .apply_delta(*base_len, *digest, suffix, b.as_ref())
+                .map(|(v, changed)| (v.clone(), v, changed))
+                .or_else(|| comp.resolve_in_frame(from, round, &payload));
+            let Some((theirs, v, changed)) = resolved else {
+                ctx.send(from, Msg::NeedFull { round });
+                return None;
+            };
             comp.remember(from, round, &theirs);
             return Some((v, changed));
         }
-        // A resolved delta is in our frame, which its digest proved is the
-        // sender's too; so is a full value, unless normalizing strips it.
+        // A full value is in the sender's frame, unless normalizing strips
+        // it.
         let w = comp.watermark();
         let behind = payload.as_full().filter(|v| v.watermark() < w).cloned();
-        let b = base(self);
-        let mut resolved = self.compactor().resolve(payload, b.as_ref());
+        let mut resolved = comp.resolve(payload, b.as_ref());
         if let Resolved::Unaligned(p) = resolved {
             // Maybe a pending segment unlocks the mismatch.
             resolved = if self.realign(ctx) {
@@ -561,6 +570,51 @@ mod tests {
         assert!(peer.receive(&mut cx).is_empty());
         assert_eq!(peer.last.as_deref(), Some(&h_at(13, 8)));
         assert_eq!(cx.metric_count(metrics::FULL_RESYNCS), 0);
+    }
+
+    #[test]
+    fn a_delta_from_a_sender_that_truncated_as_far_resolves_in_the_local_frame() {
+        let (mut out, mut peer, mut cx) = pair();
+        out.ship(&[PEER], R, &Arc::new(h(8)), &mut cx);
+        assert!(peer.receive(&mut cx).is_empty());
+        // The peer truncates 0..4, so the copy it remembers in the sender's
+        // frame (watermark 0) is behind; the sender then truncates as far
+        // and ships 8→10 at watermark 4.
+        peer.truncate(seg(0, 4));
+        out.ship(&[PEER], R, &Arc::new(h_at(10, 4)), &mut cx);
+        let Some((_, Msg::P2b { val, .. })) = cx.sent.first() else {
+            panic!("one 2b")
+        };
+        let Payload::Delta {
+            base_len,
+            digest,
+            suffix,
+        } = val
+        else {
+            panic!("a delta")
+        };
+        // The local base alone resolves it: no sender-frame copy needed.
+        let local = peer
+            .comp
+            .apply_delta(*base_len, *digest, suffix, peer.last.as_ref());
+        assert_eq!(local.map(|(v, _)| v), Some(Arc::new(h_at(10, 4))));
+        assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
+        assert_eq!(peer.last.as_deref(), Some(&h_at(10, 4)));
+    }
+
+    #[test]
+    fn equal_length_values_diverging_in_one_command_digest_differently() {
+        for w in [0, 4] {
+            let base = h_at(12, w);
+            for i in 0..base.live_len() {
+                let mut cmds = base.as_slice().to_vec();
+                cmds[i].1 += 1_000;
+                let mut other = H::bottom_at(u64::from(w));
+                other.append_all(cmds);
+                assert_eq!(other.total_len(), base.total_len());
+                assert_ne!(value_digest(&other), value_digest(&base), "w {w}, i {i}");
+            }
+        }
     }
 
     #[test]

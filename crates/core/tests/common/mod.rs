@@ -5,14 +5,59 @@
 //! different subset of the helpers, so dead-code analysis is silenced.
 #![allow(dead_code)]
 
+use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::ProcessId;
 use mcpaxos_core::{agent, DeployConfig, Learner, Msg};
-use mcpaxos_cstruct::CStruct;
+use mcpaxos_cstruct::{CStruct, Conflict, ConflictKeys};
 use mcpaxos_simnet::Sim;
 use std::sync::Arc;
 
 /// The pseudo-client process id used as the `from` of injected proposals.
 pub const CLIENT: ProcessId = ProcessId(9_999);
+
+/// Keyed command for history-valued tests: conflicts with the commands of
+/// its key (`.0`).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct K(pub u16, pub u16);
+
+impl Conflict for K {
+    fn conflicts(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+    fn conflict_keys(&self) -> ConflictKeys {
+        ConflictKeys::one(u64::from(self.0))
+    }
+}
+
+impl Wire for K {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(K(u16::decode(input)?, u16::decode(input)?))
+    }
+}
+
+/// All size-`k` subsets of `0..n`, eagerly (tiny n in these tests).
+pub fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
+    fn rec(start: usize, n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if cur.len() == k {
+            out.push(cur.clone());
+            return;
+        }
+        for i in start..n {
+            cur.push(i);
+            rec(i + 1, n, k, cur, out);
+            cur.pop();
+        }
+    }
+    let mut out = Vec::new();
+    if k <= n {
+        rec(0, n, k, &mut Vec::new(), &mut out);
+    }
+    out
+}
 
 /// Deploys every role of `cfg` into `sim`.
 pub fn deploy<C: CStruct>(sim: &mut Sim<Msg<C>>, cfg: &Arc<DeployConfig>) {

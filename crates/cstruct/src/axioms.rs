@@ -42,6 +42,12 @@ pub fn check_bottom_and_append<C: CStruct>(a: &C, cmd: &C::Cmd) {
         ext.contains(cmd) || ext == *a,
         "v • C must contain C or absorb it: {ext:?} lacks {cmd:?}"
     );
+    // An overridden `absorbs` answers exactly what the default would.
+    assert_eq!(
+        a.absorbs(cmd),
+        a.contains(cmd) || ext == *a,
+        "absorbs disagrees with v • C = v: {a:?}, {cmd:?}"
+    );
 }
 
 /// CS3 (glb): `a ⊓ b` is a lower bound of `{a, b}` and is greater than any

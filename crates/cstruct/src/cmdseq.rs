@@ -90,6 +90,10 @@ impl<C: Command> CStruct for CmdSeq<C> {
         self.cmds.contains(cmd)
     }
 
+    fn absorbs(&self, cmd: &C) -> bool {
+        self.contains(cmd)
+    }
+
     fn commands(&self) -> Vec<C> {
         self.cmds.clone()
     }

@@ -75,6 +75,10 @@ impl<C: Command + Ord> CStruct for CmdSet<C> {
         self.cmds.contains(cmd)
     }
 
+    fn absorbs(&self, cmd: &C) -> bool {
+        self.contains(cmd)
+    }
+
     fn commands(&self) -> Vec<C> {
         self.cmds.iter().cloned().collect()
     }

@@ -52,6 +52,11 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// operator, so one multiply per integer write matters. The maps are only
 /// ever *probed*, never iterated, so hash quality only affects speed, not
 /// observable behaviour.
+///
+/// Each step (rotate, xor in a word, multiply by an odd constant) is a
+/// bijection of the running state, so two equal-length inputs that differ
+/// in one word always hash differently. Exported for the agents' own
+/// probe-only tables and their payload digest.
 #[derive(Default)]
 pub struct DetHasher(u64);
 
@@ -721,6 +726,10 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
 
     fn contains(&self, cmd: &C) -> bool {
         self.pos.contains_key(cmd)
+    }
+
+    fn absorbs(&self, cmd: &C) -> bool {
+        self.contains(cmd)
     }
 
     fn commands(&self) -> Vec<C> {

@@ -51,7 +51,7 @@ mod traits;
 
 pub use cmdseq::CmdSeq;
 pub use cmdset::CmdSet;
-pub use history::{CommandHistory, Conflict, ConflictKeys};
+pub use history::{CommandHistory, Conflict, ConflictKeys, DetHasher};
 pub use history_ref::RefCommandHistory;
 pub use single::SingleDecree;
 pub use traits::{compatible_all, glb_all, glb_all_ref, lub_all, CStruct, Command, SuffixGap};

@@ -82,6 +82,10 @@ impl<C: Command> CStruct for SingleDecree<C> {
         self.value.as_ref() == Some(cmd)
     }
 
+    fn absorbs(&self, _cmd: &C) -> bool {
+        self.value.is_some()
+    }
+
     fn commands(&self) -> Vec<C> {
         self.value.iter().cloned().collect()
     }

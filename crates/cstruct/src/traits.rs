@@ -106,6 +106,18 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
     /// Whether this c-struct contains `cmd`.
     fn contains(&self, cmd: &Self::Cmd) -> bool;
 
+    /// Whether `cmd` leaves this c-struct as it is: the value contains it,
+    /// or appending it changes nothing (`v • C = v`, as a decided
+    /// consensus c-struct ignores every later proposal). A coordinator
+    /// stops tracking a proposal the chosen value absorbs.
+    ///
+    /// The default tries the append on a clone. Representations that can
+    /// answer without one override it: sets, sequences and histories
+    /// answer [`CStruct::contains`], a single decree answers "decided".
+    fn absorbs(&self, cmd: &Self::Cmd) -> bool {
+        self.contains(cmd) || self.appended(cmd) == *self
+    }
+
     /// The set of commands this c-struct is constructible from.
     fn commands(&self) -> Vec<Self::Cmd>;
 
