@@ -13,11 +13,13 @@
 //!   `write` is one synchronous disk write (the seed behaviour, used by
 //!   the default experiments);
 //! * [`WalStore`] — an append-only, CRC-checksummed record log with
-//!   group-commit batching: `write` buffers a record, [`StableStore::flush`]
-//!   makes the whole batch durable as *one* counted disk write, recovery
+//!   group-commit batching: `write` replaces the key's pending value,
+//!   [`StableStore::flush`] makes the batch durable — one record per
+//!   written key — as *one* counted disk write and rewrites the log in
+//!   place of appending once superseded records dominate it, recovery
 //!   replays the log and truncates torn or corrupt tails instead of
 //!   failing, and [`StableStore::compact`] rewrites the log keeping only
-//!   the latest record per key (driven by the stable-prefix watermark).
+//!   the latest record per key on demand.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,8 +133,11 @@ impl fmt::Debug for MemStore {
 
 // ----- CRC32 (IEEE 802.3 polynomial) -------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `t[0]` is the classic bytewise table, and
+/// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// lookups advance the checksum by eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -145,19 +150,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 checksum (IEEE polynomial) of `bytes`.
+/// CRC32 checksum (IEEE polynomial) of `bytes`, eight bytes a step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let at = |k: usize, x: u32| t[k][(x & 0xFF) as usize];
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = at(7, lo)
+            ^ at(6, lo >> 8)
+            ^ at(5, lo >> 16)
+            ^ at(4, lo >> 24)
+            ^ at(3, hi)
+            ^ at(2, hi >> 8)
+            ^ at(1, hi >> 16)
+            ^ at(0, hi >> 24);
+    }
+    for &b in chunks.remainder() {
+        c = at(0, c ^ u32::from(b)) ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -179,24 +209,46 @@ const LEN_BYTES: usize = 4;
 const KEYLEN_BYTES: usize = 2;
 const CRC_BYTES: usize = 4;
 
+/// Encoded size of the record holding `value` under `key`.
+fn record_len(key: &str, value: &[u8]) -> usize {
+    LEN_BYTES + KEYLEN_BYTES + key.len() + value.len() + CRC_BYTES
+}
+
+/// A flush rewrites the log instead of appending to it when the log would
+/// otherwise outgrow both four times its live records and this many bytes.
+const COMPACT_FLOOR: usize = 64 * 1024;
+
+/// A readable key's latest value, flagged until a flush makes it durable.
+#[derive(Clone)]
+struct Entry {
+    value: Vec<u8>,
+    pending: bool,
+}
+
 /// Append-only, CRC-checksummed record log implementing [`StableStore`]
 /// with group-commit batching.
 ///
-/// * `write` appends a record to a volatile batch buffer and updates the
-///   read index; it performs **no** disk write.
-/// * [`StableStore::flush`] appends the batch to the durable log as one
-///   counted disk write (the group commit). Flushing an empty batch is
-///   free — duplicate flushes are not charged.
-/// * [`StableStore::lose_unflushed`] models the crash: the batch buffer is
+/// * `write` replaces the key's pending value and updates the read index;
+///   it encodes nothing and performs **no** disk write. A value superseded
+///   before the flush was never durable, so dropping it changes nothing a
+///   read, a replay or a crash can observe.
+/// * [`StableStore::flush`] appends one record per written key — the
+///   latest value — to the durable log as one counted disk write (the
+///   group commit). Flushing an empty batch is free — duplicate flushes
+///   are not charged.
+/// * The log compacts itself: a flush that would leave it larger than
+///   four times its live records (and than 64 KiB) writes the log afresh
+///   as one record per live key, the batch included, instead of appending.
+///   It is still the flush's one counted disk write.
+/// * [`StableStore::lose_unflushed`] models the crash: pending values are
 ///   dropped and the index is rebuilt by replaying the durable log, so a
 ///   recovering actor observes exactly the flushed state.
 /// * [`WalStore::replay`] walks the log record by record, verifying each
 ///   CRC; a torn or corrupt tail is truncated at the last good record and
 ///   counted in [`StableStore::corrupt_records`] instead of failing
 ///   recovery.
-/// * [`StableStore::compact`] rewrites the log with one record per live
-///   key (callers invoke it when the stable-prefix watermark advances and
-///   superseded vote records dominate the log).
+/// * [`StableStore::compact`] flushes, then rewrites the log with one
+///   record per live key as one more disk write.
 ///
 /// A `WalStore` built with [`WalStore::synchronous`] flushes on every
 /// `write`, reproducing [`MemStore`]'s per-write disk accounting — the
@@ -205,21 +257,16 @@ const CRC_BYTES: usize = 4;
 pub struct WalStore {
     /// The durable medium: flushed records, back to back.
     log: Vec<u8>,
-    /// Records written since the last flush (volatile: a crash drops it).
-    buf: Vec<u8>,
-    /// Latest value per key, including buffered writes.
-    index: BTreeMap<String, Vec<u8>>,
+    /// Latest value per key, including pending (unflushed) writes.
+    index: BTreeMap<String, Entry>,
     /// Synchronous disk writes (non-empty flushes + compaction rewrites).
     synced: u64,
-    /// Logical records appended over the store's lifetime.
-    records: u64,
+    /// `write` calls over the store's lifetime.
+    writes: u64,
     /// Unreadable records seen by replays.
     corrupt: u64,
     /// Flush on every write (per-vote baseline mode).
     sync_every_write: bool,
-    /// Auto-compact when the flushed log exceeds this many bytes
-    /// (0 = only on explicit [`StableStore::compact`] calls).
-    compact_above: usize,
 }
 
 impl Default for WalStore {
@@ -229,17 +276,15 @@ impl Default for WalStore {
 }
 
 impl WalStore {
-    /// A group-commit store: writes buffer until [`StableStore::flush`].
+    /// A group-commit store: writes pend until [`StableStore::flush`].
     pub fn new() -> Self {
         WalStore {
             log: Vec::new(),
-            buf: Vec::new(),
             index: BTreeMap::new(),
             synced: 0,
-            records: 0,
+            writes: 0,
             corrupt: 0,
             sync_every_write: false,
-            compact_above: 0,
         }
     }
 
@@ -250,13 +295,6 @@ impl WalStore {
             sync_every_write: true,
             ..WalStore::new()
         }
-    }
-
-    /// Returns `self` auto-compacting whenever the flushed log exceeds
-    /// `bytes` (0 disables auto-compaction).
-    pub fn with_compact_above(mut self, bytes: usize) -> Self {
-        self.compact_above = bytes;
-        self
     }
 
     /// Rebuilds a store from raw log bytes (as read back from a disk
@@ -279,14 +317,19 @@ impl WalStore {
         &self.log
     }
 
-    /// Bytes currently buffered and not yet flushed.
+    /// Bytes the next flush would append: one record per pending key.
     pub fn unflushed_len(&self) -> usize {
-        self.buf.len()
+        self.index
+            .iter()
+            .filter(|(_, e)| e.pending)
+            .map(|(k, e)| record_len(k, &e.value))
+            .sum()
     }
 
-    /// Logical records appended over the store's lifetime.
+    /// `write` calls over the store's lifetime (logical records, however
+    /// many of them a flush coalesced).
     pub fn records_written(&self) -> u64 {
-        self.records
+        self.writes
     }
 
     /// Number of distinct keys currently readable.
@@ -354,11 +397,11 @@ impl WalStore {
         Some((key, value, at + total))
     }
 
-    /// Replays the flushed log from the start, rebuilding the read index.
-    /// Stops at the first torn or corrupt record, truncates the log there
-    /// (truncate-to-last-good-record) and counts the event in
-    /// [`StableStore::corrupt_records`]. Returns the number of records
-    /// recovered.
+    /// Replays the flushed log from the start, rebuilding the read index
+    /// (pending writes are dropped). Stops at the first torn or corrupt
+    /// record, truncates the log there (truncate-to-last-good-record) and
+    /// counts the event in [`StableStore::corrupt_records`]. Returns the
+    /// number of records recovered.
     pub fn replay(&mut self) -> u64 {
         self.index.clear();
         let mut at = 0;
@@ -366,7 +409,11 @@ impl WalStore {
         while at < self.log.len() {
             match Self::parse_record(&self.log, at) {
                 Some((key, value, next)) => {
-                    self.index.insert(key, value);
+                    let entry = Entry {
+                        value,
+                        pending: false,
+                    };
+                    self.index.insert(key, entry);
                     at = next;
                     recovered += 1;
                 }
@@ -380,39 +427,63 @@ impl WalStore {
         recovered
     }
 
-    fn maybe_auto_compact(&mut self) {
-        if self.compact_above > 0 && self.log.len() > self.compact_above {
-            self.rewrite_compacted();
+    /// Makes the pending values durable as one counted disk write: their
+    /// records are appended, or — when that would leave the log larger
+    /// than four times the live records and than [`COMPACT_FLOOR`] — the
+    /// log is written afresh as one record per live key. Returns whether
+    /// it was rewritten; a flush with nothing pending does nothing.
+    fn commit(&mut self) -> bool {
+        let batch = self.unflushed_len();
+        if batch == 0 {
+            return false; // duplicate flush: nothing to sync, nothing charged
         }
+        let live: usize = self
+            .index
+            .iter()
+            .map(|(k, e)| record_len(k, &e.value))
+            .sum();
+        let rewrite = self.log.len() + batch > (4 * live).max(COMPACT_FLOOR);
+        self.write_records(rewrite);
+        rewrite
     }
 
-    /// Rewrites the flushed log with one record per live key. Counted as
-    /// one disk write (the rewrite is a disk operation).
-    fn rewrite_compacted(&mut self) {
-        let mut fresh = Vec::new();
-        for (k, v) in &self.index {
-            Self::append_record(&mut fresh, k, v);
+    /// Appends the pending records to the log, or with `all` replaces the
+    /// log by one record per live key; either way nothing is pending
+    /// after, and it counts as one disk write.
+    fn write_records(&mut self, all: bool) {
+        if all {
+            self.log.clear();
         }
-        // Buffered records stay buffered: the rewrite covers them via the
-        // index, so drop the buffer to avoid re-appending duplicates.
-        self.buf.clear();
-        self.log = fresh;
+        for (k, e) in &mut self.index {
+            if all || e.pending {
+                Self::append_record(&mut self.log, k, &e.value);
+            }
+            e.pending = false;
+        }
         self.synced += 1;
     }
 }
 
 impl StableStore for WalStore {
     fn write(&mut self, key: &str, value: Vec<u8>) {
-        Self::append_record(&mut self.buf, key, &value);
-        self.index.insert(key.to_owned(), value);
-        self.records += 1;
+        let entry = Entry {
+            value,
+            pending: true,
+        };
+        match self.index.get_mut(key) {
+            Some(e) => *e = entry,
+            None => {
+                self.index.insert(key.to_owned(), entry);
+            }
+        }
+        self.writes += 1;
         if self.sync_every_write {
             self.flush();
         }
     }
 
     fn read(&self, key: &str) -> Option<&[u8]> {
-        self.index.get(key).map(|v| v.as_slice())
+        self.index.get(key).map(|e| e.value.as_slice())
     }
 
     fn write_count(&self) -> u64 {
@@ -420,25 +491,19 @@ impl StableStore for WalStore {
     }
 
     fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return; // duplicate flush: nothing to sync, nothing charged
-        }
-        self.log.append(&mut self.buf);
-        self.synced += 1;
-        self.maybe_auto_compact();
+        self.commit();
     }
 
     fn lose_unflushed(&mut self) {
-        self.buf.clear();
         self.replay();
     }
 
     fn compact(&mut self) {
-        // Make buffered records durable first, then rewrite: compaction
-        // must never weaken durability.
+        // Make pending values durable first, then rewrite: compaction must
+        // never weaken durability.
         self.flush();
         if !self.log.is_empty() {
-            self.rewrite_compacted();
+            self.write_records(true);
         }
     }
 
@@ -447,9 +512,9 @@ impl StableStore for WalStore {
     }
 
     fn flushed_read(&self, key: &str) -> Option<&[u8]> {
-        // The read index includes buffered writes, so scan the flushed
-        // log instead (O(log) per call — this is an inspection hook, not
-        // a hot path).
+        // The read index includes pending writes, so scan the flushed log
+        // instead (O(log) per call — this is an inspection hook, not a hot
+        // path).
         let mut at = 0;
         let mut hit = None;
         while at < self.log.len() {
@@ -472,9 +537,9 @@ impl fmt::Debug for WalStore {
         f.debug_struct("WalStore")
             .field("keys", &self.index.keys().collect::<Vec<_>>())
             .field("log_bytes", &self.log.len())
-            .field("unflushed_bytes", &self.buf.len())
+            .field("unflushed_bytes", &self.unflushed_len())
             .field("synced", &self.synced)
-            .field("records", &self.records)
+            .field("writes", &self.writes)
             .field("corrupt", &self.corrupt)
             .finish()
     }
@@ -492,13 +557,15 @@ use std::path::{Path, PathBuf};
 /// index and record format; `FileWal` mirrors every flushed byte to the
 /// file and `sync_data`s it, so what [`StableStore::flushed_read`] would
 /// return is exactly what a re-[`FileWal::open`] after `SIGKILL`
-/// recovers.
+/// recovers. The in-memory copy of the log is bounded the way
+/// [`WalStore`]'s is, and so is the file.
 ///
 /// Opening replays the file through [`WalStore::from_log`] — a torn or
 /// corrupt tail is truncated (both in memory and on disk) rather than
 /// failing recovery, matching the in-memory store's crash semantics.
-/// [`StableStore::compact`] rewrites atomically via a temp file +
-/// rename, so a crash mid-compaction leaves the old log intact.
+/// A flush that compacts the log, and [`StableStore::compact`], rewrite
+/// the file atomically via a temp file + rename, so a crash
+/// mid-compaction leaves the old log intact.
 ///
 /// I/O errors after open are fatal by design: a store that cannot make
 /// bytes durable must crash the process (the crash-recovery model's
@@ -516,9 +583,9 @@ pub struct FileWal {
 
 impl FileWal {
     /// Opens (creating if absent) a group-commit store backed by `path`:
-    /// writes buffer in memory until [`StableStore::flush`], which
-    /// appends the batch to the file and `sync_data`s it as one disk
-    /// write.
+    /// writes pend in memory until [`StableStore::flush`], which appends
+    /// one record per written key to the file (or rewrites it, when the
+    /// flush compacts) and `sync_data`s it as one disk write.
     pub fn open(path: impl AsRef<Path>) -> io::Result<FileWal> {
         Self::open_inner(path.as_ref(), false)
     }
@@ -573,11 +640,11 @@ impl FileWal {
         if log.len() == self.durable_len {
             return;
         }
-        let tail = log[self.durable_len..].to_vec();
+        let tail = &log[self.durable_len..];
         let at = self.durable_len as u64;
         self.file
             .seek(SeekFrom::Start(at))
-            .and_then(|_| self.file.write_all(&tail))
+            .and_then(|_| self.file.write_all(tail))
             .and_then(|_| self.file.sync_data())
             .expect("FileWal: cannot make log durable");
         self.durable_len = log.len();
@@ -623,8 +690,11 @@ impl StableStore for FileWal {
     }
 
     fn flush(&mut self) {
-        self.inner.flush();
-        self.mirror_append();
+        if self.inner.commit() {
+            self.mirror_rewrite();
+        } else {
+            self.mirror_append();
+        }
     }
 
     fn lose_unflushed(&mut self) {
@@ -703,6 +773,37 @@ mod tests {
         // The classic check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The reference: one table lookup per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_slicing_by_8_matches_bytewise() {
+        // A fixed xorshift stream: random lengths 0..=4096 and contents,
+        // so every remainder length and every table is exercised.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..217 {
+            let len = if round <= 16 {
+                round
+            } else {
+                (next() % 4097) as usize
+            };
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+        }
     }
 
     /// A temp file path unique to this test; removed on drop.
@@ -786,17 +887,24 @@ mod tests {
     fn filewal_compact_rewrites_file() {
         let t = TempWal::new("compact");
         let mut s = FileWal::open(&t.0).unwrap();
+        // Pending writes of one key coalesce: a flush appends one record.
         for i in 0..50u8 {
             s.write("vote", vec![i; 64]);
         }
         s.flush();
+        let one = std::fs::metadata(&t.0).unwrap().len();
+        assert_eq!(one as usize, record_len("vote", &[0; 64]));
+        // Fifty flushes append fifty records (far below the self-compaction
+        // floor); an explicit compaction rewrites them as one.
+        for i in 0..50u8 {
+            s.write("vote", vec![i; 64]);
+            s.flush();
+        }
         let fat = std::fs::metadata(&t.0).unwrap().len();
+        assert_eq!(fat, 51 * one);
         s.compact();
         let slim = std::fs::metadata(&t.0).unwrap().len();
-        assert!(
-            slim < fat,
-            "compaction must shrink the file ({slim} < {fat})"
-        );
+        assert_eq!(slim, one, "compaction keeps one record per key");
         assert_eq!(s.read("vote"), Some(&[49u8; 64][..]));
         // And the compacted file replays cleanly after another write.
         s.write("rnd", vec![1]);
@@ -805,6 +913,29 @@ mod tests {
         let s = FileWal::open(&t.0).unwrap();
         assert_eq!(s.read("vote"), Some(&[49u8; 64][..]));
         assert_eq!(s.read("rnd"), Some(&[1u8][..]));
+        assert_eq!(s.corrupt_records(), 0);
+    }
+
+    #[test]
+    fn filewal_stays_small_across_compacting_flushes_and_reopens() {
+        let t = TempWal::new("selfcompact");
+        let value = |i: u32| i.to_le_bytes().repeat(256); // 1 KiB
+        {
+            let mut s = FileWal::open(&t.0).unwrap();
+            s.write("mcount", vec![7]);
+            for i in 0..1_000 {
+                s.write("vote", value(i));
+                s.flush();
+                let file = std::fs::metadata(&t.0).unwrap().len() as usize;
+                assert_eq!(file, s.log_len(), "the file mirrors the log");
+                assert!(file <= COMPACT_FLOOR, "flush {i}: {file} bytes");
+            }
+            assert_eq!(s.write_count(), 1_000, "one sync per flush");
+            s.write("vote", vec![0; 8]); // pending, never flushed
+        }
+        let s = FileWal::open(&t.0).unwrap();
+        assert_eq!(s.read("vote"), Some(&value(999)[..]));
+        assert_eq!(s.read("mcount"), Some(&[7u8][..]));
         assert_eq!(s.corrupt_records(), 0);
     }
 }

@@ -1,7 +1,9 @@
 //! WAL replay unit suite: group-commit batching, torn tails, corrupt
-//! tails, duplicate flushes, empty logs, crash semantics, compaction.
+//! tails, duplicate flushes, empty logs, crash semantics, compaction, and
+//! a model check of one-record-per-key flushes against a record per write.
 
 use mcpaxos_actor::{StableStore, WalStore};
+use proptest::prelude::*;
 
 #[test]
 fn empty_log_replays_to_empty_store() {
@@ -202,15 +204,109 @@ fn compaction_flushes_buffered_writes_first() {
 
 #[test]
 fn auto_compaction_kicks_in_above_threshold() {
-    let mut s = WalStore::new().with_compact_above(256);
-    for i in 0..100u8 {
-        s.write("vote", vec![i; 16]);
+    // No knob: the log is bounded by max(4 × live records, 64 KiB) plus
+    // the batch a flush appends, for a value that keeps growing.
+    let mut s = WalStore::new();
+    let mut rewrites = 0;
+    for i in 0..10_000usize {
+        let value = vec![i as u8; 16 + i / 8];
+        let batch = encode_record("vote", &value).len() + encode_record("mcount", &[1]).len();
+        s.write("vote", value);
+        s.write("mcount", vec![1]);
+        let before = s.log_len();
         s.flush();
+        if s.log_len() < before {
+            rewrites += 1;
+        }
+        let live = batch; // both keys are pending: the batch is all live records
+        assert!(
+            s.log_len() <= (4 * live).max(64 * 1024) + batch,
+            "flush {i}: {} bytes of log for {live} live",
+            s.log_len()
+        );
     }
-    assert!(
-        s.log_len() <= 256 + 64,
-        "auto-compaction must bound the log (got {} bytes)",
-        s.log_len()
+    assert!(rewrites > 0, "the log compacted itself");
+    assert_eq!(
+        s.write_count(),
+        10_000,
+        "a compacting flush is still one sync"
     );
-    assert_eq!(s.read("vote"), Some(&[99u8; 16][..]));
+    assert_eq!(s.read("vote"), Some(&vec![15u8; 16 + 9_999 / 8][..]));
+    let reopened = WalStore::from_log(s.log_bytes().to_vec());
+    assert_eq!(reopened.read("vote"), s.read("vote"));
+    assert_eq!(reopened.read("mcount"), Some(&[1u8][..]));
+}
+
+/// The WAL as it behaved when every `write` was its own record: pending
+/// records in write order, flushed records in flush order, the latest of
+/// a key winning on read.
+#[derive(Default)]
+struct EveryRecord {
+    flushed: Vec<(String, Vec<u8>)>,
+    pending: Vec<(String, Vec<u8>)>,
+    syncs: u64,
+}
+
+impl EveryRecord {
+    fn latest<'a>(
+        records: impl DoubleEndedIterator<Item = &'a (String, Vec<u8>)>,
+        key: &str,
+    ) -> Option<&'a [u8]> {
+        records
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_slice())
+    }
+    fn read(&self, key: &str) -> Option<&[u8]> {
+        Self::latest(self.flushed.iter().chain(&self.pending), key)
+    }
+    fn flushed_read(&self, key: &str) -> Option<&[u8]> {
+        Self::latest(self.flushed.iter(), key)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Coalescing writes per key, and rewriting the log inside a flush,
+    /// are invisible: after every step the store agrees with a reference
+    /// that keeps every write as a record, on reads, durable reads, syncs
+    /// and a reopen of the flushed bytes.
+    #[test]
+    fn one_record_per_key_per_flush_matches_a_record_per_write(
+        ops in prop::collection::vec((0u8..8, 0usize..3, 0usize..3_000), 1..300)
+    ) {
+        const KEYS: [&str; 3] = ["vote", "mcount", "ckpt"];
+        let mut s = WalStore::new();
+        let mut r = EveryRecord::default();
+        for (op, key, len) in ops {
+            let key = KEYS[key];
+            match op {
+                0..=4 => {
+                    let value = vec![len as u8; len];
+                    s.write(key, value.clone());
+                    r.pending.push((key.to_owned(), value));
+                }
+                5 | 6 => {
+                    s.flush();
+                    if !r.pending.is_empty() {
+                        r.syncs += 1;
+                        r.flushed.append(&mut r.pending);
+                    }
+                }
+                _ => {
+                    s.lose_unflushed();
+                    r.pending.clear();
+                }
+            }
+            let reopened = WalStore::from_log(s.log_bytes().to_vec());
+            for k in KEYS {
+                prop_assert_eq!(s.read(k), r.read(k));
+                prop_assert_eq!(s.flushed_read(k), r.flushed_read(k));
+                prop_assert_eq!(reopened.read(k), r.flushed_read(k));
+            }
+            prop_assert_eq!(s.write_count(), r.syncs);
+            prop_assert_eq!(reopened.corrupt_records(), 0);
+        }
+    }
 }

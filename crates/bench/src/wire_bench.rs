@@ -23,7 +23,8 @@ type KvH = CommandHistory<KvCmd>;
 
 /// Number of commands in the standard E10 run.
 pub const WIRE_COMMANDS: u32 = 1_000;
-/// Stable-segment / checkpoint cadence of the bounded mode.
+/// Stable-segment cadence of the bounded mode (replicas checkpoint every
+/// `STABLE_KEEP / 2` segments).
 pub const WIRE_SEGMENT: u64 = 64;
 /// Conflict fraction of the workload.
 pub const WIRE_RHO: f64 = 0.1;

@@ -1,5 +1,6 @@
 //! Deployment configuration shared by every agent of a cluster.
 
+use crate::compact::STABLE_KEEP;
 use crate::quorum::{check_intersections, QuorumSpec};
 use crate::schedule::{Policy, Schedule};
 use mcpaxos_actor::{RoleMap, SimDuration};
@@ -48,9 +49,10 @@ pub struct WireConfig {
     /// Stable-prefix compaction: once the designated learner has this many
     /// commands above the current watermark and a learner quorum acks
     /// them, broadcast a `Stable` segment and truncate. 0 disables.
-    /// Replicas persist a state-machine checkpoint at the same cadence: a
-    /// restarted replica resumes from it, because the history below the
-    /// watermark no longer exists anywhere to replay.
+    /// Replicas then persist a state-machine checkpoint every
+    /// [`WireConfig::checkpoint_every`] commands: a restarted replica
+    /// resumes from it, because the history below the watermark no longer
+    /// exists anywhere to replay.
     pub compact_every: u64,
     /// Emit per-send `bytes_sent` metrics from the agents (costs one
     /// serialization per send; off for the latency experiments).
@@ -59,14 +61,23 @@ pub struct WireConfig {
 
 impl WireConfig {
     /// The bounded-resources preset: delta shipping plus compaction every
-    /// `segment` commands (and replica checkpoints at the same cadence),
-    /// with byte accounting on.
+    /// `segment` commands (and replica checkpoints every few segments, see
+    /// [`WireConfig::checkpoint_every`]), with byte accounting on.
     pub fn bounded(segment: u64) -> Self {
         WireConfig {
             delta_ship: true,
             compact_every: segment,
             account_bytes: true,
         }
+    }
+
+    /// Commands between replica checkpoints: half the stable segments
+    /// every agent retains, or 0 when compaction is off. Peers keep the
+    /// last `STABLE_KEEP` segments for lagging agents, so a restarted
+    /// replica's checkpoint is never more than half that window behind
+    /// what they can still send it.
+    pub fn checkpoint_every(&self) -> u64 {
+        self.compact_every * (STABLE_KEEP / 2) as u64
     }
 }
 

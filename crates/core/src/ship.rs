@@ -38,9 +38,8 @@ use crate::msg::Msg;
 use crate::round::Round;
 use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::{Context, Metric, ProcessId};
-use mcpaxos_cstruct::{CStruct, DetHasher};
+use mcpaxos_cstruct::CStruct;
 use std::collections::BTreeMap;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 /// A c-struct carried by `1b`/`2a`/`2b` messages: either the whole value
@@ -84,33 +83,21 @@ pub enum Payload<C: CStruct> {
     },
 }
 
-/// Content digest of a c-struct, for delta-base validation. It covers the
-/// watermark and the wire encoding of every live command, in
-/// representation order: all of it is encoded once into one buffer, which
-/// is hashed eight bytes at a time by [`DetHasher`]'s multiply-rotate
-/// step. Every step is a bijection of the running state, so two
-/// equal-length encodings that differ in one word always digest
-/// differently.
+/// Content digest of a c-struct, for delta-base validation:
+/// [`CStruct::digest`]. It covers the watermark and the wire encoding of
+/// every live command, in representation order; a [`Payload::Delta`]
+/// carries the digest of the value the receiver must reconstruct.
 ///
 /// Identical representations always digest equally; equal values need not
 /// (a `CommandHistory` may order commuting commands differently). The
 /// watermark is included, so a delta checks only in its sender's frame:
 /// receivers apply it to their copy of the sender's value at the sender's
-/// watermark, not to one normalized to their own. C-structs without a
-/// sequence representation ([`CStruct::suffix_from`] returns `None`)
-/// digest their logical length only — they never ship deltas, so the
-/// digest is never compared.
+/// watermark, not to one normalized to their own. A `CommandHistory`
+/// keeps its digest as a chain — one step per command — memoized across
+/// appends, so checking a k-command delta against a base whose digest is
+/// known hashes k commands, not the window.
 pub fn value_digest<C: CStruct>(v: &C) -> u64 {
-    let wm = v.watermark();
-    let mut buf = Vec::new();
-    wm.encode(&mut buf);
-    match v.suffix_from(wm) {
-        Some(cmds) => cmds.iter().for_each(|c| c.encode(&mut buf)),
-        None => v.total_len().encode(&mut buf),
-    }
-    let mut h = DetHasher::default();
-    h.write(&buf);
-    h.finish()
+    v.digest()
 }
 
 impl<C: CStruct> Payload<C> {

@@ -42,8 +42,10 @@
 
 use crate::traits::{CStruct, Command, SuffixGap};
 use mcpaxos_actor::wire::{Wire, WireError};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A deterministic, seed-free hasher for the history's internal indexes,
 /// so identical runs build identical tables regardless of `RandomState`'s
@@ -107,6 +109,28 @@ impl Hasher for DetHasher {
 }
 
 type DetState = BuildHasherDefault<DetHasher>;
+
+thread_local! {
+    /// Scratch for one command's wire encoding while it is digested.
+    static DIGEST_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One step of a history's digest chain: the running state absorbs the
+/// 64-bit [`DetHasher`] hash of `cmd`'s wire encoding. The chain starts
+/// from the watermark, `DetHasher` of it alone.
+#[inline(never)]
+fn digest_step<C: Wire>(state: u64, cmd: &C) -> u64 {
+    let word = DIGEST_BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        cmd.encode(buf);
+        let mut word = DetHasher::default();
+        word.write(buf);
+        word.finish()
+    });
+    let mut chain = DetHasher(state);
+    chain.add(word);
+    chain.0
+}
 
 /// Conflict-locality hint: the set of *conflict keys* a command declares
 /// (see [`Conflict::conflict_keys`]).
@@ -236,7 +260,7 @@ impl Bucket {
 /// walking a history costs a handful of allocations total, not O(n).
 /// Positions are `u32` — a history holding four billion commands has
 /// bigger problems than this index.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CommandHistory<C> {
     /// Number of commands truncated below the stable watermark. The
     /// history logically equals `<stable prefix of trunc commands> ++ seq`
@@ -258,6 +282,11 @@ pub struct CommandHistory<C> {
     /// one position's range the entries are unordered (consumers treat
     /// them as a set).
     pred_edges: Vec<u32>,
+    /// The [`CStruct::digest`] chain over `trunc` and `seq`, or 0 when not
+    /// known. Appends extend a known chain by one step; every other
+    /// construction starts unknown, and the first `digest` call fills it.
+    /// Atomic so a value shared across threads can fill it through `&self`.
+    digest_memo: AtomicU64,
 }
 
 impl<C> Default for CommandHistory<C> {
@@ -270,6 +299,23 @@ impl<C> Default for CommandHistory<C> {
             wild: Vec::new(),
             pred_off: Vec::new(),
             pred_edges: Vec::new(),
+            digest_memo: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<C: Clone> Clone for CommandHistory<C> {
+    #[inline]
+    fn clone(&self) -> Self {
+        CommandHistory {
+            trunc: self.trunc,
+            seq: self.seq.clone(),
+            pos: self.pos.clone(),
+            by_key: self.by_key.clone(),
+            wild: self.wild.clone(),
+            pred_off: self.pred_off.clone(),
+            pred_edges: self.pred_edges.clone(),
+            digest_memo: AtomicU64::new(self.digest_memo.load(Ordering::Relaxed)),
         }
     }
 }
@@ -392,7 +438,9 @@ impl<C: Conflict + Eq + Hash + Clone> CommandHistory<C> {
 
     /// Appends `cmd` unconditionally (caller has checked membership),
     /// maintaining all indexes: O(candidate positions) ≈ O(conflict
-    /// degree).
+    /// degree). Leaves the digest memo alone, so only a history whose memo
+    /// is unknown may call it directly; the others go through
+    /// `push_digested`.
     ///
     /// `preds` entries are not ordered; every consumer treats the list as
     /// a set. The only possible duplicates — a predecessor sharing both
@@ -630,6 +678,18 @@ impl<C: Conflict + Eq + Hash + Clone> FromIterator<C> for CommandHistory<C> {
     }
 }
 
+impl<C: Command + Conflict> CommandHistory<C> {
+    /// [`Self::push_new`], extending a known digest memo by `cmd`'s step.
+    #[inline]
+    fn push_digested(&mut self, cmd: C) {
+        let memo = self.digest_memo.get_mut();
+        if *memo != 0 {
+            *memo = digest_step(*memo, &cmd);
+        }
+        self.push_new(cmd);
+    }
+}
+
 impl<C: Command + Conflict> CStruct for CommandHistory<C> {
     type Cmd = C;
 
@@ -645,7 +705,7 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
 
     fn append(&mut self, cmd: C) {
         if !self.pos.contains_key(&cmd) {
-            self.push_new(cmd);
+            self.push_digested(cmd);
         }
     }
 
@@ -710,7 +770,7 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
             let mut out = self.clone();
             for x in &other.seq {
                 if !out.pos.contains_key(x) {
-                    out.push_new(x.clone());
+                    out.push_digested(x.clone());
                 }
             }
             Some(out)
@@ -771,7 +831,7 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
         let mut appended = 0u64;
         for c in suffix {
             if !self.pos.contains_key(c) {
-                self.push_new(c.clone());
+                self.push_digested(c.clone());
                 appended += 1;
             }
         }
@@ -816,6 +876,27 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
             return None;
         }
         Some(self.seq[..k].to_vec())
+    }
+
+    /// The chain over the watermark and the live commands (see
+    /// [`CStruct::digest`] for what it guarantees): `DetHasher` of the
+    /// watermark, then one step per command absorbing the 64-bit
+    /// `DetHasher` hash of its wire encoding. Memoized, so after a
+    /// k-command append to a value whose digest was known it costs k
+    /// steps, not the window.
+    fn digest(&self) -> u64 {
+        let memo = self.digest_memo.load(Ordering::Relaxed);
+        if memo != 0 {
+            return memo;
+        }
+        let mut start = DetHasher::default();
+        start.add(self.trunc);
+        let d = self
+            .seq
+            .iter()
+            .fold(start.0, |state, c| digest_step(state, c));
+        self.digest_memo.store(d, Ordering::Relaxed);
+        d
     }
 }
 

@@ -1,8 +1,9 @@
 //! The [`CStruct`] trait and lattice helpers.
 
+use crate::history::DetHasher;
 use mcpaxos_actor::wire::Wire;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 /// A command that can be appended to a c-struct.
 ///
@@ -184,6 +185,34 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
     fn truncate_stable(&mut self, stable: &[Self::Cmd]) -> bool {
         let _ = stable;
         false
+    }
+
+    /// Content digest of the value, for authenticating a delta's base: it
+    /// covers the watermark and the wire encoding of every live command,
+    /// in representation order.
+    ///
+    /// Identical representations always digest equally; equal values need
+    /// not (a history may order commuting commands differently). Each
+    /// [`DetHasher`] step is a bijection of the running state, so two
+    /// equal-length representations that differ in one command digest
+    /// differently.
+    ///
+    /// The default encodes the watermark and the live commands into one
+    /// buffer and hashes it eight bytes at a time. A value without a
+    /// sequence representation ([`CStruct::suffix_from`] returns `None`)
+    /// digests its logical length in place of the commands — it never
+    /// ships deltas, so the digest is never compared.
+    fn digest(&self) -> u64 {
+        let wm = self.watermark();
+        let mut buf = Vec::new();
+        wm.encode(&mut buf);
+        match self.suffix_from(wm) {
+            Some(cmds) => cmds.iter().for_each(|c| c.encode(&mut buf)),
+            None => self.total_len().encode(&mut buf),
+        }
+        let mut h = DetHasher::default();
+        h.write(&buf);
+        h.finish()
     }
 
     /// The next stable segment this value can vouch for: up to `max`

@@ -1,0 +1,101 @@
+//! The memoized `CommandHistory::digest` is never stale: after any mix of
+//! appends, suffix applications, lubs, glbs, truncations, clones and wire
+//! round trips it equals the digest chain recomputed from scratch.
+
+use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire, WireError};
+use mcpaxos_cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys, DetHasher};
+use proptest::prelude::*;
+use std::hash::Hasher;
+
+/// Same-key interference with an exact one-key hint.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct K(u8, u16);
+
+impl Conflict for K {
+    fn conflicts(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+    fn conflict_keys(&self) -> ConflictKeys {
+        ConflictKeys::one(u64::from(self.0))
+    }
+}
+
+impl Wire for K {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(K(u8::decode(input)?, u16::decode(input)?))
+    }
+}
+
+type H = CommandHistory<K>;
+
+/// The chain, spelled out: `DetHasher` of the watermark, then one step
+/// per live command absorbing the `DetHasher` hash of its encoding.
+fn from_scratch(v: &H) -> u64 {
+    let mut chain = DetHasher::default();
+    chain.write_u64(v.watermark());
+    for c in v.as_slice() {
+        let mut word = DetHasher::default();
+        word.write(&to_bytes(c));
+        chain.write_u64(word.finish());
+    }
+    chain.finish()
+}
+
+fn cmd() -> impl Strategy<Value = K> {
+    (0u8..4, 0u16..48).prop_map(|(key, uid)| K(key, uid))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn digest_memo_matches_a_recomputation(
+        ops in prop::collection::vec((0u8..10, prop::collection::vec(cmd(), 0..4)), 1..40)
+    ) {
+        // `v` is the value under test, `w` a peer at the same watermark
+        // for the binary operators.
+        let (mut v, mut w) = (H::bottom(), H::bottom());
+        for (op, cmds) in ops {
+            match op {
+                0 => cmds.into_iter().for_each(|c| v.append(c)),
+                1 => v.append_all(cmds),
+                2 => w.append_all(cmds),
+                3 => {
+                    if let Some(l) = v.lub(&w) {
+                        v = l;
+                    }
+                }
+                4 => v = v.glb(&w),
+                5 => {
+                    let base = v.total_len().min(w.total_len());
+                    if let Some(suffix) = w.suffix_from(base) {
+                        v.apply_suffix(base, &suffix).expect("base within v");
+                    }
+                }
+                6 => {
+                    let seg = v.stable_segment(v.watermark(), cmds.len().max(1));
+                    if let Some(seg) = seg {
+                        assert!(v.truncate_stable(&seg));
+                        if !w.truncate_stable(&seg) {
+                            w = v.clone();
+                        }
+                    }
+                }
+                7 => {
+                    // A clone carries the memo; growing it leaves `v`'s be.
+                    let mut c = v.clone();
+                    c.append_all(cmds);
+                    prop_assert_eq!(c.digest(), from_scratch(&c));
+                }
+                8 => v = from_bytes(&to_bytes(&v)).expect("round trip"),
+                _ => w = v.clone(),
+            }
+            prop_assert_eq!(v.digest(), from_scratch(&v));
+            prop_assert_eq!(w.digest(), from_scratch(&w));
+        }
+    }
+}

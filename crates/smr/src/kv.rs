@@ -116,9 +116,14 @@ impl KvStore {
 }
 
 impl Wire for KvStore {
+    /// The pairs as a `Vec<(u16, u64)>` encodes them — a u64 count, then
+    /// each key and value — written straight from the map.
     fn encode(&self, out: &mut Vec<u8>) {
-        let pairs: Vec<(u16, u64)> = self.data.iter().map(|(&k, &v)| (k, v)).collect();
-        pairs.encode(out);
+        (self.data.len() as u64).encode(out);
+        for (k, v) in &self.data {
+            k.encode(out);
+            v.encode(out);
+        }
         self.applied.encode(out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -196,6 +201,21 @@ mod tests {
         s2.apply(&b);
         s2.apply(&a);
         assert_eq!(s1.snapshot(), s2.snapshot());
+    }
+
+    #[test]
+    fn store_encodes_as_its_pairs_vec() {
+        let mut s = KvStore::default();
+        for i in 0..40u32 {
+            s.apply(&cmd(i, KvOp::Put((i * 7 % 23) as u16, u64::from(i) << 20)));
+        }
+        s.apply(&cmd(40, KvOp::Del(7)));
+        let pairs: Vec<(u16, u64)> = s.data.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut old = Vec::new();
+        pairs.encode(&mut old);
+        s.applied.encode(&mut old);
+        assert_eq!(to_bytes(&s), old);
+        assert_eq!(from_bytes::<KvStore>(&old).unwrap(), s);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The replica actor: learner + delivery cursor + state machine.
 
 use crate::machine::StateMachine;
-use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire, WireError};
+use mcpaxos_actor::wire::{from_bytes, Wire, WireError};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, TimerToken};
 use mcpaxos_core::agents::metrics;
 use mcpaxos_core::{DeployConfig, Learner, Msg};
@@ -41,12 +41,30 @@ pub struct Checkpoint<SM: StateMachine> {
     pub machine: SM,
 }
 
+/// Encodes a [`Checkpoint`] from borrowed parts, its tail given as two
+/// slices to concatenate (encoded as the one `Vec` they make), so a
+/// replica can persist one without building its tail or cloning its
+/// machine.
+fn encode_checkpoint<SM: StateMachine>(
+    applied: u64,
+    watermark: u64,
+    tail: [&[SM::Cmd]; 2],
+    machine: &SM,
+    out: &mut Vec<u8>,
+) {
+    applied.encode(out);
+    watermark.encode(out);
+    ((tail[0].len() + tail[1].len()) as u64).encode(out);
+    tail.iter()
+        .flat_map(|t| t.iter())
+        .for_each(|c| c.encode(out));
+    machine.encode(out);
+}
+
 impl<SM: StateMachine + Wire> Wire for Checkpoint<SM> {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.applied.encode(out);
-        self.watermark.encode(out);
-        self.tail.encode(out);
-        self.machine.encode(out);
+        let tail = [&self.tail[..], &[]];
+        encode_checkpoint(self.applied, self.watermark, tail, &self.machine, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Checkpoint {
@@ -65,9 +83,10 @@ impl<SM: StateMachine + Wire> Wire for Checkpoint<SM> {
 /// learner role; the embedded [`Learner`] handles the protocol, the
 /// [`Delivery`] cursor guarantees exactly-once, order-respecting
 /// application. When `WireConfig::compact_every` is set, the replica
-/// persists a [`Checkpoint`] every that-many applied commands (and stops
-/// retaining the applied-command log, bounding its memory); `on_recover`
-/// resumes from the latest checkpoint instead of replaying history.
+/// persists and flushes a [`Checkpoint`] every
+/// `WireConfig::checkpoint_every()` applied commands (and stops retaining
+/// the applied-command log, bounding its memory); `on_recover` resumes
+/// from the latest checkpoint instead of replaying history.
 pub struct Replica<SM: StateMachine> {
     cfg: Arc<DeployConfig>,
     learner: Learner<CommandHistory<SM::Cmd>>,
@@ -136,17 +155,34 @@ impl<SM: StateMachine> Replica<SM> {
     /// the cursor (the applied region after a drain), plus any commands
     /// from a restored checkpoint the cursor has not passed again yet.
     pub fn checkpoint(&self) -> Checkpoint<SM> {
-        let watermark = self.learner.watermark();
-        let window = self.learner.learned().as_slice();
-        let upto = (self.delivery.offset().saturating_sub(watermark) as usize).min(window.len());
-        let mut tail = window[..upto].to_vec();
-        tail.extend_from_slice(self.delivery.skip_commands());
+        let (watermark, [applied, skip]) = self.checkpoint_tail();
+        let tail = [applied, skip].concat();
         Checkpoint {
             applied: watermark + tail.len() as u64,
             watermark,
             tail,
             machine: self.machine.clone(),
         }
+    }
+
+    /// The bytes of [`Replica::checkpoint`], encoded from `self`: no
+    /// clone of the machine or the tail.
+    fn checkpoint_bytes(&self) -> Vec<u8> {
+        let (watermark, tail) = self.checkpoint_tail();
+        let applied = watermark + (tail[0].len() + tail[1].len()) as u64;
+        let mut out = Vec::new();
+        encode_checkpoint(applied, watermark, tail, &self.machine, &mut out);
+        out
+    }
+
+    /// The checkpoint's watermark and its tail in two parts: the applied
+    /// region of the live window, then the restored commands the cursor
+    /// has not passed again.
+    fn checkpoint_tail(&self) -> (u64, [&[SM::Cmd]; 2]) {
+        let watermark = self.learner.watermark();
+        let window = self.learner.learned().as_slice();
+        let upto = (self.delivery.offset().saturating_sub(watermark) as usize).min(window.len());
+        (watermark, [&window[..upto], self.delivery.skip_commands()])
     }
 
     /// The underlying learner (for history inspection).
@@ -171,10 +207,17 @@ impl<SM: StateMachine> Replica<SM> {
         let learned = self.learner.learned();
         let machine = &mut self.machine;
         self.delivery.absorb_with(learned, |c| machine.apply(c));
-        let every = self.cfg.wire.compact_every;
-        if every > 0 && self.delivery.len() as u64 >= self.last_ckpt + every {
-            self.last_ckpt = self.delivery.len() as u64;
-            ctx.storage().write(KEY_CKPT, to_bytes(&self.checkpoint()));
+        // Checkpoints fall due every `every` applied commands, on a fixed
+        // schedule: a wave overshooting a due point does not delay the
+        // next, and a drain past several takes one, the next drain another.
+        let (every, applied) = (self.cfg.wire.checkpoint_every(), self.delivery.len() as u64);
+        if every > 0 && applied >= self.last_ckpt + every {
+            self.last_ckpt += every;
+            // A checkpoint a crash would drop protects nothing: make it
+            // durable now, on group-commit storage too.
+            let storage = ctx.storage();
+            storage.write(KEY_CKPT, self.checkpoint_bytes());
+            storage.flush();
         }
     }
 }
@@ -230,6 +273,7 @@ mod tests {
     use super::*;
     use crate::{CmdId, KvCmd, KvOp, KvStore};
     use mcpaxos_actor::host::Recorder;
+    use mcpaxos_actor::wire::to_bytes;
     use mcpaxos_core::{Policy, Round, RTYPE_MULTI};
     use mcpaxos_cstruct::CStruct;
 
@@ -332,6 +376,7 @@ mod tests {
         let ckpt = r.checkpoint();
         assert_eq!(ckpt.applied, 2);
         let bytes = to_bytes(&ckpt);
+        assert_eq!(r.checkpoint_bytes(), bytes);
         let back: Checkpoint<KvStore> = from_bytes(&bytes).unwrap();
         assert_eq!(back, ckpt);
         // A restored replica adopts the state without replaying, and
@@ -339,6 +384,9 @@ mod tests {
         let mut r2: Replica<KvStore> = Replica::restore(cfg, back);
         assert_eq!(r2.machine().get(1), Some(10));
         assert_eq!(r2.applied_count(), 2);
+        // Its tail is all restored commands the cursor has yet to pass.
+        assert_eq!(r2.checkpoint_bytes(), to_bytes(&r2.checkpoint()));
+        assert_eq!(r2.checkpoint(), ckpt);
         let mut hist2 = hist.clone();
         hist2.append(put(2, 3, 30));
         for a in [4u32, 5] {

@@ -3,7 +3,7 @@
 //! up, even though the history below the watermark no longer exists
 //! anywhere in the deployment.
 
-use mcpaxos_actor::{ProcessId, SimTime};
+use mcpaxos_actor::{ProcessId, SimDuration, SimTime, StableStore, WalStore};
 use mcpaxos_core::{agent, DeployConfig, Msg, Policy, WireConfig};
 use mcpaxos_cstruct::CommandHistory;
 use mcpaxos_simnet::{NetConfig, Sim};
@@ -37,7 +37,7 @@ fn put(i: u32) -> KvCmd {
 #[test]
 fn restarted_replica_resumes_from_checkpoint_under_compaction() {
     let n: u32 = 150;
-    // Bounded mode: deltas, compaction every 16, checkpoints every 16.
+    // Bounded mode: deltas, compaction every 16, checkpoints every 64.
     let cfg = Arc::new(
         DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated)
             .with_wire(WireConfig::bounded(16)),
@@ -99,4 +99,55 @@ fn restarted_replica_resumes_from_checkpoint_under_compaction() {
         learner.learned().live_len() < (n as usize),
         "live window should be smaller than the full history"
     );
+}
+
+/// Runs 400 commands through three replicas on group-commit storage of
+/// kind `store`, crashing one replica mid-stream; returns the commands
+/// each replica applied.
+fn group_commit_run(store: fn() -> Box<dyn StableStore + Send>) -> Vec<u64> {
+    let n: u32 = 400;
+    let cfg = Arc::new(
+        DeployConfig::simple(1, 3, 3, 3, Policy::MultiCoordinated)
+            .with_wire(WireConfig::bounded(16))
+            .with_group_commit(SimDuration(2)),
+    );
+    cfg.validate().expect("valid config");
+    let mut sim: Sim<Msg<H>> = Sim::new(7, NetConfig::lockstep());
+    sim.set_storage_factory(move |_| store());
+    deploy(&mut sim, &cfg);
+    for i in 0..n {
+        sim.inject_at(
+            SimTime(100 + 20 * u64::from(i)),
+            cfg.roles.proposers()[0],
+            CLIENT,
+            Msg::Propose {
+                cmd: put(i),
+                acc_quorum: None,
+            },
+        );
+    }
+    let crashed = cfg.roles.learners()[1];
+    sim.crash_at(SimTime(4_000), crashed);
+    sim.recover_at(SimTime(4_100), crashed);
+    sim.run_until(SimTime(30_000));
+    cfg.roles
+        .learners()
+        .iter()
+        .map(|&p| {
+            let r = sim.actor::<Replica<KvStore>>(p).expect("replica exists");
+            r.applied_count()
+        })
+        .collect()
+}
+
+#[test]
+fn restarted_replica_on_group_commit_storage_resumes_from_a_flushed_checkpoint() {
+    // A checkpoint left pending in a write-ahead log dies with the crash:
+    // the replica would restart at watermark 0, below what its peers
+    // still retain. Each checkpoint is flushed as it is written, so on
+    // either store the restarted replica catches up.
+    let mem = group_commit_run(|| Box::new(mcpaxos_actor::MemStore::new()));
+    let wal = group_commit_run(|| Box::new(WalStore::new()));
+    assert_eq!(mem, vec![400; 3]);
+    assert_eq!(wal, vec![400; 3]);
 }
