@@ -4,7 +4,7 @@
 //! delays unless stated otherwise, so "latency" is measured in
 //! communication steps — the unit used throughout the paper.
 
-use crate::harness::{f2, ClusterHarness};
+use crate::harness::{f2, mean, ClusterHarness};
 use crate::table::Table;
 use mcpaxos_actor::SimTime;
 use mcpaxos_core::{CollisionPolicy, CoordQuorum, DeployConfig, Durability, Policy, QuorumSpec};
@@ -251,17 +251,9 @@ pub fn e5_collision_cost() -> Table {
                 if let Some(Some(l)) = h.latencies(0).first() {
                     steps.push(*l as f64);
                 }
-                let w_at_decision: u64 = h.acceptor_writes().iter().sum();
-                writes_per_cmd.push(w_at_decision as f64);
+                writes_per_cmd.push(h.writes(h.cfg.roles.acceptors()) as f64);
                 doomed += h.metric_total("overwritten_votes");
             }
-            let mean = |v: &[f64]| {
-                if v.is_empty() {
-                    f64::NAN
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                }
-            };
             (mean(&steps), collisions, mean(&writes_per_cmd), doomed)
         };
     let cases: Vec<(&str, Policy, CollisionPolicy, usize)> = vec![
@@ -309,6 +301,49 @@ pub fn e5_collision_cost() -> Table {
     )
 }
 
+/// A two-proposer key-value race, the drive behind E6, E8 and E9: on a
+/// cluster of 2 proposers, 3 coordinators, 5 acceptors and `learners`
+/// learners, both proposers submit `pairs` puts at the same instants,
+/// `gap` ticks apart from tick 100, over links delayed uniformly in
+/// `1..=max_delay` ticks; the run stops at `until`.
+struct Race {
+    learners: usize,
+    max_delay: u64,
+    pairs: u64,
+    gap: u64,
+    until: u64,
+    seeds: u64,
+}
+
+impl Race {
+    /// Runs the race once per seed `0..seeds` at hot-key fraction `rho`.
+    /// Returns the mean over seeds of learner 0's mean latency (a seed
+    /// that learned nothing is skipped; `NaN` when none learned anything)
+    /// and the collisions summed over seeds.
+    fn run(&self, policy: Policy, rho: f64) -> (f64, i64) {
+        let mut lat = Vec::new();
+        let mut collisions = 0;
+        for seed in 0..self.seeds {
+            let cfg = DeployConfig::simple(2, 3, 5, self.learners, policy);
+            let net = NetConfig::lockstep().with_delay(DelayDist::Uniform(1, self.max_delay));
+            let mut h: ClusterHarness<KvH> = ClusterHarness::new(cfg, seed, net);
+            let mut w = [Workload::new(seed, 0, rho), Workload::new(seed, 1, rho)];
+            for i in 0..self.pairs {
+                let at = SimTime(100 + self.gap * i);
+                h.propose_at(at, 0, w[0].next_kv_put());
+                h.propose_at(at, 1, w[1].next_kv_put());
+            }
+            h.run_until(self.until);
+            let m = h.mean_latency(0);
+            if !m.is_nan() {
+                lat.push(m);
+            }
+            collisions += h.metric_total("collision_mc") + h.metric_total("collision_fast");
+        }
+        (mean(&lat), collisions)
+    }
+}
+
 /// E6 — collision rate vs conflict fraction (Generalized Consensus payoff).
 pub fn e6_conflict_rate() -> Table {
     let mut t = Table::new(
@@ -323,37 +358,21 @@ pub fn e6_conflict_rate() -> Table {
             "fast: mean steps",
         ],
     );
+    let race = Race {
+        learners: 1,
+        max_delay: 3,
+        pairs: 25,
+        gap: 12,
+        until: 20_000,
+        seeds: 4,
+    };
+    let cmds = (2 * race.pairs * race.seeds) as f64;
     for rho in [0.0, 0.25, 0.5, 1.0] {
         let mut cells = vec![format!("{rho:.2}")];
         for policy in [Policy::MultiCoordinated, Policy::FastThenClassic] {
-            let mut collisions = 0i64;
-            let mut lat = Vec::new();
-            let mut cmds = 0u32;
-            for seed in 0..4u64 {
-                let cfg = DeployConfig::simple(2, 3, 5, 1, policy);
-                let mut h: ClusterHarness<KvH> = ClusterHarness::new(
-                    cfg,
-                    seed,
-                    NetConfig::lockstep().with_delay(DelayDist::Uniform(1, 3)),
-                );
-                let mut w0 = Workload::new(seed, 0, rho);
-                let mut w1 = Workload::new(seed, 1, rho);
-                for i in 0..25u64 {
-                    h.propose_at(SimTime(100 + 12 * i), 0, w0.next_kv_put());
-                    h.propose_at(SimTime(100 + 12 * i), 1, w1.next_kv_put());
-                    cmds += 2;
-                }
-                h.run_until(20_000);
-                collisions += h.metric_total("collision_mc") + h.metric_total("collision_fast");
-                let m = h.mean_latency(0);
-                if !m.is_nan() {
-                    lat.push(m);
-                }
-            }
-            let per100 = 100.0 * collisions as f64 / f64::from(cmds);
-            let mean = lat.iter().sum::<f64>() / lat.len().max(1) as f64;
-            cells.push(f2(per100));
-            cells.push(f2(mean));
+            let (steps, collisions) = race.run(policy, rho);
+            cells.push(f2(100.0 * collisions as f64 / cmds));
+            cells.push(f2(steps));
         }
         t.row(&cells);
     }
@@ -398,9 +417,9 @@ pub fn e7_disk_writes() -> Table {
         }
         h.run_until(12_000);
         let learned = h.learned(0).count() as f64;
-        let acc_writes: u64 = h.acceptor_writes().iter().sum();
+        let acc_writes = h.writes(h.cfg.roles.acceptors());
         let accepts = h.metric_total("accepts") as u64;
-        let coord_writes: u64 = h.coordinator_writes().iter().sum();
+        let coord_writes = h.writes(h.cfg.roles.coordinators());
         t.row(&[
             format!("{durability:?}"),
             recoveries.to_string(),
@@ -435,37 +454,22 @@ pub fn e8_crossover() -> Table {
         ],
     );
     for (jitter, rho) in [(1u64, 0.0), (1, 0.8), (6, 0.0), (6, 0.8), (15, 0.8)] {
-        let mut results = Vec::new();
-        for policy in [
+        let race = Race {
+            learners: 1,
+            max_delay: jitter,
+            pairs: 20,
+            gap: 15,
+            until: 25_000,
+            seeds: 4,
+        };
+        let results: Vec<(f64, i64)> = [
             Policy::FastThenClassic,
             Policy::MultiCoordinated,
             Policy::SingleCoordinated,
-        ] {
-            let mut lat = Vec::new();
-            let mut coll = 0i64;
-            for seed in 0..4u64 {
-                let cfg = DeployConfig::simple(2, 3, 5, 1, policy);
-                let mut h: ClusterHarness<KvH> = ClusterHarness::new(
-                    cfg,
-                    seed,
-                    NetConfig::lockstep().with_delay(DelayDist::Uniform(1, jitter.max(1))),
-                );
-                let mut w0 = Workload::new(seed, 0, rho);
-                let mut w1 = Workload::new(seed, 1, rho);
-                for i in 0..20u64 {
-                    h.propose_at(SimTime(100 + 15 * i), 0, w0.next_kv_put());
-                    h.propose_at(SimTime(100 + 15 * i), 1, w1.next_kv_put());
-                }
-                h.run_until(25_000);
-                let m = h.mean_latency(0);
-                if !m.is_nan() {
-                    lat.push(m);
-                }
-                coll += h.metric_total("collision_mc") + h.metric_total("collision_fast");
-            }
-            let mean = lat.iter().sum::<f64>() / lat.len().max(1) as f64;
-            results.push((mean, coll));
-        }
+        ]
+        .into_iter()
+        .map(|policy| race.run(policy, rho))
+        .collect();
         let names = ["fast", "multi", "classic"];
         let winner = names[results
             .iter()
@@ -511,33 +515,15 @@ pub fn e9_generic_broadcast() -> Table {
         Policy::MultiCoordinated,
         Policy::FastThenClassic,
     ] {
-        let mut per_rho = Vec::new();
-        for rho in [0.0, 0.5] {
-            let mut lat = Vec::new();
-            let mut coll = 0i64;
-            for seed in 0..3u64 {
-                let cfg = DeployConfig::simple(2, 3, 5, 2, policy);
-                let mut h: ClusterHarness<KvH> = ClusterHarness::new(
-                    cfg,
-                    seed,
-                    NetConfig::lockstep().with_delay(DelayDist::Uniform(1, 4)),
-                );
-                let mut w0 = Workload::new(seed, 0, rho);
-                let mut w1 = Workload::new(seed, 1, rho);
-                for i in 0..20u64 {
-                    h.propose_at(SimTime(100 + 10 * i), 0, w0.next_kv_put());
-                    h.propose_at(SimTime(100 + 10 * i), 1, w1.next_kv_put());
-                }
-                h.run_until(20_000);
-                let m = h.mean_latency(0);
-                if !m.is_nan() {
-                    lat.push(m);
-                }
-                coll += h.metric_total("collision_mc") + h.metric_total("collision_fast");
-            }
-            let mean = lat.iter().sum::<f64>() / lat.len().max(1) as f64;
-            per_rho.push((mean, coll));
-        }
+        let race = Race {
+            learners: 2,
+            max_delay: 4,
+            pairs: 20,
+            gap: 10,
+            until: 20_000,
+            seeds: 3,
+        };
+        let per_rho = [race.run(policy, 0.0), race.run(policy, 0.5)];
         let quorum = match policy {
             Policy::FastThenClassic | Policy::FastForever => {
                 format!(
@@ -776,8 +762,8 @@ pub fn e12_shards() -> Table {
          full-payload wire mode: each shard's per-message cost is proportional to \
          its own history, so total bytes (and the wall-clock work they proxy) \
          shrink near-linearly in the shard count while every run merges to the \
-         same bank state. The batched row dials E14's batch=16/depth=8 knobs into \
-         every shard: sharding and batching compose — same final state, and \
+         same bank state. The batched row dials batch=16/depth=8 into every \
+         shard: sharding and batching compose — same final state, and \
          fewer, larger 2a waves trim the wire-byte total further.",
         E12_COMMANDS,
         E12_TRANSFERS * 100.0
@@ -836,75 +822,5 @@ pub fn e13_churn() -> Table {
          before this table renders).",
         CHURN_COMMANDS,
         stall_ratio(single, multi),
-    ))
-}
-
-/// E14 — batched + pipelined hot path: open- vs closed-loop throughput.
-pub fn e14_throughput() -> Table {
-    use crate::throughput_bench::{closed_loop_run, open_loop_run, THROUGHPUT_RATE};
-    const E14_COMMANDS: usize = 256;
-    const E14_WINDOW: usize = 64;
-    const E14_SEED: u64 = 42;
-    let mut t = Table::new(
-        "E14 — Batched + pipelined hot path: open- vs closed-loop throughput",
-        "one 2a/2b/WAL cycle per command caps the lockstep pipeline at one \
-         command per round trip; batching k proposals into one wave and keeping \
-         d waves in flight amortizes that cycle k·d-fold, which an open-loop \
-         arrival stream (fixed rate, backlog shows up as latency) measures \
-         honestly where a closed loop would throttle itself",
-        &[
-            "mode",
-            "batch/depth",
-            "learned",
-            "cmds/s",
-            "p50",
-            "p99",
-            "p999",
-            "waves (cmds/wave)",
-        ],
-    );
-    let grid = [(0usize, 0usize), (1, 1), (16, 8)];
-    let mut open_runs = Vec::new();
-    for &(b, d) in &grid {
-        open_runs.push(open_loop_run(b, d, E14_COMMANDS, E14_SEED));
-    }
-    let closed = closed_loop_run(16, 8, E14_COMMANDS, E14_WINDOW, E14_SEED);
-    for s in open_runs.iter().chain([&closed]) {
-        assert_eq!(
-            s.learned, E14_COMMANDS,
-            "{} b={}/d={}: run must learn everything",
-            s.mode, s.batch, s.depth
-        );
-        let occupancy = if s.batches > 0 {
-            format!(
-                "{} ({:.1})",
-                s.batches,
-                s.batched_cmds as f64 / s.batches as f64
-            )
-        } else {
-            "-".to_string()
-        };
-        t.row(&[
-            s.mode.to_string(),
-            if s.batch == 0 {
-                "1/∞ (default)".to_string()
-            } else {
-                format!("{}/{}", s.batch, s.depth)
-            },
-            format!("{}/{}", s.learned, s.commands),
-            format!("{:.0}", s.cps),
-            s.lat.p50.to_string(),
-            s.lat.p99.to_string(),
-            s.lat.p999.to_string(),
-            occupancy,
-        ]);
-    }
-    let speedup = open_runs[2].cps / open_runs[1].cps;
-    t.with_note(format!(
-        "{} kv-put commands, open-loop at {} cmds/tick (1 tick = 1 ms), \
-         closed-loop window {}. Percentiles are nearest-rank over per-command \
-         delivery latencies. Batch=16/depth=8 vs the in-scheduler lockstep \
-         baseline (batch=1/depth=1) is {:.1}x here.",
-        E14_COMMANDS, THROUGHPUT_RATE, E14_WINDOW, speedup
     ))
 }

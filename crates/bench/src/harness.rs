@@ -116,11 +116,13 @@ impl<C: CStruct> ClusterHarness<C> {
 
     /// Mean of the learned latencies at learner `idx` (ignoring losses).
     pub fn mean_latency(&self, idx: usize) -> f64 {
-        let ls: Vec<u64> = self.latencies(idx).into_iter().flatten().collect();
-        if ls.is_empty() {
-            return f64::NAN;
-        }
-        ls.iter().sum::<u64>() as f64 / ls.len() as f64
+        let ls: Vec<f64> = self
+            .latencies(idx)
+            .into_iter()
+            .flatten()
+            .map(|l| l as f64)
+            .collect();
+        mean(&ls)
     }
 
     /// Maximum learned latency at learner `idx` (the stall indicator).
@@ -141,24 +143,22 @@ impl<C: CStruct> ClusterHarness<C> {
             .collect()
     }
 
-    /// Stable-storage write counts of every acceptor.
-    pub fn acceptor_writes(&self) -> Vec<u64> {
-        self.cfg
-            .roles
-            .acceptors()
+    /// Stable-storage writes summed over `procs`.
+    pub fn writes(&self, procs: &[ProcessId]) -> u64 {
+        procs
             .iter()
-            .map(|&a| self.sim.storage(a).map(|s| s.write_count()).unwrap_or(0))
-            .collect()
+            .map(|&p| self.sim.storage(p).map_or(0, |s| s.write_count()))
+            .sum()
     }
+}
 
-    /// Stable-storage write counts of every coordinator.
-    pub fn coordinator_writes(&self) -> Vec<u64> {
-        self.cfg
-            .roles
-            .coordinators()
-            .iter()
-            .map(|&c| self.sim.storage(c).map(|s| s.write_count()).unwrap_or(0))
-            .collect()
+/// Arithmetic mean, `NaN` for an empty input (which [`f2`] renders `-`):
+/// there is no honest mean of nothing.
+pub fn mean(v: &[f64]) -> f64 {
+    if v.is_empty() {
+        f64::NAN
+    } else {
+        v.iter().sum::<f64>() / v.len() as f64
     }
 }
 
@@ -188,6 +188,13 @@ mod tests {
         assert_eq!(h.max_latency(0), 3);
         assert_eq!(h.learned(0).count(), 1);
         assert!(h.metric_total("accepts") > 0);
-        assert_eq!(h.acceptor_writes().len(), 5);
+        assert!(h.writes(h.cfg.roles.acceptors()) > 0);
+    }
+
+    #[test]
+    fn the_mean_of_nothing_renders_as_a_dash() {
+        assert!(mean(&[]).is_nan());
+        assert_eq!(f2(mean(&[])), "-");
+        assert_eq!(f2(mean(&[3.0, 4.0])), "3.50");
     }
 }

@@ -17,7 +17,6 @@ pub mod experiments;
 pub mod harness;
 pub mod shard_bench;
 pub mod table;
-pub mod throughput_bench;
 pub mod wal_bench;
 pub mod wire_bench;
 
@@ -42,7 +41,6 @@ pub fn all_experiments() -> Vec<Table> {
         experiments::e11_wal(),
         experiments::e12_shards(),
         experiments::e13_churn(),
-        experiments::e14_throughput(),
     ]
 }
 

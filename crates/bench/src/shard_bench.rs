@@ -12,13 +12,11 @@
 
 use mcpaxos_actor::SimTime;
 use mcpaxos_core::{
-    agent, shard_configs, shard_tag, BatchConfig, DeployConfig, Learner, Msg, Policy, ShardMsg,
-    Sharded,
+    agent, shard_configs, shard_tag, DeployConfig, Learner, Msg, Policy, ShardMsg, Sharded,
 };
 use mcpaxos_cstruct::{CStruct, CommandHistory};
-use mcpaxos_simnet::{NetConfig, Sim, WireTotal};
+use mcpaxos_simnet::{NetConfig, Sim};
 use mcpaxos_smr::{Bank, BankCmd, CrossShardSequencer, ShardRouter, ShardedReplica, Workload};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::harness::CLIENT;
@@ -84,7 +82,7 @@ impl ShardedHarness {
     }
 
     /// Meters every network message under its shard's tag ("shard0" …),
-    /// making per-shard wire bytes visible in [`ShardedHarness::wire_totals`].
+    /// making per-shard wire bytes visible in [`Sim::wire_totals`].
     pub fn enable_shard_byte_meter(&mut self) {
         self.sim.enable_byte_meter(Box::new(|m: &ShardNetMsg| {
             (m.tag(), mcpaxos_actor::wire::to_bytes(m).len() as u64)
@@ -94,11 +92,6 @@ impl ShardedHarness {
     /// The router commands are sharded by.
     pub fn router(&self) -> ShardRouter {
         self.router
-    }
-
-    /// Cross-shard commands submitted so far.
-    pub fn cross_submitted(&self) -> usize {
-        self.cross_submitted
     }
 
     fn propose_to(&mut self, shard: u16, t: u64, cmd: BankCmd) {
@@ -217,11 +210,6 @@ impl ShardedHarness {
         rep
     }
 
-    /// Per-tag wire totals (enable the byte meter first).
-    pub fn wire_totals(&self) -> &BTreeMap<&'static str, WireTotal> {
-        self.sim.wire_totals()
-    }
-
     /// Stable-storage write counts of shard `shard`'s acceptors.
     pub fn acceptor_writes(&self, shard: u16) -> Vec<u64> {
         self.cfgs[usize::from(shard)]
@@ -230,11 +218,6 @@ impl ShardedHarness {
             .iter()
             .map(|&a| self.sim.storage(a).map(|s| s.write_count()).unwrap_or(0))
             .collect()
-    }
-
-    /// The deployment configuration of shard `shard`.
-    pub fn cfg(&self, shard: u16) -> &Arc<DeployConfig> {
-        &self.cfgs[usize::from(shard)]
     }
 }
 
@@ -295,11 +278,11 @@ pub fn shard_wire_run(
     assert_eq!(rep.applied_count(), commands as u64);
     assert_eq!(rep.pending(), 0);
     let per_shard_bytes: Vec<u64> = (0..shards)
-        .map(|s| h.wire_totals().get(shard_tag(s)).map_or(0, |w| w.bytes))
+        .map(|s| h.sim.wire_totals().get(shard_tag(s)).map_or(0, |w| w.bytes))
         .collect();
     ShardWireStats {
         shards,
-        cross_shard: h.cross_submitted(),
+        cross_shard: h.cross_submitted,
         end_ticks,
         total_bytes: per_shard_bytes.iter().sum(),
         per_shard_bytes,
@@ -307,78 +290,22 @@ pub fn shard_wire_run(
     }
 }
 
-/// One batched-vs-default sharded measurement: the same workload with
-/// the batching knobs wired through [`ShardedHarness::new`]'s `tune`.
-#[derive(Clone, Debug)]
-pub struct ShardBatchedStats {
-    /// Commands the merged replica applied.
-    pub learned: usize,
-    /// Final merged bank balance total (determinism anchor).
-    pub bank_total: u64,
-}
-
-/// Runs the sharded workload with every shard's coordinator/proposer
-/// batching dialed to `batch`/`depth` (`batch = 0` keeps the default
-/// configuration: one command per wave, an unbounded pipeline) and
-/// returns deterministic completion statistics.
-///
-/// # Panics
-///
-/// Panics if the run stalls or the merged replica misses commands.
-pub fn shard_batched_run(
-    shards: u16,
-    batch: usize,
-    depth: usize,
-    commands: usize,
-    seed: u64,
-) -> ShardBatchedStats {
-    let tune = move |c: DeployConfig| {
-        if batch == 0 {
-            c
-        } else {
-            c.with_batching(BatchConfig {
-                queue_cap: 0,
-                ..BatchConfig::pipelined(batch, depth)
-            })
-        }
-    };
-    let sim = Sim::new(seed, NetConfig::lockstep());
-    let mut h = ShardedHarness::new(shards, Policy::MultiCoordinated, sim, tune);
-    let mut w = Workload::new(seed, 0, 0.0)
-        .with_cold_keys(SHARD_BENCH_ACCOUNTS)
-        .with_transfer_fraction(0.01);
-    // Open-loop at 4 commands/tick (vs the paced 1-per-2-ticks of the
-    // scaling runs): enough offered load that a lockstep pipeline
-    // backlogs and batching has something to amortize.
-    let mut t = 100;
-    for i in 0..commands {
-        t = 100 + (i as u64) / 4;
-        h.submit_at(t, w.next_sharded_bank());
-    }
-    let end_ticks = h.drive_until_done(t + 1_000_000);
-    assert!(
-        h.done(),
-        "{shards}-shard batched (b={batch}/d={depth}) run stalled at t={end_ticks}"
-    );
-    let rep = h.merged();
-    assert_eq!(rep.applied_count(), commands as u64);
-    assert_eq!(rep.pending(), 0);
-    ShardBatchedStats {
-        learned: rep.applied_count() as usize,
-        bank_total: rep.machine().total(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcpaxos_core::BatchConfig;
 
     #[test]
     fn batched_shards_learn_the_same_state() {
-        let plain = shard_batched_run(2, 0, 0, 60, 7);
-        let batched = shard_batched_run(2, 8, 4, 60, 7);
-        assert_eq!(plain.learned, 60);
-        assert_eq!(batched.learned, 60);
+        // `shard_wire_run` asserts the merged replica applied all 60
+        // commands with none pending; batching must not change the state.
+        let plain = shard_wire_run(2, 0.01, 60, 7, |c| c);
+        let batched = shard_wire_run(2, 0.01, 60, 7, |c| {
+            c.with_batching(BatchConfig {
+                queue_cap: 0,
+                ..BatchConfig::pipelined(8, 4)
+            })
+        });
         assert_eq!(plain.bank_total, batched.bank_total);
     }
 

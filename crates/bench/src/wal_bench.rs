@@ -79,7 +79,7 @@ pub fn wal_run(group_commit: u64, n: u32) -> WalRunStats {
     h.run_until_learned(0, n as usize, 25, inject_end + 60_000);
 
     let learned = h.learned(0).count();
-    let acc_syncs: u64 = h.acceptor_writes().iter().sum();
+    let acc_syncs = h.writes(h.cfg.roles.acceptors());
     let n_acc = h.cfg.roles.acceptors().len() as f64;
     let corrupt_records: u64 = h
         .cfg

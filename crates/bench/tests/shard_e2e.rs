@@ -7,11 +7,12 @@
 //! deposits, cross-shard transfers and one universal-key audit. Because
 //! every account is seeded far above the total transfer volume, no guarded
 //! operation can fail in any legal order, so the final bank state is
-//! order-independent — 1-, 2- and 3-shard runs must agree exactly.
+//! order-independent — 1-, 2- and 3-shard runs must agree exactly, and so
+//! must a 2-shard run whose shards batch and pipeline their waves.
 
 use mcpaxos_actor::{SimDuration, WalStore};
 use mcpaxos_bench::ShardedHarness;
-use mcpaxos_core::{Policy, WireConfig};
+use mcpaxos_core::{BatchConfig, DeployConfig, Policy, WireConfig};
 use mcpaxos_cstruct::CStruct;
 use mcpaxos_simnet::{NetConfig, Sim};
 use mcpaxos_smr::{Bank, BankCmd, BankOp, CmdId, Workload};
@@ -20,11 +21,11 @@ const ACCOUNTS: u16 = 16;
 const SEED_AMOUNT: u32 = 1_000_000;
 const WAVE: usize = 60;
 
-/// Runs the two-wave workload on `shards` consensus instances and returns
-/// the merged bank state.
-fn run_sharded(shards: u16) -> Bank {
+/// Runs the two-wave workload on `shards` consensus instances, each shard's
+/// configuration adjusted by `tune`, and returns the merged bank state.
+fn run_sharded(shards: u16, tune: impl Fn(DeployConfig) -> DeployConfig) -> Bank {
     let sim = Sim::new(11, NetConfig::lockstep());
-    let mut h = ShardedHarness::new(shards, Policy::MultiCoordinated, sim, |c| c);
+    let mut h = ShardedHarness::new(shards, Policy::MultiCoordinated, sim, tune);
 
     // Wave 1: seed every account, and let the cluster finish learning the
     // seeds before any guarded command is proposed.
@@ -87,7 +88,7 @@ fn run_sharded(shards: u16) -> Bank {
 
 #[test]
 fn sharded_runs_match_unsharded_differential() {
-    let unsharded = run_sharded(1);
+    let unsharded = run_sharded(1, |c| c);
     assert_eq!(
         unsharded.rejected(),
         0,
@@ -95,12 +96,22 @@ fn sharded_runs_match_unsharded_differential() {
     );
     assert_eq!(unsharded.audits(), 1);
     for shards in [2u16, 3] {
-        let sharded = run_sharded(shards);
+        let sharded = run_sharded(shards, |c| c);
         assert_eq!(
             sharded, unsharded,
             "{shards}-shard final state diverged from the unsharded run"
         );
     }
+    let batched = run_sharded(2, |c| {
+        c.with_batching(BatchConfig {
+            queue_cap: 0,
+            ..BatchConfig::pipelined(8, 4)
+        })
+    });
+    assert_eq!(
+        batched, unsharded,
+        "2-shard batched (8/4) final state diverged from the unsharded run"
+    );
 }
 
 /// Each shard runs its own durability and compaction machinery: WAL-backed

@@ -19,7 +19,7 @@ use crate::msg::Msg;
 use crate::provedsafe::{pick, proved_safe, OneB};
 use crate::round::Round;
 use crate::schedule::RoundKind;
-use crate::ship::{announce_restart, prune_rounds, Receiver, Shipper};
+use crate::ship::{announce_restart, prune_rounds, Payload, Receiver, Shipper};
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, TimerToken};
 use mcpaxos_cstruct::{compatible_all, glb_all_ref, CStruct};
@@ -153,8 +153,9 @@ impl<C: CStruct> Acceptor<C> {
         if self.group_commit_on() {
             ctx.storage().flush();
         }
-        // The fan-out shares the accepted value's Arc — no clone.
-        let vval = self.out.full(self.vval.clone(), to.len(), ctx);
+        // Always whole, outside the delta bases: the receiver generally
+        // holds no base from us for `round`. The fan-out shares the Arc.
+        let vval = Payload::Full(self.vval.clone());
         let vrnd = self.vrnd;
         ctx.multicast(to, Msg::P1b { round, vrnd, vval });
     }

@@ -147,9 +147,6 @@ pub mod metrics {
     /// Persisted votes later overwritten by a non-extending value: the
     /// "wasted disk writes" of fast-round collisions (§4.2).
     pub const OVERWRITTEN_VOTES: &str = "overwritten_votes";
-    /// Serialized payload bytes handed to the network by an agent
-    /// (emitted only when `WireConfig::account_bytes` is on).
-    pub const BYTES_SENT: &str = "bytes_sent";
     /// `2a`/`2b` payloads shipped as suffix deltas instead of full values.
     pub const DELTA_SENDS: &str = "delta_sends";
     /// Full values re-shipped after a receiver reported a delta gap

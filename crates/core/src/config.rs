@@ -54,20 +54,16 @@ pub struct WireConfig {
     /// resumes from it, because the history below the watermark no longer
     /// exists anywhere to replay.
     pub compact_every: u64,
-    /// Emit per-send `bytes_sent` metrics from the agents (costs one
-    /// serialization per send; off for the latency experiments).
-    pub account_bytes: bool,
 }
 
 impl WireConfig {
     /// The bounded-resources preset: delta shipping plus compaction every
     /// `segment` commands (and replica checkpoints every few segments, see
-    /// [`WireConfig::checkpoint_every`]), with byte accounting on.
+    /// [`WireConfig::checkpoint_every`]).
     pub fn bounded(segment: u64) -> Self {
         WireConfig {
             delta_ship: true,
             compact_every: segment,
-            account_bytes: true,
         }
     }
 

@@ -8,8 +8,9 @@
 //!   authenticated by [`value_digest`];
 //! * [`Shipper`] is the **sender half**: the per-peer `(round, len)`
 //!   bases, the single send loop (full when delta shipping is off or no
-//!   usable base exists, delta otherwise), byte accounting, the answer to
-//!   [`Msg::NeedFull`] and the base drops on [`Msg::Hello`] / link reset;
+//!   usable base exists, delta otherwise), the answer to [`Msg::NeedFull`]
+//!   and the base drops on [`Msg::Hello`] / link reset. Bytes are counted
+//!   by the host that encodes each message, not here;
 //! * [`Receiver`] is the **receiver half**: resolve against the stored
 //!   base, retry once after compaction, reply `NeedFull` / `NeedStable`,
 //!   and the [`Msg::Stable`] / [`Msg::NeedStable`] catch-up handlers.
@@ -119,13 +120,6 @@ impl<C: CStruct> Payload<C> {
             Payload::Delta { .. } => None,
         }
     }
-
-    /// Serialized size in bytes, as the wire accounting sees it.
-    pub fn encoded_len(&self) -> u64 {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len() as u64
-    }
 }
 
 /// `C` and `Arc<C>` convert into full payloads, so call sites (and tests)
@@ -204,7 +198,6 @@ pub(crate) fn announce_restart<C: CStruct>(
 /// payload)` messages and tracks what each peer holds of it.
 pub(crate) struct Shipper<C: CStruct> {
     delta_ship: bool,
-    account_bytes: bool,
     wrap: fn(Round, Payload<C>) -> Msg<C>,
     /// Per peer: the round and logical value length of the last payload
     /// shipped to it — the base the next delta extends.
@@ -217,31 +210,9 @@ impl<C: CStruct> Shipper<C> {
     pub(crate) fn new(wire: &WireConfig, wrap: fn(Round, Payload<C>) -> Msg<C>) -> Self {
         Shipper {
             delta_ship: wire.delta_ship,
-            account_bytes: wire.account_bytes,
             wrap,
             bases: BTreeMap::new(),
         }
-    }
-
-    /// Emits the `bytes_sent` metric, when byte accounting is on.
-    fn account(&self, bytes: impl FnOnce() -> u64, ctx: &mut dyn Context<Msg<C>>) {
-        if self.account_bytes {
-            ctx.metric(Metric::add(metrics::BYTES_SENT, bytes() as i64));
-        }
-    }
-
-    /// The always-full payload of a "1b" report, accounted for `fanout`
-    /// recipients and outside the base tracking: the receiver generally
-    /// holds no base from the sender for that round.
-    pub(crate) fn full(
-        &self,
-        val: Arc<C>,
-        fanout: usize,
-        ctx: &mut dyn Context<Msg<C>>,
-    ) -> Payload<C> {
-        let payload = Payload::Full(val);
-        self.account(|| payload.encoded_len() * fanout as u64, ctx);
-        payload
     }
 
     /// The send loop: ships `val` for `round` to each of `targets`, in
@@ -257,8 +228,7 @@ impl<C: CStruct> Shipper<C> {
         ctx: &mut dyn Context<Msg<C>>,
     ) {
         let total = val.total_len();
-        let (mut digest, mut full_len) = (None, None);
-        let (mut deltas, mut bytes) = (0, 0);
+        let (mut digest, mut deltas) = (None, 0);
         for &t in targets {
             let suffix = match self.bases.get(&t) {
                 Some(&(r, len)) if r == round && len <= total => {
@@ -277,12 +247,6 @@ impl<C: CStruct> Shipper<C> {
                 }
                 None => Payload::Full(val.clone()),
             };
-            if self.account_bytes {
-                bytes += match &payload {
-                    Payload::Full(_) => *full_len.get_or_insert_with(|| payload.encoded_len()),
-                    Payload::Delta { .. } => payload.encoded_len(),
-                };
-            }
             if self.delta_ship {
                 self.bases.insert(t, (round, total));
             }
@@ -291,7 +255,6 @@ impl<C: CStruct> Shipper<C> {
         if deltas > 0 {
             ctx.metric(Metric::add(metrics::DELTA_SENDS, deltas));
         }
-        self.account(|| bytes, ctx);
     }
 
     /// Answers `from`'s [`Msg::NeedFull`] for `round`: re-ships the full
@@ -310,12 +273,10 @@ impl<C: CStruct> Shipper<C> {
             self.bases.remove(&from);
         } else if let Some(val) = val {
             ctx.metric(Metric::incr(metrics::FULL_RESYNCS));
-            let payload = Payload::Full(val.clone());
-            self.account(|| payload.encoded_len(), ctx);
             if self.delta_ship {
                 self.bases.insert(from, (round, val.total_len()));
             }
-            ctx.send(from, (self.wrap)(round, payload));
+            ctx.send(from, (self.wrap)(round, Payload::Full(val.clone())));
         }
     }
 

@@ -101,7 +101,6 @@ fn bounded_mode_learns_everything_with_bounded_windows() {
     // The machinery actually ran.
     assert!(sim.metrics().total("delta_sends") > 0, "no deltas shipped");
     assert!(sim.metrics().total("truncations") > 0, "nothing truncated");
-    assert!(sim.metrics().total("bytes_sent") > 0, "byte accounting off");
 
     // Consistency across learners, live windows compared above the common
     // watermark: align both to the higher one via the protocol invariant

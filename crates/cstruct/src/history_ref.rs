@@ -8,8 +8,7 @@
 //! what makes it a trustworthy oracle. It mirrors the
 //! `proved_safe` / `proved_safe_exact` split in `mcpaxos-core`: the fast
 //! version runs in production, the transcription stands behind it in
-//! tests and benchmarks (`tests/prop_history_diff.rs`, the
-//! `bench_history` micro-benchmarks).
+//! the differential tests (`tests/prop_history_diff.rs`).
 //!
 //! Only the `Conflict::conflicts` relation is consulted — the oracle
 //! deliberately ignores the `conflict_keys` locality hint, so a wrong

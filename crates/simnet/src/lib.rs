@@ -41,7 +41,6 @@ mod config;
 pub mod explore;
 mod procs;
 mod sim;
-mod stats;
 mod topology;
 mod trace;
 
@@ -50,6 +49,5 @@ pub use config::{DelayDist, NetConfig};
 pub use explore::{explore, Choice, ExploreConfig, ExploreNet, ExploreStats, Violation};
 pub use procs::StorageFactory;
 pub use sim::{ByteMeter, ProcessStats, Sim, WireTotal};
-pub use stats::{percentile, percentile_sorted, LatencyStats};
 pub use topology::Topology;
 pub use trace::{TraceEntry, TraceKind};

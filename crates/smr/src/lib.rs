@@ -39,7 +39,7 @@ pub use kv::{KvCmd, KvOp, KvStore};
 pub use machine::StateMachine;
 pub use replica::{Checkpoint, Replica};
 pub use shard::{CrossShardSequencer, ShardRouter, ShardedReplica};
-pub use workload::{open_loop_arrivals, Workload};
+pub use workload::Workload;
 
 /// Globally unique command identifier: `(client, sequence)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

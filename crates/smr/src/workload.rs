@@ -152,32 +152,10 @@ impl Workload {
     }
 }
 
-/// Arrival times (in ticks) for `n` commands issued *open-loop* at
-/// `rate` commands per tick: the k-th command arrives at `⌊k/rate⌋`
-/// regardless of how fast the system completes earlier ones. Under
-/// overload the commands queue and the backlog shows up as delivery
-/// latency — the honest way to measure a saturated system (a closed
-/// loop would throttle the offered load instead and hide the queueing).
-///
-/// Deterministic and allocation-only: drive it through any harness.
-pub fn open_loop_arrivals(rate: f64, n: usize) -> Vec<u64> {
-    assert!(rate > 0.0, "open-loop rate must be positive");
-    (0..n).map(|k| (k as f64 / rate).floor() as u64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcpaxos_cstruct::Conflict;
-
-    #[test]
-    fn open_loop_arrivals_pace_by_rate_not_completions() {
-        // 2 commands per tick: pairs share a tick.
-        assert_eq!(open_loop_arrivals(2.0, 6), vec![0, 0, 1, 1, 2, 2]);
-        // Half a command per tick: one every 2 ticks.
-        assert_eq!(open_loop_arrivals(0.5, 4), vec![0, 2, 4, 6]);
-        assert!(open_loop_arrivals(1.0, 0).is_empty());
-    }
 
     #[test]
     fn ids_are_unique_and_ordered() {
