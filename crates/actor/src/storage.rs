@@ -4,17 +4,16 @@
 //! acceptors must persist `(vrnd, vval)` on every accept, may keep `rnd`
 //! volatile under the `MCount` scheme, and coordinators never need stable
 //! storage at all. To measure those claims we route every durable write
-//! through [`StableStore`], which counts writes; the simulator additionally
-//! charges a configurable latency per write.
+//! through [`StableStore`], which counts writes.
 //!
 //! Two implementations are provided:
 //!
 //! * [`MemStore`] — an overwrite-in-place key-value map where every
 //!   `write` is one synchronous disk write (the seed behaviour, used by
 //!   the default experiments);
-//! * [`WalStore`] — an append-only, CRC-checksummed record log with
-//!   group-commit batching: `write` replaces the key's pending value,
-//!   [`StableStore::flush`] makes the batch durable — one record per
+//! * [`WalStore`] — an append-only, CRC-checksummed record log that only
+//!   buffers until its owner flushes: `write` replaces the key's pending
+//!   value, [`StableStore::flush`] makes the batch durable — one record per
 //!   written key — as *one* counted disk write and rewrites the log in
 //!   place of appending once superseded records dominate it, recovery
 //!   replays the log and truncates torn or corrupt tails instead of
@@ -226,7 +225,9 @@ struct Entry {
 }
 
 /// Append-only, CRC-checksummed record log implementing [`StableStore`]
-/// with group-commit batching.
+/// with group-commit batching. The store never decides when a write is
+/// durable: the agent that wrote flushes at the point where a message or
+/// a recovery relies on it.
 ///
 /// * `write` replaces the key's pending value and updates the read index;
 ///   it encodes nothing and performs **no** disk write. A value superseded
@@ -249,10 +250,6 @@ struct Entry {
 ///   recovery.
 /// * [`StableStore::compact`] flushes, then rewrites the log with one
 ///   record per live key as one more disk write.
-///
-/// A `WalStore` built with [`WalStore::synchronous`] flushes on every
-/// `write`, reproducing [`MemStore`]'s per-write disk accounting — the
-/// baseline the E11 experiment compares group commit against.
 #[derive(Clone)]
 pub struct WalStore {
     /// The durable medium: flushed records, back to back.
@@ -265,8 +262,6 @@ pub struct WalStore {
     writes: u64,
     /// Unreadable records seen by replays.
     corrupt: u64,
-    /// Flush on every write (per-vote baseline mode).
-    sync_every_write: bool,
 }
 
 impl Default for WalStore {
@@ -284,16 +279,6 @@ impl WalStore {
             synced: 0,
             writes: 0,
             corrupt: 0,
-            sync_every_write: false,
-        }
-    }
-
-    /// A store that flushes on every `write`: one disk write per record,
-    /// like [`MemStore`] (the §4.4 per-vote baseline).
-    pub fn synchronous() -> Self {
-        WalStore {
-            sync_every_write: true,
-            ..WalStore::new()
         }
     }
 
@@ -477,9 +462,6 @@ impl StableStore for WalStore {
             }
         }
         self.writes += 1;
-        if self.sync_every_write {
-            self.flush();
-        }
     }
 
     fn read(&self, key: &str) -> Option<&[u8]> {
@@ -557,8 +539,9 @@ use std::path::{Path, PathBuf};
 /// index and record format; `FileWal` mirrors every flushed byte to the
 /// file and `sync_data`s it, so what [`StableStore::flushed_read`] would
 /// return is exactly what a re-[`FileWal::open`] after `SIGKILL`
-/// recovers. The in-memory copy of the log is bounded the way
-/// [`WalStore`]'s is, and so is the file.
+/// recovers. As with [`WalStore`], a write is durable only once the
+/// owning agent flushes it. The in-memory copy of the log is bounded the
+/// way [`WalStore`]'s is, and so is the file.
 ///
 /// Opening replays the file through [`WalStore::from_log`] — a torn or
 /// corrupt tail is truncated (both in memory and on disk) rather than
@@ -577,8 +560,6 @@ pub struct FileWal {
     path: PathBuf,
     /// Bytes of `inner`'s flushed log already written + synced to `file`.
     durable_len: usize,
-    /// Mirror of [`WalStore::synchronous`]: flush (and sync) every write.
-    sync_every_write: bool,
 }
 
 impl FileWal {
@@ -587,16 +568,7 @@ impl FileWal {
     /// one record per written key to the file (or rewrites it, when the
     /// flush compacts) and `sync_data`s it as one disk write.
     pub fn open(path: impl AsRef<Path>) -> io::Result<FileWal> {
-        Self::open_inner(path.as_ref(), false)
-    }
-
-    /// Opens a store that flushes + syncs on every `write` (the per-vote
-    /// baseline; use for acceptors running without group commit).
-    pub fn open_synchronous(path: impl AsRef<Path>) -> io::Result<FileWal> {
-        Self::open_inner(path.as_ref(), true)
-    }
-
-    fn open_inner(path: &Path, sync_every_write: bool) -> io::Result<FileWal> {
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -619,7 +591,6 @@ impl FileWal {
             file,
             path: path.to_path_buf(),
             durable_len,
-            sync_every_write,
         })
     }
 
@@ -676,9 +647,6 @@ impl FileWal {
 impl StableStore for FileWal {
     fn write(&mut self, key: &str, value: Vec<u8>) {
         self.inner.write(key, value);
-        if self.sync_every_write {
-            self.flush();
-        }
     }
 
     fn read(&self, key: &str) -> Option<&[u8]> {
@@ -837,19 +805,6 @@ mod tests {
         assert_eq!(s.read("vote"), Some(&[1u8, 2, 3][..]));
         assert_eq!(s.read("rnd"), Some(&[9u8][..]));
         assert_eq!(s.corrupt_records(), 0);
-    }
-
-    #[test]
-    fn filewal_synchronous_is_durable_per_write() {
-        let t = TempWal::new("sync");
-        {
-            let mut s = FileWal::open_synchronous(&t.0).unwrap();
-            s.write("vote", vec![7]);
-            assert_eq!(s.write_count(), 1);
-            // no explicit flush
-        }
-        let s = FileWal::open(&t.0).unwrap();
-        assert_eq!(s.read("vote"), Some(&[7u8][..]));
     }
 
     #[test]

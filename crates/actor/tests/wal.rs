@@ -44,16 +44,6 @@ fn duplicate_flush_is_free() {
 }
 
 #[test]
-fn synchronous_mode_counts_every_write() {
-    let mut s = WalStore::synchronous();
-    s.write("a", vec![1]);
-    s.write("b", vec![2]);
-    s.write("a", vec![3]);
-    assert_eq!(s.write_count(), 3, "per-vote baseline: one sync per write");
-    assert_eq!(s.read("a"), Some(&[3u8][..]));
-}
-
-#[test]
 fn crash_loses_unflushed_but_keeps_flushed() {
     let mut s = WalStore::new();
     s.write("vote", vec![1]);

@@ -1,14 +1,14 @@
 //! E11 — WAL group commit: fsync amortization vs per-vote flushing.
 //!
 //! §4.4 prices the protocol in synchronous disk writes: one per accept at
-//! every acceptor. A [`mcpaxos_actor::WalStore`] with group commit keeps
-//! that logical write-per-accept but batches the *syncs*: votes buffer in
-//! the log tail and one flush (armed by the acceptor's `TOK_FLUSH` timer)
-//! makes the whole batch durable as a single counted disk write. The
-//! matching soundness change — "2b"s defer to the flush tick, so no
-//! acceptor ever announces a vote a crash could erase — is what the
-//! `model_check` suite exhausts; this module measures what the batching
-//! buys.
+//! every acceptor. Every run stores votes in a [`mcpaxos_actor::WalStore`],
+//! which buffers until the acceptor flushes. At `gc=0`, the per-vote
+//! baseline, the acceptor flushes each vote before its "2b". Group commit
+//! keeps that logical write-per-accept but batches the *syncs*: one flush
+//! (armed by the acceptor's `TOK_FLUSH` timer) makes the whole batch
+//! durable as a single counted disk write. Either way no acceptor announces
+//! a vote a crash could erase — what the `model_check` suite exhausts; this
+//! module measures what the batching buys.
 //!
 //! The same paced command stream runs once per flush policy and the run
 //! records total acceptor syncs, the amortization ratio against the
@@ -60,17 +60,8 @@ pub fn wal_run(group_commit: u64, n: u32) -> WalRunStats {
     let cfg = DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated)
         .with_durability(Durability::Reduced)
         .with_group_commit(SimDuration(group_commit));
-    // Group commit pairs with a buffering store; per-vote flushing is the
-    // synchronous baseline (same pairing rule as the model checker).
-    let buffered = group_commit > 0;
-    let mut h: ClusterHarness<Set> =
-        ClusterHarness::with_storage(cfg, 23, NetConfig::lockstep(), move |_| {
-            if buffered {
-                Box::new(WalStore::new())
-            } else {
-                Box::new(WalStore::synchronous())
-            }
-        });
+    let net = NetConfig::lockstep();
+    let mut h = ClusterHarness::<Set>::with_storage(cfg, 23, net, |_| Box::new(WalStore::new()));
 
     for i in 0..n {
         h.propose_at(SimTime(100 + WAL_PACE * u64::from(i)), 0, i);

@@ -11,6 +11,12 @@
 //!   count, which is written once at startup and bumped once per recovery;
 //! * under [`Durability::Naive`], the full `rnd` is also written on every
 //!   `Phase1b`, the baseline the E7 experiment compares against.
+//!
+//! The acceptor decides when its writes are durable: it flushes before
+//! any message that relies on them leaves. A "1b" flushes first, and so
+//! does the start-up or recovery write of `MCount`/`rnd`. A "2b" waits
+//! for the vote it announces: with no group-commit window it flushes and
+//! sends at once; otherwise the `TOK_FLUSH` timer releases it.
 
 use crate::agents::{metrics, TOK_A_RESEND, TOK_FLUSH};
 use crate::compact::Compactor;
@@ -62,8 +68,8 @@ pub struct Acceptor<C: CStruct> {
     /// Group commit: the armed flush is due and has yielded once, so the
     /// deliveries queued for its instant share its sync.
     flush_due: bool,
-    /// Group commit: a "2b" broadcast is waiting for the next flush (a 2b
-    /// must never announce a vote that is not yet durable).
+    /// A "2b" broadcast is waiting for the next flush (a 2b must never
+    /// announce a vote that is not yet durable).
     pending_2b: bool,
 }
 
@@ -133,11 +139,6 @@ impl<C: CStruct> Acceptor<C> {
 
     // ----- protocol helpers ------------------------------------------------
 
-    /// Whether vote persistence is group-committed (deferred flushes).
-    fn group_commit_on(&self) -> bool {
-        self.cfg.group_commit.ticks() > 0
-    }
-
     fn send_1b(&mut self, round: Round, ctx: &mut dyn Context<Msg<C>>) {
         let coords = self.cfg.schedule.coordinators_of(round);
         self.report_1b(&coords, round, ctx);
@@ -145,14 +146,12 @@ impl<C: CStruct> Acceptor<C> {
 
     /// Reports `(vrnd, vval)` to `to` as a "1b" for `round`.
     fn report_1b(&mut self, to: &[ProcessId], round: Round, ctx: &mut dyn Context<Msg<C>>) {
-        // Group commit: a "1b" is *evidence* — ProvedSafe folds the
-        // reported `(vrnd, vval)` into its safety argument, so the report
-        // must never run ahead of the durable state (a phantom vote that a
+        // A "1b" is *evidence* — ProvedSafe folds the reported
+        // `(vrnd, vval)` into its safety argument, so the report must
+        // never run ahead of the durable state (a phantom vote that a
         // crash then rolls back could make `pick()` choose wrongly).
-        // Flush synchronously; joins are per-round, so this stays cheap.
-        if self.group_commit_on() {
-            ctx.storage().flush();
-        }
+        // Flush first; joins are per-round, so this stays cheap.
+        ctx.storage().flush();
         // Always whole, outside the delta bases: the receiver generally
         // holds no base from us for `round`. The fan-out shares the Arc.
         let vval = Payload::Full(self.vval.clone());
@@ -195,22 +194,27 @@ impl<C: CStruct> Acceptor<C> {
         }
     }
 
-    /// Broadcasts the current vote, deferring to the next group-commit
-    /// flush when one is configured: a "2b" announces a durable vote, so
-    /// it must not leave before the write buffering it is synced.
+    /// Broadcasts the current vote once it is durable: a "2b" announces
+    /// a durable vote, so it must not leave before the write buffering it
+    /// is synced. With no group-commit window the vote is released at
+    /// once; otherwise the next `TOK_FLUSH` releases it with its batch.
     fn broadcast_2b(&mut self, ctx: &mut dyn Context<Msg<C>>) {
-        if self.group_commit_on() {
-            self.pending_2b = true;
-            if !self.flush_armed {
-                self.flush_armed = true;
-                ctx.set_timer(self.cfg.group_commit, TOK_FLUSH);
-            }
-            return;
+        self.pending_2b = true;
+        if self.cfg.group_commit.ticks() == 0 {
+            self.release_2b(ctx);
+        } else if !self.flush_armed {
+            self.flush_armed = true;
+            ctx.set_timer(self.cfg.group_commit, TOK_FLUSH);
         }
-        self.broadcast_2b_now(ctx);
     }
 
-    fn broadcast_2b_now(&mut self, ctx: &mut dyn Context<Msg<C>>) {
+    /// Syncs every buffered vote in one disk write, then sends the
+    /// deferred "2b".
+    fn release_2b(&mut self, ctx: &mut dyn Context<Msg<C>>) {
+        ctx.storage().flush();
+        if !std::mem::take(&mut self.pending_2b) {
+            return;
+        }
         let roles = &self.cfg.roles;
         // Coordinators monitor 2b traffic for progress tracking, fast
         // collision detection and coordinated recovery (§4.2–4.3).
@@ -527,6 +531,7 @@ impl<C: CStruct> Actor for Acceptor<C> {
                 ctx.storage().write(KEY_RND, to_bytes(&Round::ZERO));
             }
         }
+        ctx.storage().flush();
         self.arm_resend(ctx);
     }
 
@@ -588,6 +593,7 @@ impl<C: CStruct> Actor for Acceptor<C> {
                 self.rnd = Round::new(major + 1, 0, 0, crate::schedule::RTYPE_SINGLE);
                 ctx.storage()
                     .write(KEY_MAJOR, to_bytes(&self.persisted_major));
+                ctx.storage().flush();
             }
             Durability::Naive => {
                 let rnd_bytes: Option<Vec<u8>> = ctx.storage().read(KEY_RND).map(|b| b.to_vec());
@@ -731,18 +737,14 @@ impl<C: CStruct> Actor for Acceptor<C> {
             // Group commit: a due flush first yields (a zero-tick re-arm),
             // so the deliveries already queued for this instant — the next
             // wave's "2a"s, typically — buffer their votes into this sync
-            // instead of paying their own. Then sync every buffered vote in
-            // one disk write and release the deferred "2b".
+            // instead of paying their own. Then release the deferred "2b".
             if !std::mem::replace(&mut self.flush_due, true) {
                 ctx.set_timer(SimDuration::ZERO, TOK_FLUSH);
                 return;
             }
             self.flush_due = false;
-            ctx.storage().flush();
             self.flush_armed = false;
-            if std::mem::take(&mut self.pending_2b) {
-                self.broadcast_2b_now(ctx);
-            }
+            self.release_2b(ctx);
         }
     }
 
@@ -1055,24 +1057,34 @@ mod tests {
         assert_eq!(a.vval(), &mk(&[9, 11]));
     }
 
-    /// The group-commit window of the tests below.
+    /// The group-commit window of the tests below; most run at a zero
+    /// window too, where each vote is released as soon as it is written.
     const GC: SimDuration = SimDuration(2);
 
-    /// A started acceptor over a buffering WAL with group commit `GC`, and
-    /// its store's sync count once the start-up write is synced (its timer
-    /// list starts empty).
-    fn group_committing() -> (Acceptor<C>, Ctx, u64) {
+    /// A started acceptor over a buffering WAL with group-commit window
+    /// `gc`, and its store's sync count once started (its timer list
+    /// starts empty).
+    fn group_committing(gc: SimDuration) -> (Acceptor<C>, Ctx, u64) {
         let cfg = Arc::new(
-            DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated).with_group_commit(GC),
+            DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated).with_group_commit(gc),
         );
         let mut a = Acceptor::new(cfg);
         let mut c = ctx();
         c.store = Box::new(WalStore::new());
         a.on_start(&mut c);
-        c.store.flush();
+        assert_eq!(c.store.write_count(), 1, "the start-up write is synced");
         c.timers.clear(); // the resend timer
-        let synced = c.store.write_count();
-        (a, c, synced)
+        (a, c, 1)
+    }
+
+    /// Fires a window's flush timer to its release (the yield, then the
+    /// sync); a zero window armed none.
+    fn release(a: &mut Acceptor<C>, c: &mut Ctx, gc: SimDuration) {
+        if gc.ticks() > 0 {
+            for _ in 0..2 {
+                a.on_timer(TOK_FLUSH, c);
+            }
+        }
     }
 
     /// A single-coordinated "2a" of `cmds`, which one coordinator makes
@@ -1096,9 +1108,15 @@ mod tests {
             .collect()
     }
 
+    /// The vote a crash right now would keep.
+    fn durable_vote(c: &Ctx) -> C {
+        let flushed = c.store.flushed_read(KEY_VOTE).expect("vote synced");
+        from_bytes::<(Round, C)>(flushed).expect("decodes").1
+    }
+
     #[test]
     fn a_due_flush_lets_same_instant_deliveries_share_its_sync() {
-        let (mut a, mut c, synced) = group_committing();
+        let (mut a, mut c, synced) = group_committing(GC);
         c.now = SimTime(10);
         a.on_message(ProcessId(1), p2a(&[1]), &mut c);
         assert_eq!(c.timers, [(GC, TOK_FLUSH)]);
@@ -1116,25 +1134,28 @@ mod tests {
         assert_eq!(c.store.write_count(), synced + 1, "one sync for both");
         // One "2b" wave (learner and three coordinators) covers both.
         assert_eq!(twobs(&c), vec![mk(&[1, 2]); 4]);
-        let flushed = c.store.flushed_read(KEY_VOTE).expect("vote synced");
-        let (_, vval): (Round, C) = from_bytes(flushed).expect("decodes");
-        assert_eq!(vval, mk(&[1, 2]));
+        assert_eq!(durable_vote(&c), mk(&[1, 2]));
     }
 
     #[test]
     fn a_lone_vote_is_synced_within_the_window_and_before_its_2b() {
-        let (mut a, mut c, synced) = group_committing();
-        c.now = SimTime(10);
-        a.on_message(ProcessId(1), p2a(&[7]), &mut c);
-        for _ in 0..2 {
-            assert_eq!(c.store.write_count(), synced);
-            assert!(twobs(&c).is_empty(), "no 2b before its flush");
-            a.on_timer(TOK_FLUSH, &mut c);
+        for gc in [SimDuration::ZERO, GC] {
+            let (mut a, mut c, synced) = group_committing(gc);
+            c.now = SimTime(10);
+            a.on_message(ProcessId(1), p2a(&[7]), &mut c);
+            if gc.ticks() > 0 {
+                for _ in 0..2 {
+                    assert_eq!(c.store.write_count(), synced);
+                    assert!(twobs(&c).is_empty(), "no 2b before its flush");
+                    a.on_timer(TOK_FLUSH, &mut c);
+                }
+            }
+            assert_eq!(c.store.write_count(), synced + 1);
+            let waited: u64 = c.timers.iter().map(|(after, _)| after.ticks()).sum();
+            assert_eq!(waited, gc.ticks(), "the yield adds no ticks");
+            assert_eq!(twobs(&c), vec![mk(&[7]); 4]);
+            assert_eq!(durable_vote(&c), mk(&[7]));
         }
-        assert_eq!(c.store.write_count(), synced + 1);
-        let waited: u64 = c.timers.iter().map(|(after, _)| after.ticks()).sum();
-        assert_eq!(waited, GC.ticks(), "the yield adds no ticks");
-        assert_eq!(twobs(&c), vec![mk(&[7]); 4]);
     }
 
     /// A "2a" of `cmds` for a multicoordinated round (two of the three
@@ -1148,28 +1169,30 @@ mod tests {
 
     #[test]
     fn a_covered_2a_defers_a_2b_with_no_write_and_no_accept() {
-        let (mut a, mut c, synced) = group_committing();
-        a.on_message(ProcessId(1), p2a_mc(&[1, 2]), &mut c);
-        a.on_message(ProcessId(2), p2a_mc(&[1, 2, 3]), &mut c);
-        assert_eq!(a.vval(), &mk(&[1, 2]));
-        for _ in 0..2 {
-            a.on_timer(TOK_FLUSH, &mut c); // the yield, then the sync
+        for gc in [SimDuration::ZERO, GC] {
+            let (mut a, mut c, synced) = group_committing(gc);
+            a.on_message(ProcessId(1), p2a_mc(&[1, 2]), &mut c);
+            a.on_message(ProcessId(2), p2a_mc(&[1, 2, 3]), &mut c);
+            assert_eq!(a.vval(), &mk(&[1, 2]));
+            release(&mut a, &mut c, gc);
+            assert_eq!(c.store.write_count(), synced + 1);
+            let accepts = c.metric_count(metrics::ACCEPTS);
+            c.sent.clear();
+            c.timers.clear();
+            // The vote {1, 2} covers c3's {2} and c1's re-sent {1, 2}.
+            a.on_message(ProcessId(3), p2a_mc(&[2]), &mut c);
+            a.on_message(ProcessId(1), p2a_mc(&[1, 2]), &mut c);
+            if gc.ticks() > 0 {
+                assert!(twobs(&c).is_empty(), "no 2b before its flush");
+                assert_eq!(c.timers, [(GC, TOK_FLUSH)]);
+            }
+            release(&mut a, &mut c, gc);
+            assert_eq!(c.store.write_count(), synced + 1, "nothing to sync");
+            assert_eq!(c.metric_count(metrics::ACCEPTS), accepts);
+            // One "2b" wave for both in a window, else one per covered "2a".
+            let waves = if gc.ticks() > 0 { 1 } else { 2 };
+            assert_eq!(twobs(&c), vec![mk(&[1, 2]); 4 * waves]);
         }
-        assert_eq!(c.store.write_count(), synced + 1);
-        let accepts = c.metric_count(metrics::ACCEPTS);
-        c.sent.clear();
-        c.timers.clear();
-        // The vote {1, 2} covers c3's {2} and c1's re-sent {1, 2}.
-        a.on_message(ProcessId(3), p2a_mc(&[2]), &mut c);
-        a.on_message(ProcessId(1), p2a_mc(&[1, 2]), &mut c);
-        assert!(twobs(&c).is_empty(), "no 2b before its flush");
-        assert_eq!(c.timers, [(GC, TOK_FLUSH)]);
-        for _ in 0..2 {
-            a.on_timer(TOK_FLUSH, &mut c);
-        }
-        assert_eq!(c.store.write_count(), synced + 1, "nothing to sync");
-        assert_eq!(c.metric_count(metrics::ACCEPTS), accepts);
-        assert_eq!(twobs(&c), vec![mk(&[1, 2]); 4]);
     }
 
     #[test]

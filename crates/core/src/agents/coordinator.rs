@@ -9,10 +9,11 @@
 //!
 //! Durability (§4.4): a coordinator performs **no disk writes per
 //! command**. It persists only the id of each round it engages in (one
-//! small write per round change); after a crash it refuses to act in
-//! rounds at or below the persisted floor, which realises the paper's
-//! "recovered coordinator is a new coordinator" (incarnation) argument
-//! while keeping `Phase2Start` once-per-round.
+//! small write per round change, flushed before the "1a" or "2a" that
+//! relies on it leaves); after a crash it refuses to act in rounds at or
+//! below the persisted floor, which realises the paper's "recovered
+//! coordinator is a new coordinator" (incarnation) argument while keeping
+//! `Phase2Start` once-per-round.
 
 use crate::agents::{metrics, Linger, TOK_BATCH, TOK_TICK};
 use crate::compact::Compactor;
@@ -396,6 +397,7 @@ impl<C: CStruct> Coordinator<C> {
         if r > self.floor {
             self.floor = r;
             ctx.storage().write(KEY_FLOOR, to_bytes(&r));
+            ctx.storage().flush();
         }
     }
 
@@ -781,7 +783,7 @@ mod tests {
     use crate::schedule::{Policy, RTYPE_MULTI};
     use crate::testctx::cfg;
     use mcpaxos_actor::host::Recorder;
-    use mcpaxos_actor::SimDuration;
+    use mcpaxos_actor::{MemStore, SimDuration, StableStore, WalStore};
     use mcpaxos_cstruct::CmdSet;
 
     type C = CmdSet<u32>;
@@ -927,22 +929,30 @@ mod tests {
 
     #[test]
     fn floor_survives_recovery_and_blocks_old_rounds() {
-        let cfg = cfg();
-        let mut c1: Coordinator<C> = Coordinator::new(cfg.clone(), ProcessId(1));
-        let mut cx = ctx_for(1);
-        c1.on_start(&mut cx);
-        c1.on_timer(TOK_TICK, &mut cx);
-        let r = c1.crnd();
-        // Crash, recover over the same store.
-        let mut c1b: Coordinator<C> = Coordinator::new(cfg, ProcessId(1));
-        c1b.on_recover(&mut cx);
-        assert_eq!(c1b.crnd(), Round::ZERO);
-        // 1b quorum for the pre-crash round must NOT re-trigger
-        // Phase2Start (the floor blocks it).
-        for a in 4..=6 {
-            c1b.on_message(ProcessId(a), onb_msg(r), &mut cx);
+        // Over a store that syncs every write, and over a buffering WAL
+        // whose unflushed writes the crash drops.
+        let stores: [fn() -> Box<dyn StableStore>; 2] =
+            [|| Box::new(MemStore::new()), || Box::new(WalStore::new())];
+        for store in stores {
+            let cfg = cfg();
+            let mut c1: Coordinator<C> = Coordinator::new(cfg.clone(), ProcessId(1));
+            let mut cx = ctx_for(1);
+            cx.store = store();
+            c1.on_start(&mut cx);
+            c1.on_timer(TOK_TICK, &mut cx);
+            let r = c1.crnd();
+            // Crash, recover over the same store.
+            cx.store.lose_unflushed();
+            let mut c1b: Coordinator<C> = Coordinator::new(cfg, ProcessId(1));
+            c1b.on_recover(&mut cx);
+            assert_eq!(c1b.crnd(), Round::ZERO);
+            // 1b quorum for the pre-crash round must NOT re-trigger
+            // Phase2Start (the floor blocks it).
+            for a in 4..=6 {
+                c1b.on_message(ProcessId(a), onb_msg(r), &mut cx);
+            }
+            assert!(c1b.cval().is_none(), "floor must block round {r:?}");
         }
-        assert!(c1b.cval().is_none(), "floor must block round {r:?}");
     }
 
     #[test]

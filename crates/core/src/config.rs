@@ -221,11 +221,11 @@ pub struct DeployConfig {
     pub timing: Timing,
     /// Delta shipping, compaction and checkpoint policy.
     pub wire: WireConfig,
-    /// Acceptor group-commit interval: with a write-ahead-log store, vote
-    /// writes buffer and the "2b" announcing them is deferred until the
-    /// next flush tick, amortizing many accepts into one disk write
-    /// (§4.4's per-accept write is the `SimDuration(0)` default, which
-    /// flushes synchronously and changes nothing).
+    /// Acceptor group-commit interval: the "2b" announcing a vote waits
+    /// for the flush that makes it durable. A window defers that flush to
+    /// the next flush tick, amortizing many accepts into one disk write;
+    /// the `SimDuration(0)` default flushes at each vote, which is §4.4's
+    /// per-accept write.
     pub group_commit: SimDuration,
     /// Proposal batching and phase-2 pipelining (one command per wave by
     /// default).
@@ -283,7 +283,7 @@ impl DeployConfig {
     }
 
     /// Returns `self` with the given group-commit flush interval
-    /// (`SimDuration(0)` = flush synchronously on every vote).
+    /// (`SimDuration(0)` = flush at every vote, before its "2b").
     pub fn with_group_commit(mut self, every: SimDuration) -> Self {
         self.group_commit = every;
         self

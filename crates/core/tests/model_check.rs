@@ -69,17 +69,7 @@ fn cluster(durability: Durability, group_commit: u64) -> Arc<DeployConfig> {
 /// (or to buffered votes awaiting a flush, under group commit), command 2
 /// is left in flight for the explorer to schedule.
 fn prime(net: &mut ExploreNet<Msg<C>>, cfg: &Arc<DeployConfig>) {
-    // Group commit pairs with a buffering store; per-vote flushing is the
-    // synchronous baseline. Mixing them up would either charge nothing to
-    // disk or defer 2bs that are already durable.
-    let buffered = cfg.group_commit.ticks() > 0;
-    net.set_storage_factory(move |_| {
-        if buffered {
-            Box::new(WalStore::new())
-        } else {
-            Box::new(WalStore::synchronous())
-        }
-    });
+    net.set_storage_factory(|_| Box::new(WalStore::new()));
     for p in cfg.roles.all() {
         let cfg = cfg.clone();
         net.add_process(p, move || agent!(C, cfg, p));

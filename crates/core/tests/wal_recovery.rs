@@ -35,8 +35,8 @@ type C = CmdSet<u32>;
 
 const PROPOSED: [u32; 6] = [0, 1, 2, 3, 4, 5];
 
-/// A 1/2/3/2 cluster on WAL storage: buffering stores under group commit,
-/// per-vote-flushing stores otherwise (the sound pairings).
+/// A 1/2/3/2 cluster on buffering WAL stores; the agents flush what they
+/// rely on, with or without a group-commit window.
 fn wal_sim(
     seed: u64,
     durability: Durability,
@@ -49,14 +49,7 @@ fn wal_sim(
     );
     let net = NetConfig::lockstep().with_delay(DelayDist::Uniform(1, 4));
     let mut sim: Sim<Msg<C>> = Sim::new(seed, net);
-    let buffered = group_commit > 0;
-    sim.set_storage_factory(move |_| {
-        if buffered {
-            Box::new(WalStore::new())
-        } else {
-            Box::new(WalStore::synchronous())
-        }
-    });
+    sim.set_storage_factory(|_| Box::new(WalStore::new()));
     deploy(&mut sim, &cfg);
     (cfg, sim)
 }
@@ -268,12 +261,14 @@ fn corrupt_wal_tail_truncates_and_reports_through_recovery() {
     // tail, recover. The store truncates to the last good record; the
     // acceptor resumes from it and reports the repair.
     let cfg = cluster(Durability::Reduced);
-    let mut wal = WalStore::synchronous();
+    let mut wal = WalStore::new();
     let r1 = Round::new(0, 1, 0, mcpaxos_core::RTYPE_SINGLE);
     let r2 = Round::new(0, 2, 0, mcpaxos_core::RTYPE_SINGLE);
     wal.write("major", to_bytes(&0u32));
     wal.write("vote", vote_bytes(r1, &[1]));
+    wal.flush();
     wal.write("vote", vote_bytes(r2, &[1, 2]));
+    wal.flush();
     wal.corrupt_tail(4); // clobber the CRC of the last record
     wal.lose_unflushed(); // models re-opening the damaged log
     let mut ctx = rec_ctx(Box::new(wal));

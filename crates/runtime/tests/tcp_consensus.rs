@@ -52,7 +52,7 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     victim.spawn_with_storage(
         a_kill,
         agent!(H, cfg, a_kill),
-        Box::new(FileWal::open_synchronous(&wal).unwrap()),
+        Box::new(FileWal::open(&wal).unwrap()),
     );
     for &l in cfg.roles.learners() {
         learn.spawn(l, agent!(H, cfg, l));
@@ -91,7 +91,7 @@ fn acceptor_kill_and_restart_over_tcp_learns_all_with_zero_needfull() {
     revived.spawn_recovered(
         a_kill,
         agent!(H, cfg, a_kill),
-        Box::new(FileWal::open_synchronous(&wal).unwrap()),
+        Box::new(FileWal::open(&wal).unwrap()),
     );
 
     // Wait until the downgrade demonstrably happened over the wire: a

@@ -44,22 +44,16 @@ pub struct NetConfig {
     pub loss: f64,
     /// Probability that a transmission is delivered twice.
     pub duplicate: f64,
-    /// Extra ticks charged for each stable-storage write performed by an
-    /// actor while handling an event (models the disk writes of §4.4; the
-    /// charge delays everything the actor sent from that upcall).
-    pub disk_write_ticks: u64,
 }
 
 impl NetConfig {
-    /// Lockstep network: unit delay, no loss, no duplication, free disk
-    /// writes. Elapsed ticks equal message steps — used for the latency
-    /// experiments.
+    /// Lockstep network: unit delay, no loss, no duplication. Elapsed
+    /// ticks equal message steps — used for the latency experiments.
     pub fn lockstep() -> Self {
         NetConfig {
             delay: DelayDist::Fixed(1),
             loss: 0.0,
             duplicate: 0.0,
-            disk_write_ticks: 0,
         }
     }
 
@@ -71,7 +65,6 @@ impl NetConfig {
             delay: DelayDist::Uniform(1, 3),
             loss: 0.0,
             duplicate: 0.0,
-            disk_write_ticks: 0,
         }
     }
 
@@ -82,7 +75,6 @@ impl NetConfig {
             delay: DelayDist::Uniform(2, 20),
             loss: 0.01,
             duplicate: 0.005,
-            disk_write_ticks: 0,
         }
     }
 
@@ -101,12 +93,6 @@ impl NetConfig {
     /// Returns `self` with the given delay distribution.
     pub fn with_delay(mut self, delay: DelayDist) -> Self {
         self.delay = delay;
-        self
-    }
-
-    /// Returns `self` charging `ticks` per stable-storage write.
-    pub fn with_disk_write_ticks(mut self, ticks: u64) -> Self {
-        self.disk_write_ticks = ticks;
         self
     }
 }
@@ -151,12 +137,10 @@ mod tests {
         let c = NetConfig::lockstep()
             .with_loss(0.5)
             .with_duplicate(0.25)
-            .with_delay(DelayDist::Uniform(1, 2))
-            .with_disk_write_ticks(7);
+            .with_delay(DelayDist::Uniform(1, 2));
         assert_eq!(c.loss, 0.5);
         assert_eq!(c.duplicate, 0.25);
         assert_eq!(c.delay, DelayDist::Uniform(1, 2));
-        assert_eq!(c.disk_write_ticks, 7);
         assert_eq!(NetConfig::default(), NetConfig::lockstep());
     }
 }

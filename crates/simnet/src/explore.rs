@@ -258,8 +258,7 @@ impl<M: Clone + Debug + 'static> ExploreNet<M> {
         // over; actor-requested randomness is pinned to a constant so a
         // choice path fully determines the state.
         let mut pinned = || 0x9E37_79B9_7F4A_7C15;
-        let ran = self.procs.upcall(pid, kind, self.now, &mut pinned, &mut fx);
-        if ran.is_none() {
+        if !self.procs.upcall(pid, kind, self.now, &mut pinned, &mut fx) {
             return;
         }
         let timers = self.procs.host_mut(pid).expect("the upcall ran here");

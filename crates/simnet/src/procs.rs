@@ -124,8 +124,7 @@ impl<M: 'static, T: Default> ProcTable<M, T> {
     }
 
     /// Runs `kind` at `pid`, buffering what the actor does into `fx`.
-    /// Returns the stable writes the upcall performed, or `None` —
-    /// running nothing — if `pid` is down or unknown.
+    /// Returns whether it ran: nothing runs if `pid` is down or unknown.
     pub(crate) fn upcall(
         &mut self,
         pid: ProcessId,
@@ -133,12 +132,15 @@ impl<M: 'static, T: Default> ProcTable<M, T> {
         now: SimTime,
         random: &mut dyn FnMut() -> u64,
         fx: &mut Effects<M>,
-    ) -> Option<u64> {
-        let node = self.procs.get_mut(&pid)?;
-        let actor = node.actor.as_deref_mut()?;
-        let writes_before = node.storage.write_count();
+    ) -> bool {
+        let Some(node) = self.procs.get_mut(&pid) else {
+            return false;
+        };
+        let Some(actor) = node.actor.as_deref_mut() else {
+            return false;
+        };
         let mut ctx = HostCtx::new(pid, now, node.storage.as_mut(), random, fx);
         kind.run(actor, &mut ctx);
-        Some(node.storage.write_count() - writes_before)
+        true
     }
 }

@@ -503,21 +503,17 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             .procs
             .upcall(pid, kind, self.now, &mut || rng.gen(), &mut fx);
         // A process that is down or absent ran nothing.
-        if let Some(disk_writes) = ran {
-            self.apply(pid, disk_writes, &mut fx);
+        if ran {
+            self.apply(pid, &mut fx);
         }
         self.fx = fx;
     }
 
     /// Turns what an upcall at `pid` buffered into heap events.
-    fn apply(&mut self, pid: ProcessId, disk_writes: u64, fx: &mut Effects<M>) {
+    fn apply(&mut self, pid: ProcessId, fx: &mut Effects<M>) {
         for m in fx.metrics.drain(..) {
             self.metrics.record(pid, m);
         }
-        // Disk writes delay everything the upcall produced (§4.4's cost
-        // model: a synchronous write must finish before the results of the
-        // action leave the process).
-        let base = self.now + SimDuration(disk_writes * self.config.disk_write_ticks);
         let host = self.procs.host_mut(pid).expect("the upcall ran here");
         for token in fx.timer_cancels.drain(..) {
             host.timers.remove(&token);
@@ -528,7 +524,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             let (arm, epoch) = (host.next_arm, host.epoch);
             host.timers.insert(token, arm);
             self.schedule(
-                base + after,
+                self.now + after,
                 Event::Timer {
                     at: pid,
                     token,
@@ -538,11 +534,11 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             );
         }
         for (to, msg) in fx.sends.drain(..) {
-            self.transmit(pid, to, msg, base);
+            self.transmit(pid, to, msg);
         }
     }
 
-    fn transmit(&mut self, from: ProcessId, to: ProcessId, msg: M, base: SimTime) {
+    fn transmit(&mut self, from: ProcessId, to: ProcessId, msg: M) {
         // Wire accounting happens at hand-off to the network: lost
         // messages cost the sender bytes too, duplicates injected by the
         // network do not.
@@ -588,7 +584,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         for _ in 0..copies {
             let d = dist.sample(&mut self.rng);
             self.schedule(
-                base + SimDuration(d),
+                self.now + SimDuration(d),
                 Event::Deliver {
                     to,
                     from,

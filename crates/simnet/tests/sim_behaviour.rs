@@ -294,30 +294,6 @@ fn crash_invalidates_pending_timers() {
 }
 
 #[test]
-fn disk_write_ticks_delay_outgoing_messages() {
-    struct WriteThenSend;
-    impl Actor for WriteThenSend {
-        type Msg = u32;
-        fn on_message(&mut self, from: ProcessId, _m: u32, ctx: &mut dyn Context<u32>) {
-            ctx.storage().write("v", vec![1]);
-            ctx.storage().write("w", vec![2]);
-            ctx.send(from, 1);
-        }
-        fn on_timer(&mut self, _t: TimerToken, _c: &mut dyn Context<u32>) {}
-    }
-    let mut sim = Sim::new(1, NetConfig::lockstep().with_disk_write_ticks(5));
-    sim.add_process(P0, || Box::new(WriteThenSend));
-    sim.add_process(P1, || Counter::boxed(0));
-    sim.inject_at(SimTime(1), P0, P1, 0);
-    sim.run_to_quiescence(100);
-    // Delivery to P0 at t=1; two writes cost 10 ticks; link delay 1 →
-    // P1 receives at t=12.
-    assert_eq!(sim.now(), SimTime(12));
-    let b: &Counter = sim.actor(P1).unwrap();
-    assert_eq!(b.received, vec![1]);
-}
-
-#[test]
 fn run_until_advances_clock_without_events() {
     let mut sim: Sim<u32> = Sim::new(1, NetConfig::lockstep());
     sim.run_until(SimTime(100));

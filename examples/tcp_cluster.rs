@@ -115,10 +115,11 @@ fn run_child(role: &str, dir: &Path, recover: bool) -> i32 {
     };
     for p in hosted {
         if role == "victim" {
-            // The kill target persists its votes in a synchronous WAL:
-            // whatever it acknowledged before the SIGKILL survives into
-            // the `--recover` incarnation, exactly like a real crash.
-            let wal = FileWal::open_synchronous(dir.join("victim.wal")).expect("open victim wal");
+            // The kill target persists its votes in a file WAL, flushed
+            // before each "2b": whatever it acknowledged before the SIGKILL
+            // survives into the `--recover` incarnation, exactly like a
+            // real crash.
+            let wal = FileWal::open(dir.join("victim.wal")).expect("open victim wal");
             if recover {
                 node.spawn_recovered(p, agent!(H, cfg, p), Box::new(wal));
             } else {
