@@ -83,11 +83,17 @@ proptest! {
         strict_prefixes_fail(&p)?;
     }
 
-    /// Corrupt payload tags are rejected.
+    /// Corrupt payload tags are rejected, and so is a full value whose
+    /// watermark plus live length overflows a `u64`.
     #[test]
     fn bad_payload_tag_fails(tag in 2u8..255) {
         let r: Result<P, _> = from_bytes(&[tag]);
         prop_assert!(r.is_err());
+        let mut overflow = vec![0u8]; // the `Full` tag
+        u64::MAX.encode(&mut overflow); // watermark
+        0u64.encode(&mut overflow); // the chain through it
+        vec![K(tag % 5, 0)].encode(&mut overflow);
+        prop_assert!(from_bytes::<P>(&overflow).is_err());
     }
 
     /// `full ≡ base • suffix` through the wire: cut a random split point,
@@ -97,7 +103,7 @@ proptest! {
         let full: H = cmds.iter().cloned().collect();
         let p = cut.min(full.as_slice().len()) as u64;
         let suffix = full.suffix_from(p).expect("in range");
-        let delta: P = Payload::Delta { base_len: p, digest: mcpaxos_core::value_digest(&full), suffix };
+        let delta: P = Payload::Delta { base_len: p, digest: full.digest(), suffix };
 
         let decoded: P = from_bytes(&to_bytes(&delta)).unwrap();
         let (base_len, digest, suffix) = match decoded {
@@ -109,7 +115,7 @@ proptest! {
         base.apply_suffix(base_len, &suffix).expect("base covers split");
         prop_assert_eq!(base.as_slice(), full.as_slice());
         // The digest survives the wire and matches the reconstruction.
-        prop_assert_eq!(digest, mcpaxos_core::value_digest(&base));
+        prop_assert_eq!(digest, base.digest());
 
         // And the full-payload route agrees, Arc sharing preserved
         // transparently by the codec.

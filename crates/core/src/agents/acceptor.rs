@@ -76,7 +76,7 @@ pub struct Acceptor<C: CStruct> {
 impl<C: CStruct> Acceptor<C> {
     /// Creates an acceptor for the given deployment.
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
-        let comp = Compactor::new(&cfg.wire);
+        let comp = Compactor::default();
         let out = Shipper::new(&cfg.wire, |round, val| Msg::P2b { round, val });
         Acceptor {
             cfg,
@@ -253,12 +253,12 @@ impl<C: CStruct> Acceptor<C> {
             return false;
         }
         ctx.metric(Metric::add(metrics::TRUNCATIONS, applied as i64));
-        let comp = &self.comp;
-        for m in self.round_2a.values_mut() {
-            m.retain(|_, v| comp.normalize_arc(v));
+        let comp = &mut self.comp;
+        for (&round, m) in self.round_2a.iter_mut() {
+            m.retain(|&p, v| comp.normalize_base(p, round, v));
         }
-        for m in self.round_2b.values_mut() {
-            m.retain(|_, v| comp.normalize_arc(v));
+        for (&round, m) in self.round_2b.iter_mut() {
+            m.retain(|&p, v| comp.normalize_base(p, round, v));
         }
         for m in self.recovery_1b.values_mut() {
             m.retain(|_, r| comp.normalize_arc(&mut r.vval));
@@ -748,11 +748,10 @@ impl<C: CStruct> Actor for Acceptor<C> {
         }
     }
 
-    /// The peer restarted or its link was reset: both halves drop what
-    /// they hold of it.
+    /// The peer restarted or its link was reset: drop the delta base
+    /// shipped to it.
     fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         self.out.reset(peer, ctx);
-        self.comp.forget(peer);
     }
 }
 

@@ -85,7 +85,7 @@ pub struct Learner<C: CStruct> {
 impl<C: CStruct> Learner<C> {
     /// Creates a learner for the given deployment.
     pub fn new(cfg: Arc<DeployConfig>) -> Self {
-        let comp = Compactor::new(&cfg.wire);
+        let comp = Compactor::default();
         Learner {
             cfg,
             learned: C::bottom(),
@@ -227,9 +227,9 @@ impl<C: CStruct> Learner<C> {
             return;
         }
         ctx.metric(Metric::add(metrics::TRUNCATIONS, applied as i64));
-        let comp = &self.comp;
-        for st in self.rounds.values_mut() {
-            st.reports.retain(|_, v| comp.normalize_arc(v));
+        let comp = &mut self.comp;
+        for (&round, st) in self.rounds.iter_mut() {
+            st.reports.retain(|&p, v| comp.normalize_base(p, round, v));
             st.glbs.retain(|_, g| comp.normalize(g));
         }
         let w = self.comp.watermark();
@@ -456,10 +456,6 @@ impl<C: CStruct> Actor for Learner<C> {
             self.arm_stable_gossip(ctx);
         }
     }
-
-    fn on_link_reset(&mut self, peer: ProcessId, _ctx: &mut dyn Context<Msg<C>>) {
-        self.comp.forget(peer);
-    }
 }
 
 #[cfg(test)]
@@ -562,6 +558,61 @@ mod tests {
             .filter(|(_, m)| matches!(m, Msg::Learned { .. }))
             .count();
         assert_eq!(notif2, 1);
+    }
+
+    /// `C::bottom_at` cannot know the digest chain through the watermark,
+    /// so a checkpoint-restored learner's `learned` must never be a delta
+    /// base: the learner ships no c-struct at all, whatever it receives.
+    #[test]
+    fn a_resumed_learner_never_ships_its_learned_value() {
+        use crate::config::WireConfig;
+        use crate::ship::Payload;
+        use crate::testctx::{h, H};
+        let cfg = DeployConfig::simple(1, 3, 3, 1, Policy::MultiCoordinated)
+            .with_wire(WireConfig::bounded(4));
+        let mut l: Learner<H> = Learner::new(Arc::new(cfg));
+        l.resume_at(8);
+        let mut c = ctx_at(3);
+        let r = Round::new(0, 1, 0, RTYPE_MULTI);
+        let acc = |i: u32| ProcessId(3 + i);
+        let at_8 = |n: u16| {
+            let mut v = h(n);
+            assert!(v.truncate_stable(h(8).as_slice()));
+            v
+        };
+        for a in [1, 2] {
+            let val = at_8(12).into();
+            l.on_message(acc(a), Msg::P2b { round: r, val }, &mut c);
+        }
+        assert_eq!(l.learned().total_len(), 12);
+        let suffix = h(14).as_slice()[12..].to_vec();
+        let digest = at_8(14).digest();
+        for a in [1, 2] {
+            let val = Payload::Delta {
+                base_len: 12,
+                digest,
+                suffix: suffix.clone(),
+            };
+            l.on_message(acc(a), Msg::P2b { round: r, val }, &mut c);
+        }
+        assert_eq!(l.learned().total_len(), 14);
+        let cmds = h(12).as_slice()[8..].to_vec();
+        l.on_message(acc(1), Msg::Stable { from: 8, cmds }, &mut c);
+        for msg in [
+            Msg::NeedFull { round: r },
+            Msg::NeedStable { from: 8 },
+            Msg::Hello,
+        ] {
+            l.on_message(acc(3), msg, &mut c);
+        }
+        l.on_timer(TOK_STABLE_GOSSIP, &mut c);
+        assert!(!c.sent.is_empty());
+        for (_, m) in &c.sent {
+            assert!(
+                !matches!(m, Msg::P1b { .. } | Msg::P2a { .. } | Msg::P2b { .. }),
+                "{m:?}"
+            );
+        }
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use quorum::{check_intersections, CoordQuorum, QuorumSpec, RoundInfo};
 pub use round::Round;
 pub use schedule::{Policy, RoundKind, Schedule, RTYPE_FAST, RTYPE_MULTI, RTYPE_SINGLE};
 pub use shard::{shard_configs, shard_tag, ShardMsg, Sharded, SHARD_ID_STRIDE};
-pub use ship::{value_digest, Payload};
+pub use ship::Payload;

@@ -169,7 +169,8 @@ fn pipelined_group_commit_crosses_compaction_boundaries_without_resyncs() {
     // flight, votes group-committed, a segment every 16 commands. Agents
     // cross each boundary at different instants, so deltas shipped before
     // their sender truncated keep landing after their receiver did; each
-    // must resolve in the sender's frame instead of costing a NeedFull.
+    // must still resolve against the receiver's base instead of costing a
+    // NeedFull.
     let cfg = Arc::new(
         DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated)
             .with_wire(WireConfig::bounded(16))

@@ -6,7 +6,7 @@
 //! — never corrupt the decoded c-struct.
 
 use mcpaxos_actor::wire::{Wire, WireError};
-use mcpaxos_core::{value_digest, Msg, Payload, Round};
+use mcpaxos_core::{Msg, Payload, Round};
 use mcpaxos_cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys};
 use proptest::prelude::*;
 
@@ -107,7 +107,7 @@ proptest! {
             sequential.append(c.clone());
         }
         prop_assert_eq!(&batched, &sequential);
-        prop_assert_eq!(value_digest(&batched), value_digest(&sequential));
+        prop_assert_eq!(batched.digest(), sequential.digest());
 
         let round = Round::new(1, 1, 0, 0);
         let mut b_bytes = Vec::new();

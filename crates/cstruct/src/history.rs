@@ -23,12 +23,12 @@
 //!   O(n + conflict-edges).
 //!
 //! Histories are *windowed*, not grow-forever: a history is logically a
-//! truncated **stable prefix** (identified only by its length, the
-//! *watermark*) followed by the live representation. The deployment's
-//! compaction protocol agrees on stable segments (commands learned by a
-//! learner quorum); [`CommandHistory::truncate_stable`] removes such a
-//! segment from the live window and advances the watermark, and
-//! [`CommandHistory::suffix_from`] / [`CommandHistory::apply_suffix`]
+//! truncated **stable prefix** (identified by its length, the *watermark*,
+//! and by its digest chain) followed by the live representation. The
+//! deployment's compaction protocol agrees on stable segments (commands
+//! learned by a learner quorum); [`CommandHistory::truncate_stable`]
+//! removes such a segment from the live window and advances the watermark,
+//! and [`CommandHistory::suffix_from`] / [`CommandHistory::apply_suffix`]
 //! ship increments instead of whole values. All lattice operators remain
 //! correct *above the watermark*: they require both operands to carry the
 //! same watermark (the agents normalize values at ingestion) and then
@@ -116,8 +116,8 @@ thread_local! {
 }
 
 /// One step of a history's digest chain: the running state absorbs the
-/// 64-bit [`DetHasher`] hash of `cmd`'s wire encoding. The chain starts
-/// from the watermark, `DetHasher` of it alone.
+/// 64-bit [`DetHasher`] hash of `cmd`'s wire encoding. The chain starts at
+/// 0 at the logical origin, before any command, truncated or live.
 #[inline(never)]
 fn digest_step<C: Wire>(state: u64, cmd: &C) -> u64 {
     let word = DIGEST_BUF.with_borrow_mut(|buf| {
@@ -267,6 +267,11 @@ pub struct CommandHistory<C> {
     /// but only `seq` is stored; binary operators require equal `trunc`
     /// on both operands (see module docs).
     trunc: u64,
+    /// The digest chain through the watermark: its state after the
+    /// truncated commands, in the order they were truncated (0 at
+    /// watermark 0). `digest` continues it over `seq`, so truncating a
+    /// literal prefix leaves a value's digest unchanged.
+    stable_digest: u64,
     seq: Vec<C>,
     /// Membership index: command → its position in `seq`.
     pos: HashMap<C, u32, DetState>,
@@ -282,8 +287,8 @@ pub struct CommandHistory<C> {
     /// one position's range the entries are unordered (consumers treat
     /// them as a set).
     pred_edges: Vec<u32>,
-    /// The [`CStruct::digest`] chain over `trunc` and `seq`, or 0 when not
-    /// known. Appends extend a known chain by one step; every other
+    /// The [`CStruct::digest`] chain over `seq` from `stable_digest`, or 0
+    /// when not known. Appends extend a known chain by one step; every other
     /// construction starts unknown, and the first `digest` call fills it.
     /// Atomic so a value shared across threads can fill it through `&self`.
     digest_memo: AtomicU64,
@@ -293,6 +298,7 @@ impl<C> Default for CommandHistory<C> {
     fn default() -> Self {
         CommandHistory {
             trunc: 0,
+            stable_digest: 0,
             seq: Vec::new(),
             pos: HashMap::default(),
             by_key: HashMap::default(),
@@ -309,6 +315,7 @@ impl<C: Clone> Clone for CommandHistory<C> {
     fn clone(&self) -> Self {
         CommandHistory {
             trunc: self.trunc,
+            stable_digest: self.stable_digest,
             seq: self.seq.clone(),
             pos: self.pos.clone(),
             by_key: self.by_key.clone(),
@@ -504,6 +511,7 @@ impl<C: Conflict + Eq + Hash + Clone> CommandHistory<C> {
         }
         let mut out = Self {
             trunc: src.trunc,
+            stable_digest: src.stable_digest,
             ..Self::default()
         };
         out.seq.reserve(kept.len());
@@ -697,6 +705,7 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
         Self::new()
     }
 
+    /// The chain through `watermark` is not known here; it starts at 0.
     fn bottom_at(watermark: u64) -> Self {
         let mut h = Self::new();
         h.trunc = watermark;
@@ -863,6 +872,7 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
         let kept: Vec<usize> = (0..self.seq.len()).filter(|&i| !is_stable[i]).collect();
         let mut out = Self::from_subsequence(self, &kept);
         out.trunc = self.trunc + stable.len() as u64;
+        out.stable_digest = stable.iter().fold(self.stable_digest, digest_step);
         *self = out;
         true
     }
@@ -878,9 +888,9 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
         Some(self.seq[..k].to_vec())
     }
 
-    /// The chain over the watermark and the live commands (see
-    /// [`CStruct::digest`] for what it guarantees): `DetHasher` of the
-    /// watermark, then one step per command absorbing the 64-bit
+    /// The chain from the logical origin (see [`CStruct::digest`] for what
+    /// it guarantees): the stable prefix's chain, carried through the
+    /// watermark, then one step per live command absorbing the 64-bit
     /// `DetHasher` hash of its wire encoding. Memoized, so after a
     /// k-command append to a value whose digest was known it costs k
     /// steps, not the window.
@@ -889,29 +899,36 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
         if memo != 0 {
             return memo;
         }
-        let mut start = DetHasher::default();
-        start.add(self.trunc);
-        let d = self
-            .seq
-            .iter()
-            .fold(start.0, |state, c| digest_step(state, c));
+        let d = self.seq.iter().fold(self.stable_digest, digest_step);
         self.digest_memo.store(d, Ordering::Relaxed);
         d
     }
 }
 
 impl<C: Wire + Conflict + Eq + Hash + Clone> Wire for CommandHistory<C> {
+    /// The watermark, then the stable prefix's chain unless the watermark
+    /// is 0 (where it is 0), then the live commands.
     fn encode(&self, out: &mut Vec<u8>) {
         self.trunc.encode(out);
+        if self.trunc != 0 {
+            self.stable_digest.encode(out);
+        }
         self.seq.encode(out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         // Rebuild the indexes from the decoded sequence (deduplicating, as
-        // `append` would); the watermark travels with the value so a
-        // receiver knows which stable prefix it extends.
+        // `append` would); the watermark and its chain travel with the
+        // value so a receiver knows which stable prefix it extends.
         let trunc = u64::decode(input)?;
+        let stable_digest = if trunc == 0 { 0 } else { u64::decode(input)? };
         let mut h: Self = Vec::<C>::decode(input)?.into_iter().collect();
+        if trunc.checked_add(h.seq.len() as u64).is_none() {
+            return Err(WireError {
+                what: "history longer than u64",
+            });
+        }
         h.trunc = trunc;
+        h.stable_digest = stable_digest;
         Ok(h)
     }
 }

@@ -58,7 +58,9 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
     /// An empty value that *extends a truncated stable prefix* of
     /// `watermark` commands — what a checkpoint-restored learner resumes
     /// from. Only meaningful for compactable representations; the default
-    /// supports watermark 0 only.
+    /// supports watermark 0 only. The prefix's commands are not known, so
+    /// above watermark 0 the value's [`CStruct::digest`] matches no other
+    /// agent's: it must never be a delta base.
     ///
     /// # Panics
     ///
@@ -188,8 +190,13 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
     }
 
     /// Content digest of the value, for authenticating a delta's base: it
-    /// covers the watermark and the wire encoding of every live command,
-    /// in representation order.
+    /// covers the wire encoding of every command from the logical origin:
+    /// the truncated stable segments in their agreed order, then the live
+    /// commands in representation order. So it does not depend on where
+    /// the value was truncated: truncating a stable segment that is a
+    /// literal prefix of the live commands leaves it unchanged, and a
+    /// delta checks in the receiver's frame whatever the sender's
+    /// watermark.
     ///
     /// Identical representations always digest equally; equal values need
     /// not (a history may order commuting commands differently). Each
@@ -197,7 +204,8 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
     /// equal-length representations that differ in one command digest
     /// differently.
     ///
-    /// The default encodes the watermark and the live commands into one
+    /// The default, for representations that never truncate (their
+    /// watermark is 0), encodes the watermark and the commands into one
     /// buffer and hashes it eight bytes at a time. A value without a
     /// sequence representation ([`CStruct::suffix_from`] returns `None`)
     /// digests its logical length in place of the commands — it never

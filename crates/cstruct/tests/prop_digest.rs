@@ -1,6 +1,9 @@
 //! The memoized `CommandHistory::digest` is never stale: after any mix of
 //! appends, suffix applications, lubs, glbs, truncations, clones and wire
-//! round trips it equals the digest chain recomputed from scratch.
+//! round trips it equals the digest chain recomputed from scratch, from
+//! the logical origin. And it does not depend on where the value was
+//! truncated: not by a literal-prefix truncation, nor by a wire round
+//! trip above watermark 0.
 
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire, WireError};
 use mcpaxos_cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys, DetHasher};
@@ -32,12 +35,13 @@ impl Wire for K {
 
 type H = CommandHistory<K>;
 
-/// The chain, spelled out: `DetHasher` of the watermark, then one step
-/// per live command absorbing the `DetHasher` hash of its encoding.
-fn from_scratch(v: &H) -> u64 {
+/// The chain, spelled out: from 0, one step per command absorbing the
+/// `DetHasher` hash of its encoding — first the `stable` commands `v`
+/// truncated, in truncation order, then its live ones.
+fn from_scratch(stable: &[K], v: &H) -> u64 {
+    assert_eq!(v.watermark(), stable.len() as u64);
     let mut chain = DetHasher::default();
-    chain.write_u64(v.watermark());
-    for c in v.as_slice() {
+    for c in stable.iter().chain(v.as_slice()) {
         let mut word = DetHasher::default();
         word.write(&to_bytes(c));
         chain.write_u64(word.finish());
@@ -57,8 +61,9 @@ proptest! {
         ops in prop::collection::vec((0u8..10, prop::collection::vec(cmd(), 0..4)), 1..40)
     ) {
         // `v` is the value under test, `w` a peer at the same watermark
-        // for the binary operators.
+        // for the binary operators; `stable` is what both truncated.
         let (mut v, mut w) = (H::bottom(), H::bottom());
+        let mut stable = Vec::new();
         for (op, cmds) in ops {
             match op {
                 0 => cmds.into_iter().for_each(|c| v.append(c)),
@@ -83,19 +88,53 @@ proptest! {
                         if !w.truncate_stable(&seg) {
                             w = v.clone();
                         }
+                        stable.extend(seg);
                     }
                 }
                 7 => {
                     // A clone carries the memo; growing it leaves `v`'s be.
                     let mut c = v.clone();
                     c.append_all(cmds);
-                    prop_assert_eq!(c.digest(), from_scratch(&c));
+                    prop_assert_eq!(c.digest(), from_scratch(&stable, &c));
                 }
                 8 => v = from_bytes(&to_bytes(&v)).expect("round trip"),
                 _ => w = v.clone(),
             }
-            prop_assert_eq!(v.digest(), from_scratch(&v));
-            prop_assert_eq!(w.digest(), from_scratch(&w));
+            prop_assert_eq!(v.digest(), from_scratch(&stable, &v));
+            prop_assert_eq!(w.digest(), from_scratch(&stable, &w));
         }
+    }
+
+    #[test]
+    fn truncating_a_literal_prefix_keeps_the_digest(
+        cmds in prop::collection::vec(cmd(), 0..24),
+        cuts in prop::collection::vec(1usize..6, 1..5),
+    ) {
+        let whole: H = cmds.into_iter().collect();
+        let mut v = whole.clone();
+        for k in cuts {
+            let seg = v.as_slice()[..k.min(v.live_len())].to_vec();
+            prop_assert!(v.truncate_stable(&seg));
+            prop_assert_eq!(v.digest(), whole.digest());
+        }
+    }
+
+    #[test]
+    fn a_wire_round_trip_above_watermark_zero_keeps_the_digest(
+        cmds in prop::collection::vec(cmd(), 1..24),
+        cut in 1usize..24,
+        more in prop::collection::vec(cmd(), 0..4),
+    ) {
+        let mut v: H = cmds.into_iter().collect();
+        let seg = v.as_slice()[..cut.min(v.live_len())].to_vec();
+        prop_assert!(v.truncate_stable(&seg));
+        prop_assert!(v.watermark() > 0);
+        let mut back: H = from_bytes(&to_bytes(&v)).expect("round trip");
+        prop_assert_eq!(back.watermark(), v.watermark());
+        prop_assert_eq!(back.digest(), v.digest());
+        // The decoded value keeps chaining the same way.
+        back.append_all(more.iter().cloned());
+        v.append_all(more);
+        prop_assert_eq!(back.digest(), v.digest());
     }
 }
