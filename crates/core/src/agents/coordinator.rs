@@ -67,7 +67,11 @@ pub struct Coordinator<C: CStruct> {
     last_collision: Option<SimTime>,
     /// Proposals awaiting a round to carry them.
     backlog: Vec<C::Cmd>,
-    /// Proposals not yet observed accepted by an acceptor quorum.
+    /// Proposals not yet known to be served. Once a quorum of acceptors
+    /// has reported "2b"s in a round, a command stays here until the glb
+    /// of every reporter's value in that round absorbs it (see
+    /// `observe_2b`, which folds that glb only when it could retire one).
+    /// Stable-prefix compaction also drops the commands it truncates.
     outstanding: Vec<C::Cmd>,
     /// Last heartbeat received, per coordinator.
     alive: BTreeMap<ProcessId, SimTime>,
@@ -203,6 +207,13 @@ impl<C: CStruct> Coordinator<C> {
     /// The latest c-struct sent in a phase "2a" for the current round.
     pub fn cval(&self) -> Option<&C> {
         self.cval.as_deref()
+    }
+
+    /// The proposals this coordinator still tracks as not served: the
+    /// stall detector arms on them and the next `Phase2Start` re-seeds
+    /// them.
+    pub fn outstanding(&self) -> &[C::Cmd] {
+        &self.outstanding
     }
 
     /// Whether this coordinator currently believes itself leader.
@@ -474,16 +485,20 @@ impl<C: CStruct> Coordinator<C> {
         if grew {
             self.last_progress = ctx.now();
         }
-        // Outstanding bookkeeping: a command accepted by an acceptor
-        // quorum no longer needs a new round to make progress.
+        // Outstanding bookkeeping: once a quorum has reported, a command
+        // leaves `outstanding` when the glb of every reporter's value
+        // absorbs it (contains it, or appending changes nothing: with
+        // consensus c-structs a losing proposal can never be added once a
+        // value is decided, so it must not keep the stall detector armed).
+        // `absorbs` is upward-closed and the glb lies below every report,
+        // so the glb can absorb only a command that every report absorbs:
+        // without one, the fold could retire nothing and is skipped.
         let kind = self.cfg.schedule.kind(round);
         let entry = self.round_2b.get(&round).expect("just inserted");
-        if entry.len() >= self.cfg.quorums.size_for(kind) && !self.outstanding.is_empty() {
+        let quorum_reported = entry.len() >= self.cfg.quorums.size_for(kind);
+        let retirable = |c: &C::Cmd| entry.values().all(|v| v.absorbs(c));
+        if quorum_reported && self.outstanding.iter().any(retirable) {
             let g = glb_all_ref(entry.values().map(|v| v.as_ref()));
-            // A command is served when the chosen value contains it — or
-            // *absorbs* it (appending changes nothing): with consensus
-            // c-structs a losing proposal can never be added once a value
-            // is decided, so it must not keep the stall detector armed.
             self.outstanding.retain(|c| !g.absorbs(c));
         }
         // Wave retirement: a pipelined `2a` wave is acknowledged once a

@@ -50,6 +50,17 @@ pub fn check_bottom_and_append<C: CStruct>(a: &C, cmd: &C::Cmd) {
     );
 }
 
+/// `absorbs` is upward-closed: `a ⊑ b` and `a` absorbing `cmd` imply `b`
+/// absorbs `cmd`. (So a glb absorbs only what each of its operands does.)
+pub fn check_absorbs_upward_closed<C: CStruct>(a: &C, b: &C, cmd: &C::Cmd) {
+    if a.le(b) && a.absorbs(cmd) {
+        assert!(
+            b.absorbs(cmd),
+            "absorbs not upward-closed: {a:?} ⊑ {b:?} absorbs {cmd:?}, the extension does not"
+        );
+    }
+}
+
 /// CS3 (glb): `a ⊓ b` is a lower bound of `{a, b}` and is greater than any
 /// lower bound in `candidates`.
 pub fn check_glb<C: CStruct>(a: &C, b: &C, candidates: &[C]) {
@@ -144,6 +155,12 @@ pub fn check_all<C: CStruct>(a: &C, b: &C, c: &C, cmd: &C::Cmd) {
     let candidates = [a.clone(), b.clone(), c.clone(), C::bottom()];
     check_partial_order(a, b, c);
     check_bottom_and_append(a, cmd);
+    check_absorbs_upward_closed(a, b, cmd);
+    check_absorbs_upward_closed(b, a, cmd);
+    // The form the coordinator relies on: the glb lies below both.
+    let g = a.glb(b);
+    check_absorbs_upward_closed(&g, a, cmd);
+    check_absorbs_upward_closed(&g, b, cmd);
     check_glb(a, b, &candidates);
     check_lub(a, b, &candidates);
     check_compatibility_consistency(a, b);

@@ -114,6 +114,13 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
     /// consensus c-struct ignores every later proposal). A coordinator
     /// stops tracking a proposal the chosen value absorbs.
     ///
+    /// Contract: `absorbs` is upward-closed. If `v ⊑ w` and `v` absorbs
+    /// `cmd`, then `w` absorbs `cmd` (`w = v • σ`, and a contained or
+    /// absorbed command stays so under appends). The coordinator relies on
+    /// it: a glb absorbs only what every operand absorbs, so it skips the
+    /// glb when no proposal passes that test. Checked by
+    /// [`crate::axioms::check_absorbs_upward_closed`].
+    ///
     /// The default tries the append on a clone. Representations that can
     /// answer without one override it: sets, sequences and histories
     /// answer [`CStruct::contains`], a single decree answers "decided".
