@@ -23,12 +23,13 @@ use crate::compact::Compactor;
 use crate::config::{CollisionPolicy, DeployConfig, Durability};
 use crate::msg::Msg;
 use crate::provedsafe::{pick, proved_safe, OneB};
+use crate::quorum;
 use crate::round::Round;
 use crate::schedule::RoundKind;
 use crate::ship::{announce_restart, prune_rounds, Payload, Receiver, Shipper};
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, TimerToken};
-use mcpaxos_cstruct::{compatible_all, glb_all_ref, CStruct};
+use mcpaxos_cstruct::{compatible_all, CStruct};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -291,81 +292,64 @@ impl<C: CStruct> Acceptor<C> {
         }
     }
 
-    /// `Phase2bClassic` (§3.2): accept once a full coordinator quorum has
-    /// forwarded compatible values, `report` (the "2a" value just stored)
-    /// among them.
-    ///
-    /// A *covered* report skips the quorum fold: the round is classic, the
-    /// vote is this round's, and `report` ⊑ `vval` at the same watermark.
-    /// Within a round the vote only grows (it is a lub), so every quorum
-    /// glb containing the sender is ⊑ `report` ⊑ `vval`, and every quorum
-    /// without it was folded in when its last member reported — unless
-    /// that report was itself covered (the same argument), or collided,
-    /// which moved `rnd` past the round. `NewRound` is the exception: its
-    /// collisions leave `rnd` and the incompatible report in place, so a
-    /// covered report still folds there. A skipped fold would have changed
-    /// nothing: the vote is re-broadcast, with no write and no `ACCEPTS`.
-    fn try_accept_classic(&mut self, round: Round, report: &C, ctx: &mut dyn Context<Msg<C>>) {
-        if round < self.rnd {
-            return;
-        }
+    /// `Phase2bClassic` (§3.2) on `from`'s "2a" just stored for `round`:
+    /// once a coordinator quorum has reported, accept the lub of every
+    /// quorum's glb. Each glb is a valid bound and accepting several is
+    /// repeated `Phase2bClassic`, so a crashed coordinator's stale value
+    /// cannot cap the vote. When the reports form a ⊑-chain the lub is
+    /// the `q`-th longest report ([`quorum::chain_read`]), shared rather
+    /// than rebuilt, and the §4.2 scan is skipped: a chain holds no
+    /// incompatible pair. Otherwise incompatible reports are a
+    /// multicoordinated collision, and compatible ones are folded subset
+    /// by subset.
+    fn try_accept_classic(&mut self, round: Round, from: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         let quorum = self.cfg.schedule.coord_quorum(round);
-        let m = match self.round_2a.get(&round) {
-            Some(m) if quorum.is_quorum(m.len()) => m,
-            _ => return,
-        };
-        let covered = self.vrnd == round
-            && self.cfg.schedule.kind(round) != RoundKind::Fast
-            && self.cfg.collision != CollisionPolicy::NewRound
-            && report.watermark() == self.vval.watermark()
-            && report.le(&self.vval);
-        if covered {
-            self.broadcast_2b(ctx);
-            return;
-        }
+        let q = quorum.quorum_size();
+        let m = &self.round_2a[&round];
         let vals: Vec<&C> = m.values().map(|v| v.as_ref()).collect();
-        // Each coordinator quorum L among the reporters yields a valid
-        // lower bound u_L = ⊓ L2aVals; accepting several in sequence is
-        // just repeated Phase2bClassic, so fold their lub. Quorum glbs are
-        // always compatible: two coordinator quorums share a member c
-        // (Assumption 3), and both glbs are lower bounds of c's value.
-        // A crashed coordinator's stale value therefore cannot cap
-        // progress — the quorums that exclude it keep growing.
-        let qsize = quorum.quorum_size();
-        let mut u_acc: Option<C> = None;
-        crate::quorum::for_each_combination(vals.len(), qsize, |idx| {
-            let g = glb_all_ref(idx.iter().map(|&i| vals[i]));
-            u_acc = Some(match u_acc.take() {
-                None => g,
-                Some(u) => u
-                    .lub(&g)
-                    .expect("coordinator-quorum glbs must be compatible (Assumption 3 violated?)"),
-            });
-            true
-        });
-        let u = u_acc.expect("at least one quorum combination");
-        let new_val = if self.vrnd == round {
-            match self.vval.lub(&u) {
-                Some(v) => v,
-                None => {
-                    // Our accepted value cannot extend to the quorum's
-                    // suggestion: a collision shape; switch rounds.
-                    self.handle_mc_collision(round, ctx);
-                    return;
-                }
-            }
-        } else {
-            u
+        let pick = quorum::chain_read(&vals, q);
+        // §4.2 collision detection: incompatible suggestions from
+        // coordinators of one round.
+        let collided = pick.is_none() && {
+            let val = &m[&from];
+            m.iter().any(|(&c, v)| c != from && !v.compatible(val))
         };
-        if !self.vval.is_bottom() && !self.vval.le(&new_val) {
-            // A previously persisted vote is superseded by a value that
-            // does not extend it: that disk write bought nothing (§4.2).
-            ctx.metric(Metric::incr(metrics::OVERWRITTEN_VOTES));
+        let u = if collided || !quorum.is_quorum(vals.len()) {
+            None
+        } else if let Some(i) = pick {
+            m.values().nth(i).cloned()
+        } else {
+            Some(Arc::new(quorum::fold_quorums(&vals, q)))
+        };
+        if collided {
+            self.handle_mc_collision(round, ctx);
         }
-        // Change detection without snapshotting the whole previous value.
-        let mut changed = self.vrnd != round || *self.vval != new_val;
+        let Some(u) = u else { return };
+        // Within a round the vote only grows, by appends (the "2b" delta
+        // bases rely on it): it becomes `u` when `u` literally extends
+        // it, else their lub.
+        let (vote, mut changed) = if self.vrnd != round {
+            if !self.vval.is_bottom() && !self.vval.le(&u) {
+                // A previously persisted vote is superseded by a value
+                // that does not extend it: that disk write bought nothing
+                // (§4.2).
+                ctx.metric(Metric::incr(metrics::OVERWRITTEN_VOTES));
+            }
+            (u, true)
+        } else if self.vval.is_literal_prefix_of(&u) {
+            let grew = u.total_len() != self.vval.total_len();
+            (if grew { u } else { self.vval.clone() }, grew)
+        } else if let Some(v) = self.vval.lub(&u) {
+            let changed = *self.vval != v;
+            (Arc::new(v), changed)
+        } else {
+            // Our accepted value cannot extend to the quorum's
+            // suggestion: a collision shape; switch rounds.
+            self.handle_mc_collision(round, ctx);
+            return;
+        };
         self.vrnd = round;
-        self.vval = Arc::new(new_val);
+        self.vval = vote;
         // Fast rounds: fold in any buffered proposals right away.
         if self.cfg.schedule.kind(round) == RoundKind::Fast {
             let before = self.vval.count();
@@ -647,19 +631,9 @@ impl<C: CStruct> Actor for Acceptor<C> {
                 let Some((val, _)) = self.ingest(from, round, val, base, ctx) else {
                     return;
                 };
-                let entry = self.round_2a.entry(round).or_default();
-                entry.insert(from, val.clone());
-                // §4.2 collision detection: incompatible suggestions from
-                // coordinators of one round.
-                let collided = entry
-                    .iter()
-                    .any(|(&c, v)| c != from && !v.compatible(val.as_ref()));
+                self.round_2a.entry(round).or_default().insert(from, val);
+                self.try_accept_classic(round, from, ctx);
                 self.prune();
-                if collided {
-                    self.handle_mc_collision(round, ctx);
-                    return;
-                }
-                self.try_accept_classic(round, &val, ctx);
             }
             // A batch is k consecutive proposals; in a fast round the
             // group-commit buffer (§4.4) amortizes the vote writes.
@@ -1207,8 +1181,8 @@ mod tests {
         };
         a.on_message(ProcessId(1), prime(), &mut c);
         assert_eq!(a.vrnd(), r);
-        // A buffered proposal: the full path folds whatever is buffered,
-        // so it shows which path a covered "2a" took.
+        // A buffered proposal: a "2a" the vote covers still folds in
+        // whatever is buffered.
         a.fast_buf.push(9);
         a.on_message(ProcessId(1), prime(), &mut c);
         assert_eq!(a.vval(), &mk(&[9]));

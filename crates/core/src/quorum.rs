@@ -9,6 +9,7 @@
 
 use crate::round::Round;
 use crate::schedule::RoundKind;
+use mcpaxos_cstruct::{glb_all_ref, CStruct};
 
 /// Cardinality-based acceptor quorum specification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,9 +161,57 @@ impl CoordQuorum {
     }
 }
 
+/// `Phase2bClassic`'s bound read off a ⊑-chain: the position in `vals` of
+/// their `q`-th longest member (the shortest when there are fewer than
+/// `q`), or `None` when `vals` are not a ⊑-chain at one watermark.
+///
+/// On a chain the glb of a subset is its shortest member, so the lub of
+/// every `q`-subset's glb is the `q`-th longest value: the multi-Paxos
+/// commit index. Sorting by `total_len` and testing neighbours with `le`
+/// decides it, as `⊑` is transitive and equal-length values on a chain
+/// are equal. A chain is also pairwise compatible, so no §4.2 collision
+/// hides in it.
+pub(crate) fn chain_read<C: CStruct>(vals: &[&C], q: usize) -> Option<usize> {
+    let wm = vals.first()?.watermark();
+    if vals.iter().any(|v| v.watermark() != wm) {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..vals.len()).collect();
+    order.sort_by_key(|&i| vals[i].total_len());
+    if !order.windows(2).all(|w| vals[w[0]].le(vals[w[1]])) {
+        return None;
+    }
+    Some(order[vals.len().saturating_sub(q)])
+}
+
+/// `Phase2bClassic`'s bound by brute force: the lub of the glbs of every
+/// `q`-subset of `vals`. Those glbs are always compatible: two
+/// coordinator quorums share a member (Assumption 3), and both glbs are
+/// lower bounds of its value.
+///
+/// # Panics
+///
+/// Panics if `q` is 0 or exceeds `vals.len()`, or if two glbs are
+/// incompatible.
+pub(crate) fn fold_quorums<C: CStruct>(vals: &[&C], q: usize) -> C {
+    let mut u: Option<C> = None;
+    for_each_combination(vals.len(), q, |idx| {
+        let g = glb_all_ref(idx.iter().map(|&i| vals[i]));
+        u = Some(match u.take() {
+            None => g,
+            Some(u) => u
+                .lub(&g)
+                .expect("coordinator-quorum glbs must be compatible (Assumption 3 violated?)"),
+        });
+        true
+    });
+    u.expect("at least one quorum combination")
+}
+
 /// Enumerates all size-`k` subsets of `0..n` (as index vectors), calling
-/// `f` for each. Used by the exact `ProvedSafe` and by the learner's
-/// quorum search. Returns early if `f` returns `false`.
+/// `f` for each. Used by the exact `ProvedSafe`, the learner's quorum
+/// search and the acceptor's fold when its reports are not a chain
+/// ([`fold_quorums`]). Returns early if `f` returns `false`.
 pub(crate) fn for_each_combination(n: usize, k: usize, mut f: impl FnMut(&[usize]) -> bool) {
     if k > n {
         return;
@@ -338,6 +387,74 @@ mod tests {
             count < 3
         });
         assert_eq!(count, 3);
+    }
+
+    /// `chain_read`'s pick, as a value.
+    fn read<C: CStruct>(vals: &[C], q: usize) -> Option<&C> {
+        let refs: Vec<&C> = vals.iter().collect();
+        chain_read(&refs, q).map(|i| &vals[i])
+    }
+
+    fn fold<C: CStruct>(vals: &[C], q: usize) -> C {
+        fold_quorums(&vals.iter().collect::<Vec<_>>(), q)
+    }
+
+    #[test]
+    fn chain_read_takes_the_qth_longest() {
+        use crate::testctx::h;
+        // Out of length order, so the read has to sort.
+        let vals = [h(5), h(9), h(2)];
+        assert_eq!(read(&vals, 2), Some(&h(5)), "q = 2: the middle value");
+        assert_eq!(read(&vals, 1), Some(&h(9)), "q = 1: the longest");
+        assert_eq!(read(&vals, 3), Some(&h(2)), "q = n: the shortest");
+        assert_eq!(read(&vals, 4), Some(&h(2)), "below q: the shortest");
+        for q in 1..=3 {
+            assert_eq!(read(&vals, q), Some(&fold(&vals, q)), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn chain_read_takes_equal_values() {
+        use crate::testctx::{h, H, K};
+        // K(0,4) and K(1,5) commute: swapped, the value is still h(6),
+        // but not a literal extension of h(4).
+        let swapped: H = [0, 1, 2, 3, 5, 4]
+            .into_iter()
+            .map(|i| K(i % 4, i))
+            .collect();
+        assert_eq!(swapped, h(6));
+        for vals in [
+            [h(6), h(6), h(6)],
+            [h(4), swapped.clone(), h(6)],
+            [swapped.clone(), h(4), h(4)],
+        ] {
+            for q in 1..=3 {
+                assert_eq!(read(&vals, q), Some(&fold(&vals, q)), "{vals:?}, q = {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn chain_read_leaves_non_chains_to_the_fold() {
+        use crate::testctx::{h, mk, H, K};
+        // Equal-length divergent sets: no member is the bound.
+        let sets = [mk(&[1, 2, 3]), mk(&[1, 2, 4]), mk(&[1, 2, 3, 4])];
+        assert_eq!(read(&sets, 2), None);
+        let by_hand = sets[0]
+            .glb(&sets[1])
+            .lub(&sets[0].glb(&sets[2]))
+            .and_then(|u| u.lub(&sets[1].glb(&sets[2])))
+            .unwrap();
+        assert_eq!(fold(&sets, 2), by_hand);
+        assert_eq!(by_hand, mk(&[1, 2, 3, 4]));
+        // A conflicting reorder: K(0,0) and K(0,4) share a key.
+        let reordered: H = [4, 1, 2, 3, 0].into_iter().map(|i| K(i % 4, i)).collect();
+        assert_eq!(read(&[h(5), reordered.clone(), h(5)], 2), None);
+        assert_eq!(fold(&[h(5), reordered, h(5)], 2), h(5));
+        // Mixed watermarks: values of two frames are not compared.
+        let mut cut = h(8);
+        assert!(cut.truncate_stable(&h(2).commands()));
+        assert_eq!(read(&[h(8), cut], 1), None);
     }
 
     #[test]

@@ -106,6 +106,16 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
         self.lub(other).is_some()
     }
 
+    /// Whether `other`'s representation is this value's followed by
+    /// appends, command for command. Then `self ⊑ other`, and `other` is
+    /// what `self.lub(other)` builds, so an agent whose value only grows
+    /// by appends can adopt `other` as it is. The default answers `false`,
+    /// which leaves callers to the lub.
+    fn is_literal_prefix_of(&self, other: &Self) -> bool {
+        let _ = other;
+        false
+    }
+
     /// Whether this c-struct contains `cmd`.
     fn contains(&self, cmd: &Self::Cmd) -> bool;
 

@@ -146,6 +146,10 @@ where
 
     // Relations.
     prop_assert_eq!(ia == ib, ra == rb, "eq diverged");
+    if ia.is_literal_prefix_of(&ib) {
+        prop_assert!(ra.le(&rb), "a literal prefix that does not precede");
+        prop_assert_eq!(ia.lub(&ib).map(|l| l.commands()), Some(ib.commands()));
+    }
     prop_assert_eq!(ia.le(&ib), ra.le(&rb), "le diverged");
     prop_assert_eq!(ib.le(&ia), rb.le(&ra), "le (flipped) diverged");
     prop_assert_eq!(
@@ -247,6 +251,40 @@ proptest! {
         let a_cmds: Vec<MixedCmd> = shared.iter().cloned().chain(a).collect();
         let b_cmds: Vec<MixedCmd> = shared.into_iter().chain(b).collect();
         assert_agree(&a_cmds, &b_cmds)?;
+    }
+
+    /// Prefix-shaped pairs, the inputs `le`'s literal-prefix fast path
+    /// answers: `b = a ++ extra` (compared both ways), `b = a`, and `a`
+    /// with one adjacent pair swapped, then `++ extra`. A swapped
+    /// commuting pair leaves the value ⊑-equal to `a` without being a
+    /// literal extension of it; a swapped conflicting pair makes an
+    /// equal-length value that `a` does not precede.
+    #[test]
+    fn prefix_shaped_histories_match_reference(
+        a in prop::collection::vec(key_cmd(), 0..14),
+        extra in prop::collection::vec(key_cmd(), 0..6),
+        at in 0usize..14,
+    ) {
+        let a: Vec<KeyCmd> = CommandHistory::from_iter(a).commands();
+        let grown: Vec<KeyCmd> = a.iter().chain(&extra).cloned().collect();
+        assert_agree(&a, &grown)?;
+        assert_agree(&a, &a)?;
+        if a.len() >= 2 {
+            let j = at % (a.len() - 1);
+            let mut any = a.clone();
+            any.swap(j, j + 1);
+            assert_agree(&a, &any)?;
+            // The first commuting pair at or after `j`, if any.
+            if let Some(j) = (j..a.len() - 1).find(|&j| !a[j].conflicts(&a[j + 1])) {
+                let mut commuted = a.clone();
+                commuted.swap(j, j + 1);
+                commuted.extend(extra.iter().cloned());
+                assert_agree(&a, &commuted)?;
+                let (ia, ic): (CommandHistory<KeyCmd>, CommandHistory<KeyCmd>) =
+                    (a.iter().cloned().collect(), commuted.into_iter().collect());
+                prop_assert!(ia.le(&ic), "a commuting swap still extends a");
+            }
+        }
     }
 
     /// Incremental append equals bulk construction, and the wire codec
