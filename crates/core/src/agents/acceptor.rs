@@ -26,7 +26,7 @@ use crate::provedsafe::{pick, proved_safe, OneB};
 use crate::quorum;
 use crate::round::Round;
 use crate::schedule::RoundKind;
-use crate::ship::{announce_restart, prune_rounds, Payload, Receiver, Shipper};
+use crate::ship::{announce_restart, prune_rounds, Inbox, Payload, Receiver, Shipper};
 use mcpaxos_actor::wire::{from_bytes, to_bytes, Wire};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, TimerToken};
 use mcpaxos_cstruct::{compatible_all, CStruct};
@@ -49,12 +49,11 @@ pub struct Acceptor<C: CStruct> {
     /// instead of deep-cloning the history (mutation uses copy-on-write).
     vval: Arc<C>,
     persisted_major: u32,
-    /// Latest "2a" value per coordinator, per round (payloads shared
-    /// with the messages they arrived in).
-    round_2a: BTreeMap<Round, BTreeMap<ProcessId, Arc<C>>>,
+    /// Latest "2a" value per coordinator, per round.
+    round_2a: Inbox<C>,
     /// Gossiped "2b" values per acceptor, per round (uncoordinated
     /// recovery collision *detection* only).
-    round_2b: BTreeMap<Round, BTreeMap<ProcessId, Arc<C>>>,
+    round_2b: Inbox<C>,
     /// Binding "1b" reports exchanged among acceptors for uncoordinated
     /// recovery rounds.
     recovery_1b: BTreeMap<Round, BTreeMap<ProcessId, OneB<C>>>,
@@ -85,8 +84,8 @@ impl<C: CStruct> Acceptor<C> {
             vrnd: Round::ZERO,
             vval: Arc::new(C::bottom()),
             persisted_major: 0,
-            round_2a: BTreeMap::new(),
-            round_2b: BTreeMap::new(),
+            round_2a: Inbox::default(),
+            round_2b: Inbox::default(),
             recovery_1b: BTreeMap::new(),
             fast_buf: Vec::new(),
             comp,
@@ -254,13 +253,9 @@ impl<C: CStruct> Acceptor<C> {
             return false;
         }
         ctx.metric(Metric::add(metrics::TRUNCATIONS, applied as i64));
-        let comp = &mut self.comp;
-        for (&round, m) in self.round_2a.iter_mut() {
-            m.retain(|&p, v| comp.normalize_base(p, round, v));
-        }
-        for (&round, m) in self.round_2b.iter_mut() {
-            m.retain(|&p, v| comp.normalize_base(p, round, v));
-        }
+        let comp = &self.comp;
+        self.round_2a.follow(comp);
+        self.round_2b.follow(comp);
         for m in self.recovery_1b.values_mut() {
             m.retain(|_, r| comp.normalize_arc(&mut r.vval));
         }
@@ -268,12 +263,6 @@ impl<C: CStruct> Acceptor<C> {
         // watermark instead of replaying the truncated prefix.
         self.persist_vote(ctx);
         true
-    }
-
-    fn prune(&mut self) {
-        prune_rounds(&mut self.round_2a);
-        prune_rounds(&mut self.round_2b);
-        prune_rounds(&mut self.recovery_1b);
     }
 
     /// Multicoordinated collision (§4.2): incompatible "2a" values from
@@ -305,7 +294,10 @@ impl<C: CStruct> Acceptor<C> {
     fn try_accept_classic(&mut self, round: Round, from: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         let quorum = self.cfg.schedule.coord_quorum(round);
         let q = quorum.quorum_size();
-        let m = &self.round_2a[&round];
+        // Absent when `round` fell below the window as it arrived.
+        let Some(m) = self.round_2a.round(round) else {
+            return;
+        };
         let vals: Vec<&C> = m.values().map(|v| v.as_ref()).collect();
         let pick = quorum::chain_read(&vals, q);
         // §4.2 collision detection: incompatible suggestions from
@@ -415,11 +407,7 @@ impl<C: CStruct> Acceptor<C> {
         if self.cfg.schedule.kind(round) != RoundKind::Fast {
             return;
         }
-        let reports = match self.round_2b.get(&round) {
-            Some(r) => r,
-            None => return,
-        };
-        if compatible_all(reports.values().map(|v| v.as_ref())) {
+        if compatible_all(self.round_2b.values(round)) {
             return;
         }
         let next = self.cfg.schedule.next(round);
@@ -458,6 +446,7 @@ impl<C: CStruct> Acceptor<C> {
         let peers: Vec<ProcessId> = self.fellows(me).collect();
         self.report_1b(&peers, next, ctx);
         self.try_complete_recovery(next, ctx);
+        prune_rounds(&mut self.recovery_1b);
     }
 
     /// Uncoordinated recovery, step 2 (spec B.5 `UncoordinatedRecovery`):
@@ -626,14 +615,12 @@ impl<C: CStruct> Actor for Acceptor<C> {
                     self.nack(from, ctx);
                     return;
                 }
-                let base =
-                    move |a: &Self| a.round_2a.get(&round).and_then(|m| m.get(&from)).cloned();
-                let Some((val, _)) = self.ingest(from, round, val, base, ctx) else {
-                    return;
-                };
-                self.round_2a.entry(round).or_default().insert(from, val);
-                self.try_accept_classic(round, from, ctx);
-                self.prune();
+                if self
+                    .ingest(|a| &mut a.round_2a, from, round, val, ctx)
+                    .is_some()
+                {
+                    self.try_accept_classic(round, from, ctx);
+                }
             }
             // A batch is k consecutive proposals; in a fast round the
             // group-commit buffer (§4.4) amortizes the vote writes.
@@ -646,19 +633,16 @@ impl<C: CStruct> Actor for Acceptor<C> {
             // Gossip from fellow acceptors: collision detection for
             // acceptor-driven recovery.
             Msg::P2b { round, val } if self.cfg.collision != CollisionPolicy::NewRound => {
-                let base =
-                    move |a: &Self| a.round_2b.get(&round).and_then(|m| m.get(&from)).cloned();
-                let Some((val, _)) = self.ingest(from, round, val, base, ctx) else {
+                if self
+                    .ingest(|a| &mut a.round_2b, from, round, val, ctx)
+                    .is_none()
+                {
                     return;
-                };
-                self.round_2b.entry(round).or_default().insert(from, val);
+                }
                 // Include our own vote in the picture.
                 if self.vrnd == round {
-                    let me = ctx.me();
-                    let own = self.vval.clone();
-                    self.round_2b.entry(round).or_default().insert(me, own);
+                    self.round_2b.insert(round, ctx.me(), self.vval.clone());
                 }
-                self.prune();
                 self.detect_fast_collision(round, ctx);
             }
             // A fellow acceptor's binding recovery report (only sent
@@ -669,7 +653,7 @@ impl<C: CStruct> Actor for Acceptor<C> {
             {
                 // Recovery reports are always shipped full; anything
                 // unresolvable is dropped (the exchange retries).
-                let Some((vval, _)) = self.ingest(from, round, vval, |_| None, ctx) else {
+                let Some(vval) = self.resolve_full(from, round, vval, ctx) else {
                     return;
                 };
                 self.recovery_1b
@@ -682,7 +666,7 @@ impl<C: CStruct> Actor for Acceptor<C> {
                 } else {
                     self.try_complete_recovery(round, ctx);
                 }
-                self.prune();
+                prune_rounds(&mut self.recovery_1b);
             }
             // A receiver could not apply one of our deltas.
             Msg::NeedFull { round } => {
@@ -1206,8 +1190,7 @@ mod tests {
         assert_eq!(a.vval(), &S::decided(1));
         // c3's incompatible report beside the vote, as a collision under
         // `NewRound` leaves one.
-        let m = a.round_2a.get_mut(&r).expect("the round's reports");
-        m.insert(ProcessId(3), Arc::new(S::decided(2)));
+        a.round_2a.insert(r, ProcessId(3), Arc::new(S::decided(2)));
         // c1's re-sent value is covered, and collides with c3's.
         a.on_message(ProcessId(1), decided(1), &mut c);
         assert_eq!(c.metric_count(metrics::COLLISION_MC), 1);

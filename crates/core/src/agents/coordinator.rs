@@ -22,7 +22,7 @@ use crate::msg::Msg;
 use crate::provedsafe::{pick, proved_safe, OneB};
 use crate::round::Round;
 use crate::schedule::RoundKind;
-use crate::ship::{announce_restart, prune_rounds, Receiver, Shipper, ROUND_WINDOW};
+use crate::ship::{announce_restart, prune_rounds, Inbox, Receiver, Shipper, ROUND_WINDOW};
 use mcpaxos_actor::wire::{from_bytes, to_bytes};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimDuration, SimTime, TimerToken};
 use mcpaxos_cstruct::{compatible_all, glb_all_ref, CStruct};
@@ -56,9 +56,8 @@ pub struct Coordinator<C: CStruct> {
     /// Persisted barrier: never act in rounds ≤ floor after recovery.
     floor: Round,
     round_1b: BTreeMap<Round, BTreeMap<ProcessId, OneB<C>>>,
-    /// Observed "2b" values per acceptor, per round (payloads shared with
-    /// the messages they arrived in).
-    round_2b: BTreeMap<Round, BTreeMap<ProcessId, Arc<C>>>,
+    /// Observed "2b" values per acceptor, per round.
+    round_2b: Inbox<C>,
     collided: BTreeSet<Round>,
     /// Recovery rounds whose "1a" we already echoed to acceptors.
     echoed_1a: BTreeSet<Round>,
@@ -125,7 +124,7 @@ impl<C: CStruct> Coordinator<C> {
             cval: None,
             floor: Round::ZERO,
             round_1b: BTreeMap::new(),
-            round_2b: BTreeMap::new(),
+            round_2b: Inbox::default(),
             collided: BTreeSet::new(),
             echoed_1a: BTreeSet::new(),
             last_collision: None,
@@ -384,19 +383,12 @@ impl<C: CStruct> Coordinator<C> {
         ctx.metric(Metric::add(metrics::TRUNCATIONS, applied as i64));
         self.outstanding.retain(|c| !pruned.contains(c));
         self.backlog.retain(|c| !pruned.contains(c));
-        let comp = &mut self.comp;
+        let comp = &self.comp;
         for m in self.round_1b.values_mut() {
             m.retain(|_, r| comp.normalize_arc(&mut r.vval));
         }
-        for (&round, m) in self.round_2b.iter_mut() {
-            m.retain(|&p, v| comp.normalize_base(p, round, v));
-        }
+        self.round_2b.follow(comp);
         true
-    }
-
-    fn prune(&mut self) {
-        prune_rounds(&mut self.round_1b);
-        prune_rounds(&mut self.round_2b);
     }
 
     /// `Phase1a`: start round `r` by asking acceptors to join.
@@ -467,21 +459,10 @@ impl<C: CStruct> Coordinator<C> {
         self.cval = Some(val);
     }
 
-    /// Observes "2b" traffic: progress tracking plus fast-collision
+    /// Observes the "2b" just stored for `round`, which `grew` over the
+    /// sender's previous one: progress tracking plus fast-collision
     /// detection and recovery (§4.2).
-    fn observe_2b(
-        &mut self,
-        from: ProcessId,
-        round: Round,
-        val: Arc<C>,
-        ctx: &mut dyn Context<Msg<C>>,
-    ) {
-        let entry = self.round_2b.entry(round).or_default();
-        let grew = match entry.get(&from) {
-            Some(prev) => val.count() > prev.count(),
-            None => true,
-        };
-        entry.insert(from, val);
+    fn observe_2b(&mut self, round: Round, grew: bool, ctx: &mut dyn Context<Msg<C>>) {
         if grew {
             self.last_progress = ctx.now();
         }
@@ -494,11 +475,12 @@ impl<C: CStruct> Coordinator<C> {
         // so the glb can absorb only a command that every report absorbs:
         // without one, the fold could retire nothing and is skipped.
         let kind = self.cfg.schedule.kind(round);
-        let entry = self.round_2b.get(&round).expect("just inserted");
-        let quorum_reported = entry.len() >= self.cfg.quorums.size_for(kind);
-        let retirable = |c: &C::Cmd| entry.values().all(|v| v.absorbs(c));
+        let quorum = self.cfg.quorums.size_for(kind);
+        let reports = &self.round_2b;
+        let quorum_reported = reports.values(round).count() >= quorum;
+        let retirable = |c: &C::Cmd| reports.values(round).all(|v| v.absorbs(c));
         if quorum_reported && self.outstanding.iter().any(retirable) {
-            let g = glb_all_ref(entry.values().map(|v| v.as_ref()));
+            let g = glb_all_ref(reports.values(round));
             self.outstanding.retain(|c| !g.absorbs(c));
         }
         // Wave retirement: a pipelined `2a` wave is acknowledged once a
@@ -506,9 +488,9 @@ impl<C: CStruct> Coordinator<C> {
         // length, so one straggler cannot hold the pipeline. Each
         // retirement frees a slot and pumps the next wave.
         if round == self.crnd && !self.waves.is_empty() {
-            let entry = self.round_2b.get(&round).expect("just inserted");
-            let quorum = self.cfg.quorums.size_for(kind);
-            let acked = |t: u64| entry.values().filter(|v| v.total_len() >= t).count() >= quorum;
+            let reports = &self.round_2b;
+            let acked =
+                |t: u64| reports.values(round).filter(|v| v.total_len() >= t).count() >= quorum;
             let mut retired = false;
             while self.waves.front().is_some_and(|&t| acked(t)) {
                 self.waves.pop_front();
@@ -520,13 +502,10 @@ impl<C: CStruct> Coordinator<C> {
         }
         // Fast-round collision detection.
         if kind == RoundKind::Fast {
-            if !self.collided.contains(&round) {
-                let entry = self.round_2b.get(&round).expect("just inserted");
-                if !compatible_all(entry.values().map(|v| v.as_ref())) {
-                    self.collided.insert(round);
-                    self.last_collision = Some(ctx.now());
-                    ctx.metric(Metric::incr(metrics::COLLISION_FAST));
-                }
+            if !self.collided.contains(&round) && !compatible_all(self.round_2b.values(round)) {
+                self.collided.insert(round);
+                self.last_collision = Some(ctx.now());
+                ctx.metric(Metric::incr(metrics::COLLISION_FAST));
             }
             // Run recovery on every report of a collided round, so "2b"s
             // arriving after detection still feed the successor's phase 1
@@ -535,7 +514,6 @@ impl<C: CStruct> Coordinator<C> {
                 self.recover_fast_collision(round, ctx);
             }
         }
-        self.prune();
     }
 
     fn recover_fast_collision(&mut self, round: Round, ctx: &mut dyn Context<Msg<C>>) {
@@ -722,7 +700,7 @@ impl<C: CStruct> Actor for Coordinator<C> {
                 self.note_heard(round);
                 // 1b values are shipped full; normalize to our watermark
                 // (or drop until compaction catches up).
-                let Some((vval, _)) = self.ingest(from, round, vval, |_| None, ctx) else {
+                let Some(vval) = self.resolve_full(from, round, vval, ctx) else {
                     return;
                 };
                 // An unsolicited "1b" for a single-coordinated round we
@@ -748,15 +726,13 @@ impl<C: CStruct> Actor for Coordinator<C> {
                     .entry(round)
                     .or_default()
                     .insert(from, OneB { from, vrnd, vval });
-                self.prune();
+                prune_rounds(&mut self.round_1b);
                 self.try_phase2start(round, ctx);
             }
             Msg::P2b { round, val } => {
                 self.note_heard(round);
-                let base =
-                    move |c: &Self| c.round_2b.get(&round).and_then(|m| m.get(&from)).cloned();
-                if let Some((val, _)) = self.ingest(from, round, val, base, ctx) {
-                    self.observe_2b(from, round, val, ctx);
+                if let Some(got) = self.ingest(|c| &mut c.round_2b, from, round, val, ctx) {
+                    self.observe_2b(round, got.grew, ctx);
                 }
             }
             // An acceptor lost the base of our deltas.

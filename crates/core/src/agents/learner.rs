@@ -31,7 +31,7 @@ use crate::config::DeployConfig;
 use crate::msg::Msg;
 use crate::quorum::{combination_count, for_each_combination};
 use crate::round::Round;
-use crate::ship::{announce_restart, prune_rounds, Receiver};
+use crate::ship::{announce_restart, Inbox, Receiver};
 use mcpaxos_actor::{Actor, Context, Metric, ProcessId, SimTime, TimerToken};
 use mcpaxos_cstruct::{glb_all_ref, CStruct};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -40,30 +40,16 @@ use std::sync::Arc;
 /// Above this many quorum subsets, fall back to one conservative glb.
 const MAX_QUORUM_ENUM: u64 = 5_000;
 
-/// Per-round learner bookkeeping: the latest report per acceptor plus the
-/// incrementally maintained glb of every quorum-sized reporter subset.
-struct RoundState<C> {
-    /// Latest "2b" value per acceptor (shared with the arriving message).
-    reports: BTreeMap<ProcessId, Arc<C>>,
-    /// Cached glb per quorum-sized subset, keyed by the (sorted) acceptor
-    /// set. An entry is recomputed only when a member's report changes.
-    glbs: BTreeMap<Vec<ProcessId>, C>,
-}
-
-impl<C> Default for RoundState<C> {
-    fn default() -> Self {
-        RoundState {
-            reports: BTreeMap::new(),
-            glbs: BTreeMap::new(),
-        }
-    }
-}
-
 /// The learner role.
 pub struct Learner<C: CStruct> {
     cfg: Arc<DeployConfig>,
     learned: C,
-    rounds: BTreeMap<Round, RoundState<C>>,
+    /// Latest "2b" value per acceptor, per round.
+    reports: Inbox<C>,
+    /// Per round the inbox keeps: the cached glb of each quorum-sized
+    /// reporter subset, keyed by the (sorted) acceptor set. An entry is
+    /// recomputed only when a member's report changes.
+    glbs: BTreeMap<Round, BTreeMap<Vec<ProcessId>, C>>,
     notified: HashSet<C::Cmd>,
     history: Vec<(SimTime, usize)>,
     /// Stable-prefix compaction state.
@@ -89,7 +75,8 @@ impl<C: CStruct> Learner<C> {
         Learner {
             cfg,
             learned: C::bottom(),
-            rounds: BTreeMap::new(),
+            reports: Inbox::default(),
+            glbs: BTreeMap::new(),
             notified: HashSet::new(),
             history: Vec::new(),
             comp,
@@ -148,16 +135,14 @@ impl<C: CStruct> Learner<C> {
     fn try_learn(&mut self, round: Round, from: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         let kind = self.cfg.schedule.kind(round);
         let qsize = self.cfg.quorums.size_for(kind);
-        let st = match self.rounds.get_mut(&round) {
-            Some(st) if st.reports.len() >= qsize => st,
-            _ => return,
+        let Some(reports) = self.reports.round(round).filter(|m| m.len() >= qsize) else {
+            return;
         };
         let learned = &mut self.learned;
         let mut grew = false;
-        let ids: Vec<ProcessId> = st.reports.keys().copied().collect();
+        let ids: Vec<ProcessId> = reports.keys().copied().collect();
         if combination_count(ids.len(), qsize) <= MAX_QUORUM_ENUM {
-            let reports = &st.reports;
-            let glbs = &mut st.glbs;
+            let glbs = self.glbs.entry(round).or_default();
             for_each_combination(ids.len(), qsize, |idx| {
                 // Subsets not containing the changed reporter kept their
                 // cached glb — skip them without touching any c-struct.
@@ -175,7 +160,7 @@ impl<C: CStruct> Learner<C> {
         } else {
             // Conservative: the glb over all reports is a lower bound of
             // every quorum's glb, hence also chosen.
-            let g = glb_all_ref(st.reports.values().map(|v| v.as_ref()));
+            let g = glb_all_ref(reports.values().map(|v| v.as_ref()));
             grew |= Self::absorb(learned, &g, round);
         }
         if grew {
@@ -227,10 +212,10 @@ impl<C: CStruct> Learner<C> {
             return;
         }
         ctx.metric(Metric::add(metrics::TRUNCATIONS, applied as i64));
-        let comp = &mut self.comp;
-        for (&round, st) in self.rounds.iter_mut() {
-            st.reports.retain(|&p, v| comp.normalize_base(p, round, v));
-            st.glbs.retain(|_, g| comp.normalize(g));
+        let comp = &self.comp;
+        self.reports.follow(comp);
+        for glbs in self.glbs.values_mut() {
+            glbs.retain(|_, g| comp.normalize(g));
         }
         let w = self.comp.watermark();
         self.pending_props.retain(|&s, _| s >= w);
@@ -394,20 +379,16 @@ impl<C: CStruct> Actor for Learner<C> {
                 // last report; the `changed` flag subsumes the old
                 // duplicate-delivery fast path (an identical re-delivery
                 // cannot move any glb, so the subset sweep is skipped).
-                let base = move |l: &Self| {
-                    let st = l.rounds.get(&round)?;
-                    st.reports.get(&from).cloned()
-                };
-                let Some((val, changed)) = self.ingest(from, round, val, base, ctx) else {
+                let Some(got) = self.ingest(|l| &mut l.reports, from, round, val, ctx) else {
                     return;
                 };
+                let reports = &self.reports;
+                self.glbs.retain(|r, _| reports.round(*r).is_some());
                 // A report `learned` covers cannot grow it: every glb it
                 // joins is below it. Its subsets keep their cached glbs.
+                let (val, changed) = (got.val, got.changed);
                 let covered =
                     changed && val.watermark() == self.learned.watermark() && val.le(&self.learned);
-                let st = self.rounds.entry(round).or_default();
-                st.reports.insert(from, val);
-                prune_rounds(&mut self.rounds);
                 if changed && !covered {
                     self.try_learn(round, from, ctx);
                 }

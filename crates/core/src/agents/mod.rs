@@ -152,6 +152,10 @@ pub mod metrics {
     /// Full values re-shipped after a receiver reported a delta gap
     /// (`NeedFull`), or because no per-peer base was established yet.
     pub const FULL_RESYNCS: &str = "full_resyncs";
+    /// Received deltas resolved on a copy of their base rather than in
+    /// place: the base was still shared (an acceptor's vote, a value in
+    /// flight), or behind the watermark.
+    pub const BASE_COPIES: &str = "base_copies";
     /// Stable segments truncated out of an agent's live state.
     pub const TRUNCATIONS: &str = "truncations";
     /// Stable-storage records found undecodable at recovery (the agent

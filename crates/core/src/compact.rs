@@ -21,46 +21,28 @@
 //!   live while a straggler catches up;
 //! * a delta checks against the receiver's base whatever the sender's
 //!   watermark was when it shipped: its digest covers the value from the
-//!   logical origin ([`CStruct::digest`]). A stored base that cannot
-//!   follow a truncation (its sender lags, so it does not cover the
-//!   segment yet) is kept aside, behind the watermark, as the base of
-//!   that sender's next delta ([`Compactor::normalize_base`]).
+//!   logical origin ([`CStruct::digest`]), and it extends that base in
+//!   place ([`Compactor::apply_delta`]).
+//!
+//! The compactor knows nothing of senders or rounds: the values received
+//! from peers, and the ones kept aside because they could not follow a
+//! truncation, live in each agent's [`crate::ship::Inbox`]es.
 
-use crate::round::Round;
-use crate::ship::Payload;
-use mcpaxos_actor::ProcessId;
 use mcpaxos_cstruct::{CStruct, DetHasher};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-/// Outcome of resolving an ingested [`Payload`] against local state.
-#[derive(Debug)]
-pub enum Resolved<C: CStruct> {
-    /// The payload resolved to a value at the local watermark; the flag
-    /// says whether it differs from the base it was resolved against.
-    Value(Arc<C>, bool),
-    /// A delta could not be applied (missing/short/truncated base): the
-    /// sender must re-ship its full value ([`crate::Msg::NeedFull`]).
-    Gap,
-    /// The value is from a peer ahead of (or unreachably behind) the
-    /// local watermark and cannot be normalized. The payload is handed
-    /// back so the caller can retry once after advancing its own
-    /// compaction; if that fails too, drop the message and rely on
-    /// retransmission.
-    Unaligned(Payload<C>),
-}
-
 /// Applied stable segments each agent keeps for normalizing values from
 /// peers that have not yet truncated as far (and, doubled, the bound on
 /// buffered not-yet-applied segments).
 pub(crate) const STABLE_KEEP: usize = 8;
 
-/// Per-agent compaction state: watermark, pending and recent segments, and
-/// the delta bases that could not follow a truncation.
+/// Per-agent compaction state: the watermark and the pending and recent
+/// segments.
 #[derive(Debug)]
-pub struct Compactor<C: CStruct> {
+pub(crate) struct Compactor<C: CStruct> {
     watermark: u64,
     /// Segments announced stable but not yet applied, keyed by their
     /// starting position.
@@ -71,10 +53,6 @@ pub struct Compactor<C: CStruct> {
     /// The commands of `recent`, each with the number of retained segments
     /// holding it: membership without scanning the window.
     recent_cmds: HashMap<C::Cmd, u32, BuildHasherDefault<DetHasher>>,
-    /// Per sender: a round and stored value of it that could not follow a
-    /// truncation, still the base of its next delta for that round. That
-    /// delta, or any full value from the sender, takes it out.
-    behind: BTreeMap<ProcessId, (Round, Arc<C>)>,
 }
 
 impl<C: CStruct> Default for Compactor<C> {
@@ -85,7 +63,6 @@ impl<C: CStruct> Default for Compactor<C> {
             pending: BTreeMap::new(),
             recent: VecDeque::new(),
             recent_cmds: HashMap::default(),
-            behind: BTreeMap::new(),
         }
     }
 }
@@ -242,51 +219,24 @@ impl<C: CStruct> Compactor<C> {
         v.watermark() == self.watermark
     }
 
-    /// Resolves an ingested payload against `base` (the last value this
-    /// peer shipped for the same round, already at the local watermark).
-    ///
-    /// Full values are normalized to the local watermark (cloning only
-    /// when stripping is needed); deltas are applied on a copy of the
-    /// base. The `bool` in [`Resolved::Value`] reports whether the
-    /// resolved value differs from `base`.
-    pub fn resolve(&self, payload: Payload<C>, base: Option<&Arc<C>>) -> Resolved<C> {
-        match payload {
-            Payload::Full(mut v) => {
-                if !self.normalize_arc(&mut v) {
-                    // We are behind the sender, or too far ahead of it.
-                    return Resolved::Unaligned(Payload::Full(v));
-                }
-                let changed = match base {
-                    Some(b) => b.watermark() != v.watermark() || **b != *v,
-                    None => true,
-                };
-                Resolved::Value(v, changed)
-            }
-            Payload::Delta {
-                base_len,
-                digest,
-                suffix,
-            } => match self.apply_delta(base_len, digest, &suffix, base) {
-                Some((v, changed)) => Resolved::Value(v, changed),
-                None => Resolved::Gap,
-            },
-        }
-    }
-
-    /// Applies a delta to `base`: the value it yields at the local
-    /// watermark and whether it differs from `base`, or `None` for a gap —
-    /// no base, a base the suffix does not reach, a reconstruction the
-    /// digest rejects, or one behind the watermark that still cannot
-    /// follow it.
+    /// Applies a delta to `base` in place (copying it first only when
+    /// something else shares it) and reports whether the value changed.
+    /// `None` is a gap: a base ahead of the watermark, one the suffix does
+    /// not reach, a reconstruction the digest rejects, or one behind the
+    /// watermark that still cannot follow it. A gap leaves a base at the
+    /// watermark as it was: the digest is checked before the suffix is
+    /// appended ([`CStruct::apply_suffix_checked`]).
     pub(crate) fn apply_delta(
         &self,
         base_len: u64,
         digest: u64,
         suffix: &[C::Cmd],
-        base: Option<&Arc<C>>,
-    ) -> Option<(Arc<C>, bool)> {
-        let b = base.filter(|b| b.watermark() <= self.watermark)?;
-        let behind = b.watermark() < self.watermark;
+        base: &mut Arc<C>,
+    ) -> Option<bool> {
+        if base.watermark() > self.watermark {
+            return None;
+        }
+        let behind = base.watermark() < self.watermark;
         // A re-delivered stale delta may carry commands that were
         // truncated (as stable) since: they must not re-enter the live
         // window. A base behind the watermark needs them to follow it.
@@ -296,41 +246,18 @@ impl<C: CStruct> Compactor<C> {
         } else {
             Cow::Borrowed(suffix)
         };
-        if !behind && suffix.is_empty() && base_len <= b.total_len() {
+        if !behind && suffix.is_empty() && base_len <= base.total_len() {
             // Pure keep-alive: the sender claims our base IS its value. A
             // digest mismatch means the base diverged (e.g. rolled back by
             // a crash) — resync.
-            return (b.digest() == digest).then(|| (b.clone(), false));
+            return (base.digest() == digest).then_some(false);
         }
-        let mut owned = (**b).clone();
-        let appended = owned.apply_suffix(base_len, &suffix).ok()?;
-        // The suffix applied positionally, but `base_len` alone cannot
-        // authenticate the base: verify the reconstruction against the
-        // sender's digest and treat divergence exactly like a gap.
-        (owned.digest() == digest && self.normalize(&mut owned))
-            .then(|| (Arc::new(owned), appended > 0 || behind))
-    }
-
-    /// [`Self::normalize_arc`] for `from`'s stored value for `round`; a
-    /// value behind the watermark that cannot follow it is kept aside as
-    /// the base of `from`'s next delta ([`Self::take_behind`]).
-    pub(crate) fn normalize_base(&mut self, from: ProcessId, round: Round, v: &mut Arc<C>) -> bool {
-        if self.normalize_arc(v) {
-            return true;
-        }
-        if v.watermark() < self.watermark {
-            self.behind.insert(from, (round, v.clone()));
-        }
-        false
-    }
-
-    /// The value of `from`'s for `round` kept aside by
-    /// [`Self::normalize_base`], if any.
-    pub(crate) fn take_behind(&mut self, from: ProcessId, round: Round) -> Option<Arc<C>> {
-        match self.behind.remove(&from) {
-            Some((r, v)) if r == round => Some(v),
-            _ => None,
-        }
+        // The suffix applies positionally, but `base_len` alone cannot
+        // authenticate the base: the digest of the reconstruction must be
+        // the sender's, else divergence is treated exactly like a gap.
+        let v = Arc::make_mut(base);
+        let appended = v.apply_suffix_checked(base_len, &suffix, digest).ok()?;
+        self.normalize(v).then_some(appended > 0 || behind)
     }
 
     /// Normalizes a stored shared value in place; returns `false`, leaving
@@ -415,47 +342,26 @@ mod tests {
     #[test]
     fn resolve_applies_deltas_and_flags_gaps() {
         let c: Compactor<H> = Compactor::default();
-        let base = Arc::new(h(4));
+        let mut base = Arc::new(h(4));
         // Suffix extending the base, digested as the sender would.
         let suffix: Vec<K> = (4..6).map(|i| K(i % 4, i)).collect();
-        match c.resolve(
-            Payload::Delta {
-                base_len: 4,
-                digest: h(6).digest(),
-                suffix,
-            },
-            Some(&base),
-        ) {
-            Resolved::Value(v, changed) => {
-                assert!(changed);
-                assert_eq!(v.total_len(), 6);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Delta past the base: gap.
-        assert!(matches!(
-            c.resolve(
-                Payload::Delta {
-                    base_len: 9,
-                    digest: h(10).digest(),
-                    suffix: vec![K(0, 9)]
-                },
-                Some(&base)
-            ),
-            Resolved::Gap
-        ));
-        // Delta without a base: gap.
-        assert!(matches!(
-            c.resolve(
-                Payload::Delta {
-                    base_len: 0,
-                    digest: h(1).digest(),
-                    suffix: vec![K(0, 0)]
-                },
-                None
-            ),
-            Resolved::Gap
-        ));
+        assert_eq!(
+            c.apply_delta(4, h(6).digest(), &suffix, &mut base),
+            Some(true)
+        );
+        assert_eq!(*base, h(6));
+        // Delta past the base: gap, and the base stays.
+        let far = [K(1, 9)];
+        assert_eq!(c.apply_delta(9, h(10).digest(), &far, &mut base), None);
+        assert_eq!(*base, h(6));
+        // A shared base is copied, not changed under its other holder.
+        let held = base.clone();
+        let next = [K(2, 6)];
+        assert_eq!(
+            c.apply_delta(6, h(7).digest(), &next, &mut base),
+            Some(true)
+        );
+        assert_eq!((&*held, &*base), (&h(6), &h(7)));
     }
 
     #[test]
@@ -467,35 +373,16 @@ mod tests {
         // scenario). Length-only matching would silently misapply.
         let mut divergent = h(3);
         divergent.append(K(0, 99));
-        let base = Arc::new(divergent);
+        let mut base = Arc::new(divergent.clone());
         assert_eq!(base.total_len(), 4);
         let suffix: Vec<K> = (4..6).map(|i| K(i % 4, i)).collect();
-        let sender_digest = h(6).digest();
-        assert!(
-            matches!(
-                c.resolve(
-                    Payload::Delta {
-                        base_len: 4,
-                        digest: sender_digest,
-                        suffix,
-                    },
-                    Some(&base)
-                ),
-                Resolved::Gap
-            ),
+        assert_eq!(
+            c.apply_delta(4, h(6).digest(), &suffix, &mut base),
+            None,
             "divergent base of equal length must force a full resync"
         );
+        assert_eq!(*base, divergent, "a rejected delta leaves the base");
         // Keep-alive against a divergent base is rejected too.
-        assert!(matches!(
-            c.resolve(
-                Payload::Delta {
-                    base_len: 4,
-                    digest: h(4).digest(),
-                    suffix: vec![],
-                },
-                Some(&base)
-            ),
-            Resolved::Gap
-        ));
+        assert_eq!(c.apply_delta(4, h(4).digest(), &[], &mut base), None);
     }
 }

@@ -56,7 +56,6 @@ mod ship;
 mod testctx;
 
 pub use agents::{Acceptor, Coordinator, Learner, Proposer};
-pub use compact::{Compactor, Resolved};
 pub use config::{BatchConfig, CollisionPolicy, DeployConfig, Durability, Timing, WireConfig};
 pub use msg::Msg;
 pub use provedsafe::{pick, proved_safe, proved_safe_exact, OneB};

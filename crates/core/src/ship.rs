@@ -11,9 +11,13 @@
 //!   usable base exists, delta otherwise), the answer to [`Msg::NeedFull`]
 //!   and the base drops on [`Msg::Hello`] / link reset. Bytes are counted
 //!   by the host that encodes each message, not here;
-//! * [`Receiver`] is the **receiver half**: resolve against the stored
-//!   base, retry once after compaction, reply `NeedFull` / `NeedStable`,
-//!   and the [`Msg::Stable`] / [`Msg::NeedStable`] catch-up handlers.
+//! * [`Inbox`] owns what peers sent: per round and per sender, the last
+//!   value resolved from each and the ones kept aside because they could
+//!   not follow a truncation;
+//! * [`Receiver`] is the **receiver half**: resolve a delta in place
+//!   against the base it takes out of an inbox, retry a full value once
+//!   after compaction, reply `NeedFull` / `NeedStable`, and the
+//!   [`Msg::Stable`] / [`Msg::NeedStable`] catch-up handlers.
 //!
 //! **One frame.** A delta resolves against the receiver's own base, at
 //! the receiver's watermark. Sender and receiver cross a compaction
@@ -21,12 +25,12 @@
 //! origin, through the agreed stable segments, so it does not depend on
 //! which of them truncated first.
 //!
-//! Agents keep only what is theirs: which value is primary, which side
-//! state follows a truncation ([`Receiver::realign`]), and what to do with
-//! a resolved value.
+//! Agents keep only what is theirs: which value is primary, which inboxes
+//! and side state follow a truncation ([`Receiver::realign`]), and what to
+//! do with a resolved value.
 
 use crate::agents::metrics;
-use crate::compact::{Compactor, Resolved};
+use crate::compact::Compactor;
 use crate::config::WireConfig;
 use crate::msg::Msg;
 use crate::round::Round;
@@ -266,17 +270,100 @@ impl<C: CStruct> Shipper<C> {
     }
 }
 
+/// The values an agent received from its peers, per round and per
+/// sender: the last value resolved from each, at the local watermark, and
+/// the ones kept aside because they could not follow a truncation. Each is
+/// the base the sender's next delta extends ([`Receiver::ingest`]).
+pub(crate) struct Inbox<C: CStruct> {
+    rounds: BTreeMap<Round, BTreeMap<ProcessId, Arc<C>>>,
+    /// Per sender: a round and value of it that could not follow a
+    /// truncation (the sender lags, so it does not cover the segment yet),
+    /// still the base of its next delta for that round. That delta, or
+    /// any full value from the sender, takes it out.
+    behind: BTreeMap<ProcessId, (Round, Arc<C>)>,
+}
+
+impl<C: CStruct> Default for Inbox<C> {
+    fn default() -> Self {
+        Inbox {
+            rounds: BTreeMap::new(),
+            behind: BTreeMap::new(),
+        }
+    }
+}
+
+impl<C: CStruct> Inbox<C> {
+    /// Each sender's last value in `round`.
+    pub(crate) fn round(&self, round: Round) -> Option<&BTreeMap<ProcessId, Arc<C>>> {
+        self.rounds.get(&round)
+    }
+
+    /// Each sender's last value in `round`: none when the round is not
+    /// kept.
+    pub(crate) fn values(&self, round: Round) -> impl Iterator<Item = &C> + Clone {
+        let m = self.rounds.get(&round);
+        m.into_iter().flat_map(|m| m.values().map(|v| v.as_ref()))
+    }
+
+    /// Stores `v` as `from`'s last value in `round`, and drops the lowest
+    /// rounds beyond the last [`ROUND_WINDOW`].
+    pub(crate) fn insert(&mut self, round: Round, from: ProcessId, v: Arc<C>) {
+        self.rounds.entry(round).or_default().insert(from, v);
+        prune_rounds(&mut self.rounds);
+    }
+
+    /// Brings every stored value to `comp`'s watermark. One that cannot
+    /// follow is dropped; when it is behind, it is kept aside as the base
+    /// of its sender's next delta.
+    pub(crate) fn follow(&mut self, comp: &Compactor<C>) {
+        let behind = &mut self.behind;
+        for (&round, m) in self.rounds.iter_mut() {
+            m.retain(|&p, v| {
+                let aligned = comp.normalize_arc(v);
+                if !aligned && v.watermark() < comp.watermark() {
+                    behind.insert(p, (round, v.clone()));
+                }
+                aligned
+            });
+        }
+    }
+
+    /// Takes out the base of `from`'s next delta in `round`: its stored
+    /// value (flagged `true`), else the one kept aside for that round.
+    fn take_base(&mut self, round: Round, from: ProcessId) -> Option<(Arc<C>, bool)> {
+        if let Some(v) = self.rounds.get_mut(&round).and_then(|m| m.remove(&from)) {
+            return Some((v, true));
+        }
+        match self.behind.remove(&from) {
+            Some((r, v)) if r == round => Some((v, false)),
+            _ => None,
+        }
+    }
+}
+
+/// What [`Receiver::ingest`] stored for a sender.
+pub(crate) struct Ingested<C> {
+    /// The sender's value, at the local watermark.
+    pub(crate) val: Arc<C>,
+    /// Whether it differs from the base it was resolved against.
+    pub(crate) changed: bool,
+    /// Whether it holds more commands than the value stored before it, or
+    /// none was stored.
+    pub(crate) grew: bool,
+}
+
 /// The receiver half, implemented by every agent that ingests c-struct
-/// payloads. The agent supplies its [`Compactor`] and its truncation rule;
-/// the resolve / retry / reply protocol is provided.
+/// payloads. The agent supplies its [`Compactor`], its inboxes and its
+/// truncation rule; the resolve / retry / reply protocol is provided.
 pub(crate) trait Receiver<C: CStruct>: Sized {
     /// The agent's compaction state.
     fn compactor(&mut self) -> &mut Compactor<C>;
 
     /// Applies every pending stable segment the agent's primary value
-    /// covers *now* and brings its side state to the new watermark;
-    /// returns whether the watermark moved. (Learners compact only at the
-    /// start of an upcall, so theirs never moves mid-upcall.)
+    /// covers *now* and brings its side state, inboxes included, to the
+    /// new watermark ([`Inbox::follow`]); returns whether the watermark
+    /// moved. (Learners compact only at the start of an upcall, so theirs
+    /// never moves mid-upcall.)
     fn realign(&mut self, ctx: &mut dyn Context<Msg<C>>) -> bool;
 
     /// Asks `to` for the stable segments above the local watermark.
@@ -285,53 +372,90 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
         ctx.send(to, Msg::NeedStable { from });
     }
 
-    /// Resolves `from`'s payload for `round` against `base` (its last
-    /// value for that round; for a delta, else the one kept aside when it
-    /// could not follow a truncation), retrying a full value once after
-    /// compaction when the watermarks disagree. Returns the value at the
-    /// local watermark and whether it differs from the base; `None` means
-    /// the message is dropped — after asking the sender for its full value
-    /// on a delta gap, or for the missing stable segments when it is ahead
-    /// of us.
-    fn ingest(
+    /// Resolves a payload that has no base here, a full value, at the
+    /// local watermark, retrying once after compaction. `None` means the
+    /// message is dropped, after asking the sender for the missing stable
+    /// segments when it is ahead of us, or for its full value when the
+    /// payload was a delta.
+    fn resolve_full(
         &mut self,
         from: ProcessId,
         round: Round,
         payload: Payload<C>,
-        base: impl Fn(&Self) -> Option<Arc<C>>,
         ctx: &mut dyn Context<Msg<C>>,
-    ) -> Option<(Arc<C>, bool)> {
-        let mut b = base(self);
-        // A value kept aside for `from` is the base of its next delta when
-        // none is stored; a full value (a restarted sender ships one
-        // first) supersedes it.
-        if b.is_none() || !payload.is_delta() {
-            let kept = self.compactor().take_behind(from, round);
-            if payload.is_delta() {
-                b = kept;
-            }
+    ) -> Option<Arc<C>> {
+        let Payload::Full(mut v) = payload else {
+            ctx.send(from, Msg::NeedFull { round });
+            return None;
+        };
+        // Maybe a pending segment unlocks the mismatch.
+        if self.compactor().normalize_arc(&mut v)
+            || self.realign(ctx) && self.compactor().normalize_arc(&mut v)
+        {
+            return Some(v);
         }
-        let mut resolved = self.compactor().resolve(payload, b.as_ref());
-        if let Resolved::Unaligned(p) = resolved {
-            // Maybe a pending segment unlocks the mismatch.
-            resolved = if self.realign(ctx) {
-                let b = base(self);
-                self.compactor().resolve(p, b.as_ref())
-            } else {
-                Resolved::Unaligned(p)
-            };
-        }
-        match resolved {
-            Resolved::Value(v, changed) => return Some((v, changed)),
-            Resolved::Gap => ctx.send(from, Msg::NeedFull { round }),
-            Resolved::Unaligned(p) => {
-                let w = self.compactor().watermark();
-                if p.as_full().is_some_and(|v| v.watermark() > w) {
-                    self.need_stable(from, ctx);
-                }
-            }
+        if v.watermark() > self.compactor().watermark() {
+            self.need_stable(from, ctx);
         }
         None
+    }
+
+    /// Resolves `from`'s payload for `round` and stores the result in
+    /// `inbox` as that sender's last value. A delta extends the sender's
+    /// value taken out of the inbox (or the one kept aside for it), in
+    /// place unless something else still shares it; on a gap the stored
+    /// value goes back untouched and the sender is asked for its full
+    /// value. A full value is resolved by [`Self::resolve_full`]. `None`
+    /// means the message is dropped.
+    fn ingest(
+        &mut self,
+        inbox: fn(&mut Self) -> &mut Inbox<C>,
+        from: ProcessId,
+        round: Round,
+        payload: Payload<C>,
+        ctx: &mut dyn Context<Msg<C>>,
+    ) -> Option<Ingested<C>> {
+        let (val, changed, grew) = match payload {
+            Payload::Delta {
+                base_len,
+                digest,
+                suffix,
+            } => {
+                let Some((mut base, stored)) = inbox(self).take_base(round, from) else {
+                    ctx.send(from, Msg::NeedFull { round });
+                    return None;
+                };
+                let held = Arc::as_ptr(&base);
+                let Some(changed) = self
+                    .compactor()
+                    .apply_delta(base_len, digest, &suffix, &mut base)
+                else {
+                    if stored {
+                        inbox(self).insert(round, from, base);
+                    }
+                    ctx.send(from, Msg::NeedFull { round });
+                    return None;
+                };
+                if Arc::as_ptr(&base) != held {
+                    ctx.metric(Metric::incr(metrics::BASE_COPIES));
+                }
+                // A delta appends to the stored value, or resolves one kept
+                // aside: it grew exactly when it changed.
+                (base, changed, changed)
+            }
+            full => {
+                // A full value (a restarted sender ships one first)
+                // supersedes the one kept aside.
+                inbox(self).behind.remove(&from);
+                let v = self.resolve_full(from, round, full, ctx)?;
+                let prev = inbox(self).round(round).and_then(|m| m.get(&from));
+                let changed = prev.is_none_or(|b| b.watermark() != v.watermark() || **b != *v);
+                let grew = prev.is_none_or(|b| v.count() > b.count());
+                (v, changed, grew)
+            }
+        };
+        inbox(self).insert(round, from, val.clone());
+        Some(Ingested { val, changed, grew })
     }
 
     /// Handles [`Msg::Stable`]: buffers the segment and applies what can
@@ -385,10 +509,10 @@ mod tests {
         (out, Peer::new(), Ctx::new(SENDER.raw()))
     }
 
-    /// A bare receiver half: keeps the sender's last resolved value.
+    /// A bare receiver half: keeps the sender's values in one inbox.
     struct Peer {
         comp: Compactor<H>,
-        last: Option<Arc<H>>,
+        inbox: Inbox<H>,
     }
 
     impl Receiver<H> for Peer {
@@ -404,16 +528,23 @@ mod tests {
         fn new() -> Self {
             Peer {
                 comp: Compactor::default(),
-                last: None,
+                inbox: Inbox::default(),
             }
         }
 
-        /// Applies the stable segment at our watermark, normalizing the
-        /// sender's last value as an agent's `realign` does.
+        /// The sender's last value resolved here.
+        fn last(&self) -> Option<&H> {
+            self.inbox.round(R)?.get(&SENDER).map(|v| v.as_ref())
+        }
+
+        /// Applies the stable segment at our watermark to a primary value
+        /// equal to the sender's last one, and lets the inbox follow, as
+        /// an agent's `realign` does.
         fn truncate(&mut self, seg: Vec<K>) {
             self.comp.offer(self.comp.watermark(), seg);
-            let last = Arc::make_mut(self.last.as_mut().expect("a value to truncate"));
-            assert_eq!(self.comp.advance(last, |_| {}), 1);
+            let mut primary = self.last().expect("a value to truncate").clone();
+            assert_eq!(self.comp.advance(&mut primary, |_| {}), 1);
+            self.inbox.follow(&self.comp);
         }
 
         /// Ingests the "2b" in `cx.sent` (clearing it); returns the replies.
@@ -424,10 +555,7 @@ mod tests {
                 let Msg::P2b { round, val } = msg else {
                     panic!("unexpected {msg:?}")
                 };
-                let base = |p: &Self| p.last.clone();
-                if let Some((v, _)) = self.ingest(SENDER, round, val, base, &mut replies) {
-                    self.last = Some(v);
-                }
+                self.ingest(|p| &mut p.inbox, SENDER, round, val, &mut replies);
             }
             replies.sent.into_iter().map(|(_, m)| m).collect()
         }
@@ -460,18 +588,18 @@ mod tests {
         assert!(sent_delta(&cx));
         peer.truncate(seg(0, 4));
         assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
-        assert_eq!(peer.last.as_deref(), Some(&h_at(10, 4)));
+        assert_eq!(peer.last(), Some(&h_at(10, 4)));
         // The sender truncates to 4 and ships 10→12; the peer has reached
         // 8 before it lands.
         out.ship(&[PEER], R, &Arc::new(h_at(12, 4)), &mut cx);
         assert!(sent_delta(&cx));
         peer.truncate(seg(4, 8));
         assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
-        assert_eq!(peer.last.as_deref(), Some(&h_at(12, 8)));
+        assert_eq!(peer.last(), Some(&h_at(12, 8)));
         // Both at 8: the next delta resolves as usual.
         out.ship(&[PEER], R, &Arc::new(h_at(13, 8)), &mut cx);
         assert!(peer.receive(&mut cx).is_empty());
-        assert_eq!(peer.last.as_deref(), Some(&h_at(13, 8)));
+        assert_eq!(peer.last(), Some(&h_at(13, 8)));
         assert_eq!(cx.metric_count(metrics::FULL_RESYNCS), 0);
     }
 
@@ -496,12 +624,13 @@ mod tests {
             panic!("a delta")
         };
         // The local base alone resolves it.
-        let local = peer
+        let mut local = Arc::new(peer.last().expect("a base").clone());
+        let changed = peer
             .comp
-            .apply_delta(*base_len, *digest, suffix, peer.last.as_ref());
-        assert_eq!(local.map(|(v, _)| v), Some(Arc::new(h_at(10, 4))));
+            .apply_delta(*base_len, *digest, suffix, &mut local);
+        assert_eq!((changed, &*local), (Some(true), &h_at(10, 4)));
         assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
-        assert_eq!(peer.last.as_deref(), Some(&h_at(10, 4)));
+        assert_eq!(peer.last(), Some(&h_at(10, 4)));
     }
 
     #[test]
@@ -515,14 +644,11 @@ mod tests {
         assert!(sent_delta(&cx));
         assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
         assert_eq!(peer.comp.watermark(), 0);
-        assert_eq!(peer.last.as_deref(), Some(&h(10)));
+        assert_eq!(peer.last(), Some(&h(10)));
         // Truncating later brings it to the sender's value and digest.
         peer.truncate(seg(0, 4));
-        assert_eq!(peer.last.as_deref(), Some(&h_at(10, 4)));
-        assert_eq!(
-            peer.last.as_ref().map(|v| v.digest()),
-            Some(h_at(10, 4).digest())
-        );
+        assert_eq!(peer.last(), Some(&h_at(10, 4)));
+        assert_eq!(peer.last().map(|v| v.digest()), Some(h_at(10, 4).digest()));
         assert_eq!(cx.metric_count(metrics::FULL_RESYNCS), 0);
     }
 
@@ -534,8 +660,8 @@ mod tests {
         assert!(peer.receive(&mut cx).is_empty());
         peer.comp.offer(0, seg(0, 4));
         assert_eq!(peer.comp.advance(&mut h(6), |_| {}), 1);
-        let mut lagging = peer.last.take().expect("the sender's value");
-        assert!(!peer.comp.normalize_base(SENDER, R, &mut lagging));
+        peer.inbox.follow(&peer.comp);
+        assert_eq!(peer.last(), None, "kept aside");
         (out, peer, cx)
     }
 
@@ -546,7 +672,7 @@ mod tests {
         out.ship(&[PEER], R, &Arc::new(h(6)), &mut cx);
         assert!(sent_delta(&cx));
         assert!(peer.receive(&mut cx).is_empty(), "no NeedFull");
-        assert_eq!(peer.last.as_deref(), Some(&h_at(6, 4)));
+        assert_eq!(peer.last(), Some(&h_at(6, 4)));
     }
 
     #[test]
@@ -557,8 +683,33 @@ mod tests {
         out.ship(&[PEER], R, &Arc::new(h(6)), &mut cx);
         assert!(!sent_delta(&cx));
         assert!(peer.receive(&mut cx).is_empty());
-        assert_eq!(peer.last.as_deref(), Some(&h_at(6, 4)));
-        assert!(peer.comp.take_behind(SENDER, R).is_none());
+        assert_eq!(peer.last(), Some(&h_at(6, 4)));
+        assert!(peer.inbox.behind.is_empty());
+    }
+
+    #[test]
+    fn a_rejected_delta_leaves_the_stored_base_as_it_was() {
+        let (mut out, mut peer, mut cx) = pair();
+        out.ship(&[PEER], R, &Arc::new(h(4)), &mut cx);
+        assert!(peer.receive(&mut cx).is_empty());
+        // A delta appending 4..6 whose digest is not its result's.
+        let val = Payload::Delta {
+            base_len: 4,
+            digest: h(6).digest() ^ 1,
+            suffix: seg(4, 6),
+        };
+        cx.send(PEER, Msg::P2b { round: R, val });
+        assert_eq!(peer.receive(&mut cx), vec![Msg::NeedFull { round: R }]);
+        assert_eq!(peer.last(), Some(&h(4)));
+        // A delta valid against the stored h(4) still resolves.
+        let val = Payload::Delta {
+            base_len: 4,
+            digest: h(5).digest(),
+            suffix: seg(4, 5),
+        };
+        cx.send(PEER, Msg::P2b { round: R, val });
+        assert!(peer.receive(&mut cx).is_empty(), "no second NeedFull");
+        assert_eq!(peer.last(), Some(&h(5)));
     }
 
     #[test]
@@ -615,7 +766,7 @@ mod tests {
         out.ship(&[PEER], R, &Arc::new(h(9)), &mut cx);
         assert!(sent_delta(&cx));
         assert!(peer.receive(&mut cx).is_empty());
-        assert_eq!(peer.last.as_deref(), Some(&h(9)));
+        assert_eq!(peer.last(), Some(&h(9)));
         // A `NeedFull` for a round the sender has left only drops the base.
         out.resync(PEER, R, Round::ZERO, Some(&v8), &mut cx);
         assert!(cx.sent.is_empty());
@@ -628,14 +779,14 @@ mod tests {
         out.ship(&[PEER], R, &Arc::new(h(4)), &mut cx);
         peer.receive(&mut cx);
         // The peer restarts: its copy of our value is gone. It says Hello.
-        peer.last = None;
+        peer.inbox = Inbox::default();
         out.reset(PEER, &mut cx);
         out.reset(PEER, &mut cx); // idempotent: nothing left to drop
         assert_eq!(cx.metric_count(metrics::BASE_RESETS), 1);
         out.ship(&[PEER], R, &Arc::new(h(6)), &mut cx);
         assert!(!sent_delta(&cx));
         assert!(peer.receive(&mut cx).is_empty(), "no NeedFull round-trip");
-        assert_eq!(peer.last.as_deref(), Some(&h(6)));
+        assert_eq!(peer.last(), Some(&h(6)));
         assert_eq!(cx.metric_count(metrics::DELTA_SENDS), 0);
     }
 

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{combinations, K};
+use common::{combinations, needs_full, Deltas, K};
 use mcpaxos_actor::host::Recorder;
 use mcpaxos_actor::{Actor, ProcessId};
 use mcpaxos_core::{Acceptor, DeployConfig, Msg, Policy, Round, RTYPE_MULTI, RTYPE_SINGLE};
@@ -118,6 +118,7 @@ where
     let single = Round::new(0, 2, 1, RTYPE_SINGLE);
     let switch = rng.gen_range(steps / 3..2 * steps / 3);
     let mut progress: BTreeMap<(Round, usize), usize> = BTreeMap::new();
+    let mut deltas = Deltas::new();
     for step in 0..steps {
         let (round, ci) = if step < switch || rng.gen_range(0..10) == 0 {
             (multi, rng.gen_range(0..coords.len()))
@@ -136,11 +137,12 @@ where
         let val = value_at(ci, k);
         let qsize = cfg.schedule.coord_quorum(round).quorum_size();
         let (vrnd, vote) = (acceptor.vrnd(), acceptor.vval().suffix_from(0));
+        let payload = deltas.ship(round, coords[ci], &val);
         acceptor.on_message(
             coords[ci],
             Msg::P2a {
                 round,
-                val: Arc::new(val.clone()).into(),
+                val: payload,
             },
             &mut ctx,
         );
@@ -160,6 +162,7 @@ where
             }
         }
     }
+    assert!(!needs_full(&ctx), "a delta did not resolve");
     oracle
 }
 

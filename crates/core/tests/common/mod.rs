@@ -5,11 +5,13 @@
 //! different subset of the helpers, so dead-code analysis is silenced.
 #![allow(dead_code)]
 
+use mcpaxos_actor::host::Recorder;
 use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::ProcessId;
-use mcpaxos_core::{agent, DeployConfig, Learner, Msg};
+use mcpaxos_core::{agent, DeployConfig, Learner, Msg, Payload, Round};
 use mcpaxos_cstruct::{CStruct, Conflict, ConflictKeys};
 use mcpaxos_simnet::Sim;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The pseudo-client process id used as the `from` of injected proposals.
@@ -37,6 +39,41 @@ impl Wire for K {
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(K(u16::decode(input)?, u16::decode(input)?))
     }
+}
+
+/// The senders' side of delta shipping, for tests that hand-deliver
+/// reports: the last report each sender shipped in each round.
+pub struct Deltas<C>(BTreeMap<(Round, ProcessId), C>);
+
+impl<C: CStruct> Deltas<C> {
+    pub fn new() -> Self {
+        Deltas(BTreeMap::new())
+    }
+
+    /// The payload of `from`'s report `val` for `round`: a delta when it
+    /// literally extends the sender's last report in the round, else the
+    /// whole value.
+    pub fn ship(&mut self, round: Round, from: ProcessId, val: &C) -> Payload<C> {
+        let last = self.0.insert((round, from), val.clone());
+        let base = last
+            .filter(|l| l.is_literal_prefix_of(val))
+            .map(|l| l.total_len());
+        match base.and_then(|b| Some((b, val.suffix_from(b)?))) {
+            Some((base_len, suffix)) => Payload::Delta {
+                base_len,
+                digest: val.digest(),
+                suffix,
+            },
+            None => Payload::full(val.clone()),
+        }
+    }
+}
+
+/// Whether `ctx` sent a [`Msg::NeedFull`].
+pub fn needs_full<C: CStruct>(ctx: &Recorder<Msg<C>>) -> bool {
+    ctx.sent
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::NeedFull { .. }))
 }
 
 /// All size-`k` subsets of `0..n`, eagerly (tiny n in these tests).

@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::K;
+use common::{needs_full, Deltas, K};
 use mcpaxos_actor::host::Recorder;
 use mcpaxos_actor::wire::{Wire, WireError};
 use mcpaxos_actor::{Actor, ProcessId};
@@ -102,8 +102,19 @@ impl<C: CStruct> CStruct for Counted<C> {
     fn suffix_from(&self, base_len: u64) -> Option<Vec<C::Cmd>> {
         self.0.suffix_from(base_len)
     }
+    fn is_literal_prefix_of(&self, other: &Self) -> bool {
+        self.0.is_literal_prefix_of(&other.0)
+    }
     fn apply_suffix(&mut self, base_len: u64, suffix: &[C::Cmd]) -> Result<u64, SuffixGap> {
         self.0.apply_suffix(base_len, suffix)
+    }
+    fn apply_suffix_checked(
+        &mut self,
+        base_len: u64,
+        suffix: &[C::Cmd],
+        digest: u64,
+    ) -> Result<u64, SuffixGap> {
+        self.0.apply_suffix_checked(base_len, suffix, digest)
     }
     fn truncate_stable(&mut self, stable: &[C::Cmd]) -> bool {
         self.0.truncate_stable(stable)
@@ -200,6 +211,7 @@ where
     ];
     let mut next = 0;
     let mut progress: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    let mut deltas = Deltas::new();
     let mut seen = Seen::default();
     for step in 0..steps {
         let before = glbs();
@@ -235,14 +247,12 @@ where
                 }
             };
             let val = value_at(ri, ai, k);
-            coord.on_message(
-                acceptors[ai],
-                Msg::P2b {
-                    round: rounds[ri],
-                    val: Arc::new(Counted(val.clone())).into(),
-                },
-                &mut ctx,
-            );
+            let payload = deltas.ship(rounds[ri], acceptors[ai], &Counted(val.clone()));
+            let msg = Msg::P2b {
+                round: rounds[ri],
+                val: payload,
+            };
+            coord.on_message(acceptors[ai], msg, &mut ctx);
             let had = oracle.outstanding.len();
             let fold = oracle.report(acceptors[ai], rounds[ri], val, qsize);
             seen.retired += had - oracle.outstanding.len();
@@ -261,6 +271,7 @@ where
              was absorbed by every one"
         );
     }
+    assert!(!needs_full(&ctx), "a delta did not resolve");
     seen
 }
 

@@ -99,8 +99,16 @@ fn bounded_mode_learns_everything_with_bounded_windows() {
     }
 
     // The machinery actually ran.
-    assert!(sim.metrics().total("delta_sends") > 0, "no deltas shipped");
+    let deltas = sim.metrics().total("delta_sends");
+    assert!(deltas > 0, "no deltas shipped");
     assert!(sim.metrics().total("truncations") > 0, "nothing truncated");
+    // Most deltas extend their base in place: a copy is paid only while
+    // something else still shares it.
+    let copies = sim.metrics().total("base_copies");
+    assert!(
+        4 * copies <= deltas,
+        "{copies} base copies for {deltas} deltas"
+    );
 
     // Consistency across learners, live windows compared above the common
     // watermark: align both to the higher one via the protocol invariant
@@ -208,4 +216,29 @@ fn pipelined_group_commit_crosses_compaction_boundaries_without_resyncs() {
     assert_eq!(need_full, 0, "a delta gapped at a compaction boundary");
     assert_eq!(sim.metrics().total("full_resyncs"), 0);
     assert!(sim.metrics().total("delta_sends") > 0, "deltas flowed");
+}
+
+/// Runs `n` commands with segments of `segment`, proposing command 140
+/// a second time five ticks after the first.
+fn run_with_a_retry(n: u32, segment: u64) -> H {
+    let cfg = Arc::new(
+        DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated)
+            .with_wire(WireConfig::bounded(segment)),
+    );
+    let mut sim: Sim<Msg<H>> = Sim::new(11, NetConfig::lockstep());
+    deploy(&mut sim, &cfg);
+    for i in 0..n {
+        propose_at(&mut sim, &cfg, SimTime(100 + 20 * u64::from(i)), 0, cmd(i));
+    }
+    propose_at(&mut sim, &cfg, SimTime(2905), 0, cmd(140));
+    sim.run_until(SimTime(28_100));
+    learned(&sim, &cfg, 0)
+}
+
+#[test]
+#[ignore = "ROADMAP item 14: a command proposed again after its segment \
+            left the retained window is chosen a second time"]
+fn a_command_proposed_again_after_it_was_truncated_is_learned_once() {
+    assert_eq!(run_with_a_retry(400, 16).total_len(), 400);
+    assert_eq!(run_with_a_retry(200, 4).total_len(), 200);
 }

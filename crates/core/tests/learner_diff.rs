@@ -8,17 +8,22 @@
 //! learned value. The production learner updates only the subsets
 //! containing the sender and skips unchanged glbs; after every single
 //! message the two must agree (poset equality).
+//!
+//! A report that literally extends its sender's last one in the round
+//! travels as a delta, as acceptors ship them, and one in ten such
+//! deltas that appends is lost: the sender's next delta must then be
+//! answered with `NeedFull`, and the full value it re-ships resolves.
 
 mod common;
 
-use common::{combinations, K};
+use common::{combinations, Deltas, K};
 use mcpaxos_actor::host::Recorder;
 use mcpaxos_actor::{Actor, ProcessId};
-use mcpaxos_core::{DeployConfig, Learner, Msg, Policy, Round, RTYPE_MULTI, RTYPE_SINGLE};
+use mcpaxos_core::{DeployConfig, Learner, Msg, Payload, Policy, Round, RTYPE_MULTI, RTYPE_SINGLE};
 use mcpaxos_cstruct::{glb_all, CStruct, CmdSet, CommandHistory, Conflict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The seed's `try_learn`, from scratch over full clones.
@@ -37,7 +42,8 @@ fn oracle_learn<C: CStruct>(learned: &mut C, reports: &BTreeMap<ProcessId, C>, q
 
 /// Drives a learner and the oracle with the same randomized "2b" stream
 /// (growing values, duplicate deliveries, stale re-deliveries, multiple
-/// interleaved rounds) and checks agreement after every message.
+/// interleaved rounds, lost deltas) and checks agreement after every
+/// message.
 /// `value_at(acceptor, progress)` is the report; the result lists each
 /// report the learned value covered on arrival, beside that value.
 fn drive<C, F>(seed: u64, steps: usize, mut value_at: F) -> Vec<(C, C)>
@@ -48,7 +54,7 @@ where
     let cfg = Arc::new(DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated));
     let qsize = cfg.quorums.classic_size();
     let mut learner: Learner<C> = Learner::new(cfg);
-    // The test only inspects `learned`; what the learner sends is ignored.
+    // The test inspects `learned` and the learner's `NeedFull`s.
     let mut ctx = Recorder::new(9);
     let mut rng = StdRng::seed_from_u64(seed);
     let rounds = [
@@ -62,6 +68,9 @@ where
     // acceptor has reported (grows, occasionally re-sent stale).
     let mut progress: BTreeMap<(usize, u32), usize> = BTreeMap::new();
     let mut covered = Vec::new();
+    let mut deltas = Deltas::new();
+    // The (round, acceptor) pairs whose last delta was lost.
+    let mut lost = BTreeSet::new();
 
     for _ in 0..steps {
         let ri = rng.gen_range(0..rounds.len());
@@ -73,18 +82,33 @@ where
             *entry += rng.gen_range(0..3usize);
         }
         let val = value_at(acc, *entry);
+        let (round, from) = (rounds[ri], ProcessId(acc));
+        let payload = deltas.ship(round, from, &val);
+        let appends = matches!(&payload, Payload::Delta { suffix, .. } if !suffix.is_empty());
+        if appends && !lost.contains(&(ri, acc)) && rng.gen_range(0..10) == 0 {
+            lost.insert((ri, acc));
+            continue;
+        }
         if val.le(learner.learned()) {
             covered.push((val.clone(), learner.learned().clone()));
         }
 
+        let gap = lost.remove(&(ri, acc)) && payload.is_delta();
+        ctx.sent.clear();
         learner.on_message(
-            ProcessId(acc),
+            from,
             Msg::P2b {
-                round: rounds[ri],
-                val: Arc::new(val.clone()).into(),
+                round,
+                val: payload,
             },
             &mut ctx,
         );
+        let need_full = Msg::NeedFull { round };
+        assert_eq!(ctx.sent.contains(&(from, need_full)), gap);
+        if gap {
+            let val = Payload::full(val.clone());
+            learner.on_message(from, Msg::P2b { round, val }, &mut ctx);
+        }
         let reports = oracle_reports.entry(rounds[ri]).or_default();
         reports.insert(ProcessId(acc), val);
         oracle_learn(&mut oracle_learned, reports, qsize);

@@ -856,6 +856,34 @@ impl<C: Command + Conflict> CStruct for CommandHistory<C> {
         Ok(appended)
     }
 
+    /// Digests the commands the suffix would append before appending
+    /// them, so a rejected suffix costs no copy and leaves `self` as it
+    /// was.
+    fn apply_suffix_checked(
+        &mut self,
+        base_len: u64,
+        suffix: &[C],
+        digest: u64,
+    ) -> Result<u64, SuffixGap> {
+        if base_len < self.trunc || base_len > CStruct::total_len(self) {
+            return Err(SuffixGap);
+        }
+        let fresh = suffix.iter().filter(|c| !self.pos.contains_key(*c));
+        if fresh.fold(self.digest(), digest_step) != digest {
+            return Err(SuffixGap);
+        }
+        let mut appended = 0u64;
+        for c in suffix {
+            if !self.pos.contains_key(c) {
+                self.push_new(c.clone());
+                appended += 1;
+            }
+        }
+        // The check above stepped the chain over what was appended.
+        *self.digest_memo.get_mut() = digest;
+        Ok(appended)
+    }
+
     fn truncate_stable(&mut self, stable: &[C]) -> bool {
         if stable.is_empty() {
             return true;

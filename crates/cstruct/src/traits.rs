@@ -196,6 +196,25 @@ pub trait CStruct: Clone + Eq + fmt::Debug + Wire + Send + 'static {
         Err(SuffixGap)
     }
 
+    /// [`CStruct::apply_suffix`], kept only when the result's
+    /// [`CStruct::digest`] is `digest`: how a receiver extends its base by
+    /// a delta in place. The default, like `apply_suffix`'s, supports no
+    /// deltas.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SuffixGap`], leaving the value as it was, when
+    /// `apply_suffix` would fail or the digest differs.
+    fn apply_suffix_checked(
+        &mut self,
+        base_len: u64,
+        suffix: &[Self::Cmd],
+        digest: u64,
+    ) -> Result<u64, SuffixGap> {
+        let _ = (base_len, suffix, digest);
+        Err(SuffixGap)
+    }
+
     /// Truncates the given stable commands out of the live representation,
     /// advancing the watermark by `stable.len()`. Returns `false` (and
     /// changes nothing) when the truncation does not apply: a command is

@@ -78,7 +78,15 @@ proptest! {
                 5 => {
                     let base = v.total_len().min(w.total_len());
                     if let Some(suffix) = w.suffix_from(base) {
-                        v.apply_suffix(base, &suffix).expect("base within v");
+                        // The checked apply leaves `v` on a wrong digest
+                        // and is the plain one on the result's.
+                        let mut want = v.clone();
+                        want.apply_suffix(base, &suffix).expect("base within v");
+                        let (d, before) = (want.digest(), v.as_slice().to_vec());
+                        prop_assert!(v.apply_suffix_checked(base, &suffix, d ^ 1).is_err());
+                        prop_assert_eq!(v.as_slice(), &before[..]);
+                        v.apply_suffix_checked(base, &suffix, d).expect("the result's digest");
+                        prop_assert_eq!(v.as_slice(), want.as_slice());
                     }
                 }
                 6 => {
