@@ -707,9 +707,11 @@ impl<C: CStruct> Actor for Acceptor<C> {
     }
 
     /// The peer restarted or its link was reset: drop the delta base
-    /// shipped to it.
+    /// shipped to it, and let its deltas ask for its full value again.
     fn on_link_reset(&mut self, peer: ProcessId, ctx: &mut dyn Context<Msg<C>>) {
         self.out.reset(peer, ctx);
+        self.round_2a.reset(peer);
+        self.round_2b.reset(peer);
     }
 }
 

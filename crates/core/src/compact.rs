@@ -165,14 +165,13 @@ impl<C: CStruct> Compactor<C> {
         !self.pending.contains_key(&self.watermark)
     }
 
-    /// The retained stable segments at or above `from`, for answering a
-    /// lagging peer's [`crate::Msg::NeedStable`] resync request.
+    /// The retained stable segments from the one that starts at `from` on,
+    /// for answering a lagging peer's [`crate::Msg::NeedStable`] resync
+    /// request. Empty when no retained segment starts there: later ones
+    /// could not connect to the peer's watermark.
     pub fn recent_from(&self, from: u64) -> Vec<(u64, Vec<C::Cmd>)> {
-        self.recent
-            .iter()
-            .filter(|(f, _)| *f >= from)
-            .cloned()
-            .collect()
+        let at = self.recent.iter().position(|(f, _)| *f == from);
+        at.map_or_else(Vec::new, |i| self.recent.range(i..).cloned().collect())
     }
 
     /// Restart path for learners: a primary that sits *exactly empty at
@@ -260,15 +259,19 @@ impl<C: CStruct> Compactor<C> {
         self.normalize(v).then_some(appended > 0 || behind)
     }
 
-    /// Normalizes a stored shared value in place; returns `false`, leaving
-    /// `v` untouched, when it cannot be brought to the watermark (caller
-    /// should drop it).
+    /// Normalizes a stored value in place, copying it first only when
+    /// something else shares it; `false` means it cannot reach the
+    /// watermark (caller should drop it). An unshared value that fails may
+    /// be left partly truncated: the same value, nearer the watermark.
     pub fn normalize_arc(&self, v: &mut Arc<C>) -> bool {
         if v.watermark() == self.watermark {
             return true;
         }
         if v.watermark() > self.watermark {
             return false;
+        }
+        if let Some(v) = Arc::get_mut(v) {
+            return self.normalize(v);
         }
         let mut owned = (**v).clone();
         if !self.normalize(&mut owned) {
@@ -337,6 +340,22 @@ mod tests {
         let mut ahead = h(8);
         c.normalize(&mut ahead);
         assert!(!c2.normalize(&mut ahead));
+    }
+
+    #[test]
+    fn normalize_arc_truncates_an_unshared_value_in_place() {
+        let mut c: Compactor<H> = Compactor::default();
+        c.offer(0, (0..4).map(|i| K(i % 4, i)).collect());
+        c.advance(&mut h(8), |_| {});
+        let mut v = Arc::new(h(8));
+        let at = Arc::as_ptr(&v);
+        assert!(c.normalize_arc(&mut v));
+        assert_eq!((Arc::as_ptr(&v), v.watermark()), (at, 4));
+        // A shared value is copied: its other holder keeps watermark 0.
+        let mut v = Arc::new(h(8));
+        let held = v.clone();
+        assert!(c.normalize_arc(&mut v));
+        assert_eq!((held.watermark(), v.watermark()), (0, 4));
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //!   after compaction, reply `NeedFull` / `NeedStable`, and the
 //!   [`Msg::Stable`] / [`Msg::NeedStable`] catch-up handlers.
 //!
+//! **Catch-up asks only for what it can use.** (A) A full value ahead of
+//! the watermark draws `NeedStable` only when no segment is pending there.
+//! (B) Once a sender's full value arrived ahead, its deltas draw no
+//! `NeedFull` until the watermark moves, a full value from it resolves, or
+//! it says `Hello` (or its link resets). (C) `NeedStable { from }` gets the
+//! retained run that starts at `from`, or nothing: later runs can't connect.
+//!
 //! **One frame.** A delta resolves against the receiver's own base, at
 //! the receiver's watermark. Sender and receiver cross a compaction
 //! boundary at different instants, but the digest chains from the logical
@@ -281,6 +288,9 @@ pub(crate) struct Inbox<C: CStruct> {
     /// still the base of its next delta for that round. That delta, or
     /// any full value from the sender, takes it out.
     behind: BTreeMap<ProcessId, (Round, Arc<C>)>,
+    /// Per sender: the local watermark at which its full value arrived
+    /// ahead; its deltas draw no `NeedFull` while the watermark stays.
+    ahead: BTreeMap<ProcessId, u64>,
 }
 
 impl<C: CStruct> Default for Inbox<C> {
@@ -288,6 +298,7 @@ impl<C: CStruct> Default for Inbox<C> {
         Inbox {
             rounds: BTreeMap::new(),
             behind: BTreeMap::new(),
+            ahead: BTreeMap::new(),
         }
     }
 }
@@ -325,6 +336,20 @@ impl<C: CStruct> Inbox<C> {
                 }
                 aligned
             });
+        }
+    }
+
+    /// `peer` restarted ([`Msg::Hello`]) or its link was reset: its deltas
+    /// may ask for its full value again.
+    pub(crate) fn reset(&mut self, peer: ProcessId) {
+        self.ahead.remove(&peer);
+    }
+
+    /// Asks `from` for its full value in `round`, unless its last one was
+    /// ahead of the local watermark `w`, which has not moved since.
+    fn need_full(&self, from: ProcessId, round: Round, w: u64, ctx: &mut dyn Context<Msg<C>>) {
+        if self.ahead.get(&from) != Some(&w) {
+            ctx.send(from, Msg::NeedFull { round });
         }
     }
 
@@ -375,8 +400,8 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
     /// Resolves a payload that has no base here, a full value, at the
     /// local watermark, retrying once after compaction. `None` means the
     /// message is dropped, after asking the sender for the missing stable
-    /// segments when it is ahead of us, or for its full value when the
-    /// payload was a delta.
+    /// segments when it is ahead of us and none is pending at our
+    /// watermark, or for its full value when the payload was a delta.
     fn resolve_full(
         &mut self,
         from: ProcessId,
@@ -394,7 +419,8 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
         {
             return Some(v);
         }
-        if v.watermark() > self.compactor().watermark() {
+        let comp = self.compactor();
+        if v.watermark() > comp.watermark() && comp.gap_at_watermark() {
             self.need_stable(from, ctx);
         }
         None
@@ -421,8 +447,9 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
                 digest,
                 suffix,
             } => {
+                let w = self.compactor().watermark();
                 let Some((mut base, stored)) = inbox(self).take_base(round, from) else {
-                    ctx.send(from, Msg::NeedFull { round });
+                    inbox(self).need_full(from, round, w, ctx);
                     return None;
                 };
                 let held = Arc::as_ptr(&base);
@@ -433,7 +460,7 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
                     if stored {
                         inbox(self).insert(round, from, base);
                     }
-                    ctx.send(from, Msg::NeedFull { round });
+                    inbox(self).need_full(from, round, w, ctx);
                     return None;
                 };
                 if Arc::as_ptr(&base) != held {
@@ -443,11 +470,19 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
                 // aside: it grew exactly when it changed.
                 (base, changed, changed)
             }
-            full => {
+            Payload::Full(v) => {
                 // A full value (a restarted sender ships one first)
                 // supersedes the one kept aside.
                 inbox(self).behind.remove(&from);
-                let v = self.resolve_full(from, round, full, ctx)?;
+                let sent_at = v.watermark();
+                let Some(v) = self.resolve_full(from, round, Payload::Full(v), ctx) else {
+                    let w = self.compactor().watermark();
+                    if sent_at > w {
+                        inbox(self).ahead.insert(from, w);
+                    }
+                    return None;
+                };
+                inbox(self).ahead.remove(&from);
                 let prev = inbox(self).round(round).and_then(|m| m.get(&from));
                 let changed = prev.is_none_or(|b| b.watermark() != v.watermark() || **b != *v);
                 let grew = prev.is_none_or(|b| v.count() > b.count());
@@ -477,8 +512,8 @@ pub(crate) trait Receiver<C: CStruct>: Sized {
         }
     }
 
-    /// Handles [`Msg::NeedStable`]: re-sends the retained segments at or
-    /// above the requester's watermark.
+    /// Handles [`Msg::NeedStable`]: re-sends the retained run of segments
+    /// that starts at the requester's watermark, if any.
     fn on_need_stable(&mut self, from: ProcessId, want: u64, ctx: &mut dyn Context<Msg<C>>) {
         for (f, seg) in self.compactor().recent_from(want) {
             ctx.send(from, Msg::Stable { from: f, cmds: seg });
@@ -710,6 +745,101 @@ mod tests {
         cx.send(PEER, Msg::P2b { round: R, val });
         assert!(peer.receive(&mut cx).is_empty(), "no second NeedFull");
         assert_eq!(peer.last(), Some(&h(5)));
+    }
+
+    /// Delivers one "2b" from the sender carrying `val`; returns the
+    /// replies.
+    fn deliver(peer: &mut Peer, val: Payload<H>) -> Vec<Msg<H>> {
+        let mut cx = Ctx::new(SENDER.raw());
+        cx.send(PEER, Msg::P2b { round: R, val });
+        peer.receive(&mut cx)
+    }
+
+    /// The sender's value h(8) at watermark 4: ahead of a fresh peer.
+    fn ahead() -> Payload<H> {
+        Payload::full(h_at(8, 4))
+    }
+
+    /// A delta extending the sender's h(8) by one command.
+    fn next_delta() -> Payload<H> {
+        Payload::Delta {
+            base_len: 8,
+            digest: h_at(9, 4).digest(),
+            suffix: seg(8, 9),
+        }
+    }
+
+    const NEED_FULL: Msg<H> = Msg::NeedFull { round: R };
+
+    #[test]
+    fn a_full_value_ahead_asks_for_segments_only_when_one_is_missing() {
+        // Nothing is pending at watermark 0: the segment 0..4 is missing.
+        let mut peer = Peer::new();
+        assert_eq!(deliver(&mut peer, ahead()), [Msg::NeedStable { from: 0 }]);
+        // With it pending, what is missing is a value that covers it.
+        let mut peer = Peer::new();
+        peer.comp.offer(0, seg(0, 4));
+        assert_eq!(deliver(&mut peer, ahead()), []);
+        assert_eq!(peer.comp.watermark(), 0);
+    }
+
+    #[test]
+    fn after_a_full_value_ahead_deltas_ask_for_it_again_only_after_a_hello() {
+        let mut peer = Peer::new();
+        deliver(&mut peer, ahead());
+        for _ in 0..3 {
+            assert_eq!(deliver(&mut peer, next_delta()), [], "no NeedFull");
+        }
+        // The sender restarted (`Hello`): its next delta asks once.
+        peer.inbox.reset(SENDER);
+        assert_eq!(deliver(&mut peer, next_delta()), [NEED_FULL]);
+    }
+
+    #[test]
+    fn after_a_full_value_ahead_deltas_ask_for_it_again_once_the_watermark_moves() {
+        let mut peer = Peer::new();
+        deliver(&mut peer, ahead());
+        assert_eq!(deliver(&mut peer, next_delta()), []);
+        peer.comp.offer(0, seg(0, 4));
+        assert_eq!(peer.comp.advance(&mut h(4), |_| {}), 1);
+        assert_eq!(deliver(&mut peer, next_delta()), [NEED_FULL]);
+        // Now the answer resolves, and so does the next delta.
+        assert_eq!(deliver(&mut peer, ahead()), []);
+        assert_eq!(deliver(&mut peer, next_delta()), []);
+        assert_eq!(peer.last(), Some(&h_at(9, 4)));
+    }
+
+    #[test]
+    fn a_full_value_that_resolves_lets_the_next_gap_ask_again() {
+        let mut peer = Peer::new();
+        deliver(&mut peer, ahead());
+        // A full value at the peer's watermark resolves; a delta that
+        // does not extend it then asks, at the same watermark.
+        assert_eq!(deliver(&mut peer, Payload::full(h(6))), []);
+        assert_eq!(deliver(&mut peer, next_delta()), [NEED_FULL]);
+    }
+
+    #[test]
+    fn need_stable_gets_the_retained_run_from_want_or_nothing() {
+        let mut peer = Peer::new();
+        for w in (0..20).step_by(2) {
+            peer.comp.offer(w, seg(w as u16, w as u16 + 2));
+        }
+        assert_eq!(peer.comp.advance_free(|_| {}), 10);
+        let answer = |peer: &mut Peer, want| {
+            let mut cx = Ctx::new(PEER.raw());
+            peer.on_need_stable(SENDER, want, &mut cx);
+            cx.sent.into_iter().map(|(_, m)| m).collect::<Vec<_>>()
+        };
+        let stable = |w: u16| Msg::Stable {
+            from: w.into(),
+            cmds: seg(w, w + 2),
+        };
+        assert_eq!(answer(&mut peer, 16), [stable(16), stable(18)]);
+        // 0..4 left the retained window: 4.. cannot connect to 0 or 2.
+        assert_eq!(answer(&mut peer, 0), []);
+        assert_eq!(answer(&mut peer, 2), []);
+        assert_eq!(answer(&mut peer, 20), []);
     }
 
     #[test]

@@ -6,7 +6,7 @@ mod common;
 
 use common::{deploy, learned, propose_at};
 use mcpaxos_actor::wire::{Wire, WireError};
-use mcpaxos_actor::{SimDuration, SimTime, WalStore};
+use mcpaxos_actor::{ProcessId, SimDuration, SimTime, WalStore};
 use mcpaxos_core::{Acceptor, BatchConfig, DeployConfig, Msg, Policy, WireConfig};
 use mcpaxos_cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys};
 use mcpaxos_simnet::{NetConfig, Sim};
@@ -241,4 +241,67 @@ fn run_with_a_retry(n: u32, segment: u64) -> H {
 fn a_command_proposed_again_after_it_was_truncated_is_learned_once() {
     assert_eq!(run_with_a_retry(400, 16).total_len(), 400);
     assert_eq!(run_with_a_retry(200, 4).total_len(), 200);
+}
+
+/// The production shape with segments of 16, 600 commands four ticks
+/// apart: its first acceptor crashes at tick 400 and recovers from its WAL
+/// at tick 700. Returns the run at tick 5 000, the acceptor, and its
+/// watermark and the others' just after the recovery.
+fn run_with_an_acceptor_restart() -> (Sim<Msg<H>>, [ProcessId; 2], [u64; 2]) {
+    let cfg = Arc::new(
+        DeployConfig::simple(1, 3, 5, 2, Policy::MultiCoordinated)
+            .with_wire(WireConfig::bounded(16))
+            .with_batching(BatchConfig::pipelined(16, 8))
+            .with_group_commit(SimDuration(2)),
+    );
+    let mut sim: Sim<Msg<H>> = Sim::new(1, NetConfig::lockstep());
+    sim.set_storage_factory(|_| Box::new(WalStore::new()));
+    sim.enable_byte_meter(Box::new(|m: &Msg<H>| (m.tag(), 0)));
+    deploy(&mut sim, &cfg);
+    for i in 0..600u32 {
+        propose_at(&mut sim, &cfg, SimTime(100 + 4 * u64::from(i)), 0, cmd(i));
+    }
+    let accs = [cfg.roles.acceptors()[0], cfg.roles.acceptors()[1]];
+    sim.crash_at(SimTime(400), accs[0]);
+    sim.recover_at(SimTime(700), accs[0]);
+    sim.run_until(SimTime(710));
+    let back_at = watermarks(&sim, accs);
+    sim.run_until(SimTime(5_000));
+    (sim, accs, back_at)
+}
+
+/// The vote watermarks of `accs`.
+fn watermarks(sim: &Sim<Msg<H>>, accs: [ProcessId; 2]) -> [u64; 2] {
+    accs.map(|a| {
+        let acc = sim.actor::<Acceptor<H>>(a).expect("acceptor");
+        acc.vval().watermark()
+    })
+}
+
+#[test]
+fn a_restarted_acceptor_behind_the_watermark_asks_only_for_what_it_can_use() {
+    let (sim, accs, back_at) = run_with_an_acceptor_restart();
+    // The restored vote does not cover the segment at its watermark.
+    assert!(back_at[0] < back_at[1], "not behind: {back_at:?}");
+    let now_at = watermarks(&sim, accs);
+    let need_stable = sim.wire_total("needstable").count;
+    assert!(need_stable <= 5, "{need_stable} NeedStable");
+    // One NeedFull per sender (three coordinators, four fellow acceptors)
+    // per local watermark.
+    let local_watermarks = 1 + (now_at[0] - back_at[0]) / 16;
+    let need_full = sim.wire_total("needfull").count;
+    assert!(
+        need_full <= 7 * local_watermarks,
+        "{need_full} NeedFull over {local_watermarks} watermarks"
+    );
+    assert!(sim.wire_total("stable").count > 0, "segments flowed");
+}
+
+#[test]
+#[ignore = "ROADMAP item 6: an acceptor whose restored vote does not cover \
+            the segment at its watermark never rejoins the round"]
+fn a_restarted_acceptor_behind_the_watermark_catches_up() {
+    let (sim, accs, _) = run_with_an_acceptor_restart();
+    let [recovered, cluster] = watermarks(&sim, accs);
+    assert_eq!(recovered, cluster);
 }

@@ -7,14 +7,18 @@
 //! The runs are lockstep (no loss, no duplication), so every `NeedFull`
 //! in the trace is a round-trip the proactive path failed to save; the
 //! tests pin that count at zero while `base_resets` proves bases were
-//! actually dropped.
+//! actually dropped. A `Hello` also lets a receiver ask again for the
+//! full value of a sender whose last one arrived ahead of it.
 
 mod common;
 
-use common::{deploy, learned, propose_at};
+use common::{deploy, learned, needs_full, propose_at};
+use mcpaxos_actor::host::Recorder;
 use mcpaxos_actor::wire::{Wire, WireError};
-use mcpaxos_actor::{ProcessId, SimTime};
-use mcpaxos_core::{DeployConfig, Msg, Policy, WireConfig};
+use mcpaxos_actor::{Actor, ProcessId, SimTime};
+use mcpaxos_core::{
+    Acceptor, Coordinator, DeployConfig, Msg, Payload, Policy, Round, WireConfig, RTYPE_MULTI,
+};
 use mcpaxos_cstruct::{CStruct, CommandHistory, Conflict, ConflictKeys};
 use mcpaxos_simnet::{NetConfig, Sim};
 use std::sync::Arc;
@@ -141,4 +145,52 @@ fn partition_heal_resets_bases_on_both_sides() {
         "no post-heal delta may be shipped against a stale base"
     );
     assert!(sim.metrics().total("delta_sends") > 0, "deltas flowed");
+}
+
+/// Whether `agent` asks `from` for its full value on a delta, after that
+/// sender's full value arrived ahead of it, then again after a `Hello`
+/// from it.
+fn asks_for_a_full_value_ahead(
+    agent: &mut dyn Actor<Msg = Msg<H>>,
+    from: ProcessId,
+    wrap: fn(Round, Payload<H>) -> Msg<H>,
+) -> (bool, bool) {
+    let r = Round::new(0, 1, 0, RTYPE_MULTI);
+    // The sender's 8 commands with the stable segment 0..4 truncated.
+    let at = |n: u32| {
+        let mut v: H = (0..n).map(cmd).collect();
+        assert!(v.truncate_stable(&(0..4).map(cmd).collect::<Vec<_>>()));
+        v
+    };
+    let delta = || Payload::Delta {
+        base_len: 8,
+        digest: at(9).digest(),
+        suffix: vec![cmd(8)],
+    };
+    let mut cx = Recorder::new(0);
+    agent.on_message(from, wrap(r, Payload::full(at(8))), &mut cx);
+    cx.sent.clear();
+    agent.on_message(from, wrap(r, delta()), &mut cx);
+    let before = needs_full(&cx);
+    agent.on_message(from, Msg::Hello, &mut cx);
+    agent.on_message(from, wrap(r, delta()), &mut cx);
+    (before, needs_full(&cx))
+}
+
+#[test]
+fn a_hello_lets_deltas_from_a_sender_ahead_ask_for_its_full_value_again() {
+    let cfg = Arc::new(
+        DeployConfig::simple(1, 3, 5, 1, Policy::MultiCoordinated)
+            .with_wire(WireConfig::bounded(16)),
+    );
+    let (coord, acc) = (cfg.roles.coordinators()[0], cfg.roles.acceptors()[0]);
+    let mut a: Acceptor<H> = Acceptor::new(cfg.clone());
+    let p2a = |round, val| Msg::P2a { round, val };
+    assert_eq!(
+        asks_for_a_full_value_ahead(&mut a, coord, p2a),
+        (false, true)
+    );
+    let mut c: Coordinator<H> = Coordinator::new(cfg.clone(), coord);
+    let p2b = |round, val| Msg::P2b { round, val };
+    assert_eq!(asks_for_a_full_value_ahead(&mut c, acc, p2b), (false, true));
 }
