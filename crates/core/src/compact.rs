@@ -170,8 +170,8 @@ impl<C: CStruct> Compactor<C> {
     /// request. Empty when no retained segment starts there: later ones
     /// could not connect to the peer's watermark.
     pub fn recent_from(&self, from: u64) -> Vec<(u64, Vec<C::Cmd>)> {
-        let at = self.recent.iter().position(|(f, _)| *f == from);
-        at.map_or_else(Vec::new, |i| self.recent.range(i..).cloned().collect())
+        let run = self.recent.iter().skip_while(|(f, _)| *f != from);
+        run.cloned().collect()
     }
 
     /// Restart path for learners: a primary that sits *exactly empty at
